@@ -190,8 +190,10 @@ def _cmd_stats(args) -> int:
                     _t_selector(args.t), args.format, args.output)
     mode = args.mode.replace("-", "_")
     rows = []
-    for n in range(cfg.n_max + 1):
-        for r in cfg.r_list:
+    # r outermost and n downwards, as in identities.verify: one totals
+    # table build per r; the stable sort restores the (n, r, j) order
+    for r in cfg.r_list:
+        for n in range(cfg.n_max, -1, -1):
             for j in range(cfg.j_max + 1):
                 if args.stat == "counts":
                     for family in ("O", "D"):
@@ -209,6 +211,7 @@ def _cmd_stats(args) -> int:
                     rows.append({"stat": args.stat, "n": n, "r": r, "j": j,
                                  "t": None,
                                  "value": _STAT_FNS[args.stat](n, r, j, None, mode)})
+    rows.sort(key=lambda row: row["n"])
     meta = {"command": "stats", "stat": args.stat, "n_max": cfg.n_max,
             "r": list(cfg.r_list), "j_max": cfg.j_max, "t": cfg.t,
             "mode": args.mode}
@@ -309,6 +312,7 @@ def _cmd_oeis(args) -> int:
         raise ValueError(f"r must be >= 2, got {args.r}")
     if not 0 <= args.n_max <= MAX_ENUM_N:
         raise ValueError(f"n-max must be in 0..{MAX_ENUM_N}, got {args.n_max}")
+    identities.class_totals(args.n_max, args.r)  # one table build, at n-max
     values = [identities.class_count(args.family, n, args.r, args.j)
               for n in range(args.n_max + 1)]
     report = oeis.crosscheck(args.sequence, values, cache_dir=args.cache_dir,

@@ -1,20 +1,23 @@
-"""Aggregate class statistics by enumeration, and theorem verification.
+"""Aggregate class statistics, and theorem verification.
 
-Everything here is computed by a single enumeration pass per (n, r): one
-walk over the partitions of n scatters every per-partition statistic into
-per-class accumulators.  The q-series module reproduces the same numbers by
-a completely different route; it is deliberately not used here.
+The totals come from one dynamic program over part values per modulus r.
+Every aggregated statistic is a sum over the distinct parts of a
+partition, so giving part p multiplicity m in each partition of n - p*m
+adds (number of those partitions) x (that part's contribution) to every
+total of n.  Adding the part values 1..N one at a time fills the totals of
+every n <= N in a single pass.  The program works from the class
+definitions alone; the q-series module reproduces the same numbers by a
+different route and is deliberately not used here.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .enumeration import (MAX_ENUM_N, ClassSpec, enumerate_fixed_repeats,
-                          index_weight_tuples, partitions_of)
-from .partition import stats
+from .enumeration import (MAX_ENUM_N, enumerate_fixed_repeats,
+                          index_weight_tuples)
 
 THEOREM_IDS = (
     "franklin",
@@ -52,34 +55,124 @@ class ClassTotals:
         self.d_window: dict[int, int] = {}
 
 
-@lru_cache(maxsize=None)
-def class_totals(n: int, r: int) -> ClassTotals:
-    """One enumeration pass over the partitions of n, modulus r."""
-    if r < 2:
-        raise ValueError(f"modulus r must be >= 2, got {r}")
-    tot = ClassTotals(n, r)
-    for lam in partitions_of(n):
-        st = stats(lam, r)
-        j_div = sum(1 for p, _ in lam.pairs if p % r == 0)
-        j_rep = sum(1 for _, m in lam.pairs if m >= r)
+_Step = Callable[[int, int], tuple[int, list[int]]]
 
-        tot.o_count[j_div] = tot.o_count.get(j_div, 0) + 1
-        tot.o_parts[j_div] = tot.o_parts.get(j_div, 0) + st.ell
-        tot.o_distinct[j_div] = tot.o_distinct.get(j_div, 0) + st.ell_bar
-        row = tot.o_parts_mod.setdefault(j_div, [0] * r)
-        for t in range(r):
-            row[t] += st.ell_mod[t]
 
-        tot.d_count[j_rep] = tot.d_count.get(j_rep, 0) + 1
-        tot.d_parts[j_rep] = tot.d_parts.get(j_rep, 0) + st.ell
-        tot.d_distinct[j_rep] = tot.d_distinct.get(j_rep, 0) + st.ell_bar
-        tot.d_nonresid[j_rep] = (tot.d_nonresid.get(j_rep, 0)
-                                 + st.nonresidual_total)
-        tot.d_window[j_rep] = tot.d_window.get(j_rep, 0) + st.t_window_count
-        depth = tot.d_depth.setdefault(j_rep, [0] * r)
-        for t in range(r):
-            depth[t] += st.ell_bar_resid[t]
-    return tot
+def _part_value_dp(n_max: int, width: int,
+                   step: _Step) -> list[dict[int, list[int]]]:
+    """rows[n][j] = [size, *sums] over the partitions of n with exactly j
+    marked distinct parts, for every n <= n_max; j is absent when there
+    are none.
+
+    ``step(p, m)`` returns (mark, vec) for part p taken m times: mark is 1
+    when that part counts towards j, vec its contribution to each sum
+    (vec[0] is 0, so the size carries over).  Part values are added one
+    at a time and n walks downwards, so each source row n - p*m still
+    holds the partitions without part p.
+    """
+    rows: list[dict[int, list[int]]] = [{} for _ in range(n_max + 1)]
+    rows[0][0] = [1] + [0] * (width - 1)
+    for p in range(1, n_max + 1):
+        steps = [step(p, m) for m in range(1, n_max // p + 1)]
+        for n in range(n_max, p - 1, -1):
+            row = rows[n]
+            for m in range(1, n // p + 1):
+                mark, vec = steps[m - 1]
+                for j, src in rows[n - p * m].items():
+                    size = src[0]
+                    add = [s + size * v for s, v in zip(src, vec)]
+                    dst = row.get(j + mark)
+                    row[j + mark] = add if dst is None else [
+                        a + b for a, b in zip(dst, add)]
+    return rows
+
+
+def _totals_table(n_max: int, r: int) -> list[ClassTotals]:
+    """ClassTotals of every n <= n_max for modulus r."""
+
+    def o_step(p, m):
+        # marked when p is divisible by r; sums: ell, ell_bar, ell_mod[0..r-1]
+        mod = [0] * r
+        mod[p % r] = m
+        return int(p % r == 0), [0, m, 1, *mod]
+
+    def d_step(p, m):
+        # marked when m >= r; sums: ell, ell_bar, ell_bar_resid[0..r-1],
+        # nonresidual multiplicity, multiplicity in [r+1, 2r-1]
+        d = m % r
+        depth = [1] * (d + 1) + [0] * (r - d - 1)
+        return int(m >= r), [0, m, 1, *depth, m - d, int(r < m < 2 * r)]
+
+    o_rows = _part_value_dp(n_max, 3 + r, o_step)
+    d_rows = _part_value_dp(n_max, 5 + r, d_step)
+    table = []
+    for n in range(n_max + 1):
+        tot = ClassTotals(n, r)
+        for j, (size, ell, ell_bar, *mod) in sorted(o_rows[n].items()):
+            tot.o_count[j] = size
+            tot.o_parts[j] = ell
+            tot.o_distinct[j] = ell_bar
+            tot.o_parts_mod[j] = mod
+        for j, (size, ell, ell_bar, *rest) in sorted(d_rows[n].items()):
+            tot.d_count[j] = size
+            tot.d_parts[j] = ell
+            tot.d_distinct[j] = ell_bar
+            tot.d_depth[j] = rest[:r]
+            tot.d_nonresid[j] = rest[r]
+            tot.d_window[j] = rest[r + 1]
+        table.append(tot)
+    return table
+
+
+class CacheInfo(NamedTuple):
+    """The fields of ``functools.lru_cache``'s ``cache_info()``."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class TotalsCache:
+    """Class totals by (n, r), kept as one table per modulus r.
+
+    A table holds every n up to the largest n asked for; a call beyond it
+    rebuilds the table at the new n, so a caller that will need a range
+    of n asks for the largest first.  At most ``maxsize`` moduli are kept,
+    dropping the least recently used.  ``cache_info`` counts table
+    lookups as hits and table builds as misses.
+    """
+
+    def __init__(self, maxsize: int = 8):
+        self.maxsize = maxsize
+        self._tables: OrderedDict[int, list[ClassTotals]] = OrderedDict()
+        self._hits = self._misses = 0
+
+    def __call__(self, n: int, r: int) -> ClassTotals:
+        if r < 2:
+            raise ValueError(f"modulus r must be >= 2, got {r}")
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        if n > MAX_ENUM_N:
+            raise ValueError(f"n={n} exceeds the totals bound {MAX_ENUM_N}")
+        table = self._tables.get(r)
+        if table is not None and n < len(table):
+            self._hits += 1
+        else:
+            self._misses += 1
+            table = self._tables[r] = _totals_table(n, r)
+        self._tables.move_to_end(r)
+        if len(self._tables) > self.maxsize:
+            self._tables.popitem(last=False)
+        return table[n]
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, self.maxsize,
+                         len(self._tables))
+
+
+# class_totals(n, r) -> ClassTotals, behind every accessor below
+class_totals = TotalsCache()
 
 
 def _check_args(n: int, r: int, j: int) -> None:
@@ -303,9 +396,12 @@ def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem {theorem!r}; "
                          f"choose from {', '.join(THEOREM_IDS)}")
+    ns, rs = sorted(set(n_values)), sorted(set(r_values))
     records = []
-    for n in sorted(set(n_values)):
-        for r in sorted(set(r_values)):
+    # r outermost and n downwards: each r's totals table is built once, at
+    # the largest n, and stays in use while that r's records are made
+    for r in rs:
+        for n in reversed(ns):
             for j in range(j_max + 1):
                 if theorem == "modular_refine":
                     if t == "all":
@@ -317,4 +413,5 @@ def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
                         records.append(verify_instance(theorem, n, r, j, t_))
                 else:
                     records.append(verify_instance(theorem, n, r, j))
+    records.sort(key=lambda rec: rec.n)  # stable: (n, r, j, t) order
     return records

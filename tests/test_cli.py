@@ -170,6 +170,33 @@ def test_stats_modular_gap_rows_have_t(capsys):
     assert {row["t"] for row in rows} == {"1", "2"}
 
 
+def test_stats_rows_keep_n_then_given_r_order(capsys):
+    code, out, _ = run_capture(capsys, [
+        "stats", "--stat", "counts", "--n-max", "2", "--r", "3,2",
+        "--j-max", "1", "--format", "csv"])
+    assert code == 0
+    keys = [(row["n"], row["r"], row["j"], row["stat"])
+            for row in csv.DictReader(io.StringIO(out))]
+    assert keys == [(n, r, j, stat) for n in "012" for r in "32"
+                    for j in "01" for stat in ("count_O", "count_D")]
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (["verify", "--theorem", "all", "--n-max", "12", "--r", "2,3",
+      "--j-max", "1"], 2),
+    (["stats", "--stat", "modular-gap", "--n-max", "12", "--r", "4,2",
+      "--j-max", "1"], 2),
+    (["oeis", "--sequence", "A090867", "--n-max", "20"], 1),
+])
+def test_one_totals_table_build_per_modulus(capsys, monkeypatch, argv,
+                                            builds):
+    cache = identities.TotalsCache()
+    monkeypatch.setattr(identities, "class_totals", cache)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert cache.cache_info().misses == builds
+
+
 def test_series_csv_spot_value(capsys):
     code, out, _ = run_capture(capsys, [
         "series", "--which", "count-O", "--r", "2", "--n-max", "6",

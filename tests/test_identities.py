@@ -1,11 +1,78 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from beckpart.enumeration import ClassSpec, enumerate_class, index_weight_tuples
-from beckpart.identities import (THEOREM_IDS, _record, class_count,
+from beckpart.identities import (THEOREM_IDS, ClassTotals, TotalsCache,
+                                 _record, class_count, class_totals,
                                  distinct_count_gap,
                                  fiber_ragged_repeat_count, modular_part_gap,
                                  part_count_gap, repeat_window_total, verify,
                                  verify_instance)
+from helpers import enumerated_class_totals, pentagonal_counts
+
+
+def _assert_same_totals(got, want):
+    for field in ClassTotals.__slots__:
+        # dict equality also compares the key sets: a class index is
+        # present exactly when its class is non-empty
+        assert getattr(got, field) == getattr(want, field), (
+            got.n, got.r, field)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_totals_dp_equals_enumeration(r):
+    for n in range(30, -1, -1):
+        _assert_same_totals(class_totals(n, r), enumerated_class_totals(n, r))
+
+
+@given(st.integers(min_value=0, max_value=24),
+       st.integers(min_value=2, max_value=7))
+def test_totals_dp_equals_enumeration_random(n, r):
+    _assert_same_totals(class_totals(n, r), enumerated_class_totals(n, r))
+
+
+def test_class_sizes_sum_to_partition_counts_up_to_120():
+    oracle = pentagonal_counts(120)
+    for r in (2, 3, 4, 5):
+        for n in range(120, -1, -1):
+            tot = class_totals(n, r)
+            assert (sum(tot.o_count.values()) == sum(tot.d_count.values())
+                    == oracle[n]), (n, r)
+
+
+def test_totals_cache_stays_bounded():
+    cache = TotalsCache(maxsize=4)
+    for r in range(2, 51):
+        assert sum(cache(12, r).o_count.values()) == 77
+        assert cache.cache_info().currsize <= 4
+    info = cache.cache_info()
+    assert (info.misses, info.currsize) == (49, 4)
+    cache(12, 50)
+    cache(6, 49)
+    assert cache.cache_info().hits == 2
+    # the module-wide cache has a bound too
+    for r in range(2, 51):
+        class_totals(3, r)
+    assert class_totals.cache_info().currsize <= class_totals.maxsize
+
+
+def test_totals_table_is_built_once_for_a_range_of_n():
+    cache = TotalsCache()
+    cache(20, 3)
+    for n in range(21):
+        cache(n, 3)
+    assert cache.cache_info().misses == 1
+    cache(21, 3)  # beyond the table: rebuilt at the new n
+    assert cache.cache_info().misses == 2
+
+
+def test_totals_reject_out_of_range_n():
+    with pytest.raises(ValueError, match="non-negative"):
+        class_totals(-1, 2)
+    with pytest.raises(ValueError, match="exceeds the totals bound"):
+        class_totals(121, 2)
+    with pytest.raises(ValueError, match="r must be >= 2"):
+        class_totals(5, 1)
 
 
 def test_part_count_gap_examples():
@@ -118,6 +185,14 @@ def test_verify_grid_order_and_shape():
     assert all(rec.ok for rec in records)
 
 
+def test_verify_accepts_one_shot_iterables():
+    records = verify("franklin", range(3), (r for r in [2, 3]), 0)
+    assert [(rec.n, rec.r) for rec in records] == [
+        (0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3)]
+    assert verify("franklin", iter([2, 0]), [2], 0) == verify(
+        "franklin", [0, 2], [2], 0)
+
+
 def test_verify_single_t():
     records = verify("modular_refine", [6], [4], 0, t=2)
     assert [rec.t for rec in records] == [2]
@@ -136,6 +211,18 @@ def test_modular_gap_is_defined_without_any_bijection():
 
     import beckpart.identities as module
     assert "bijection" not in inspect.getsource(module)
+
+
+def test_totals_engine_is_independent_of_enumeration_and_series():
+    # the definition witness must not lean on the q-series witness, and
+    # enumeration is only its test oracle
+    import inspect
+
+    import beckpart.identities as module
+    source = inspect.getsource(module)
+    assert "qseries" not in source
+    assert not hasattr(module, "partitions_of")
+    assert not hasattr(module, "stats")
 
 
 def test_record_flags_non_divisible_gap():
