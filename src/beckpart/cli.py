@@ -136,6 +136,14 @@ def _report_failures(records: list[VerificationRecord]) -> int:
     return 1 if failures else 0
 
 
+def _verify_tasks(theorems, cfg: RunConfig) -> list[tuple]:
+    """One (theorems, n, r, j_max, t) task per grid point, n downwards so
+    that a worker builds each totals table at the largest n it will need;
+    ``_sort_records`` restores the output order."""
+    return [(theorems, n, r, cfg.j_max, cfg.t)
+            for n in range(cfg.n_max, -1, -1) for r in cfg.r_list]
+
+
 def _verify_chunk(args) -> list[VerificationRecord]:
     theorems, n, r, j_max, t = args
     out = []
@@ -157,19 +165,15 @@ def _cmd_verify(args) -> int:
     cfg = RunConfig(args.n_max, _int_list(args.r), args.j_max,
                     _t_selector(args.t), args.format, args.output, args.jobs)
     theorems = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
-    n_values = range(cfg.n_max + 1)
+    records = []
     if cfg.jobs > 1:
-        tasks = [(theorems, n, r, cfg.j_max, cfg.t)
-                 for n in n_values for r in cfg.r_list]
-        records = []
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for chunk in pool.map(_verify_chunk, tasks):
+            for chunk in pool.map(_verify_chunk, _verify_tasks(theorems, cfg)):
                 records.extend(chunk)
     else:
-        records = []
         for theorem in theorems:
-            records.extend(identities.verify(theorem, n_values, cfg.r_list,
-                                             cfg.j_max, cfg.t))
+            records.extend(identities.verify(theorem, range(cfg.n_max + 1),
+                                             cfg.r_list, cfg.j_max, cfg.t))
     records = _sort_records(records)
     meta = {"command": "verify", "theorem": args.theorem, "n_max": cfg.n_max,
             "r": list(cfg.r_list), "j_max": cfg.j_max, "t": cfg.t}

@@ -138,13 +138,14 @@ class TotalsCache:
 
     A table holds every n up to the largest n asked for; a call beyond it
     rebuilds the table at the new n, so a caller that will need a range
-    of n asks for the largest first.  At most ``maxsize`` moduli are kept,
+    of n asks for the largest first.  At most ``MAXSIZE`` moduli are kept,
     dropping the least recently used.  ``cache_info`` counts table
     lookups as hits and table builds as misses.
     """
 
-    def __init__(self, maxsize: int = 8):
-        self.maxsize = maxsize
+    MAXSIZE = 8
+
+    def __init__(self):
         self._tables: OrderedDict[int, list[ClassTotals]] = OrderedDict()
         self._hits = self._misses = 0
 
@@ -162,12 +163,12 @@ class TotalsCache:
             self._misses += 1
             table = self._tables[r] = _totals_table(n, r)
         self._tables.move_to_end(r)
-        if len(self._tables) > self.maxsize:
+        if len(self._tables) > self.MAXSIZE:
             self._tables.popitem(last=False)
         return table[n]
 
     def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, self.maxsize,
+        return CacheInfo(self._hits, self._misses, self.MAXSIZE,
                          len(self._tables))
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from beckpart import identities
-from beckpart.cli import run
+from beckpart.cli import RunConfig, _verify_chunk, _verify_tasks, run
 from beckpart.identities import VerificationRecord
 
 
@@ -195,6 +195,18 @@ def test_one_totals_table_build_per_modulus(capsys, monkeypatch, argv,
     assert run(argv) == 0
     capsys.readouterr()
     assert cache.cache_info().misses == builds
+
+
+def test_parallel_verify_tasks_build_each_table_once(monkeypatch):
+    # a worker runs its tasks in queue order; n must come downwards
+    cache = identities.TotalsCache()
+    monkeypatch.setattr(identities, "class_totals", cache)
+    cfg = RunConfig(12, (2, 3), 1, "all", "table", None, jobs=2)
+    tasks = _verify_tasks(identities.THEOREM_IDS, cfg)
+    assert len(tasks) == 13 * 2
+    for task in tasks:
+        _verify_chunk(task)
+    assert cache.cache_info().misses == 2
 
 
 def test_series_csv_spot_value(capsys):

@@ -41,19 +41,19 @@ def test_class_sizes_sum_to_partition_counts_up_to_120():
 
 
 def test_totals_cache_stays_bounded():
-    cache = TotalsCache(maxsize=4)
+    cache = TotalsCache()
     for r in range(2, 51):
         assert sum(cache(12, r).o_count.values()) == 77
-        assert cache.cache_info().currsize <= 4
+        assert cache.cache_info().currsize <= TotalsCache.MAXSIZE
     info = cache.cache_info()
-    assert (info.misses, info.currsize) == (49, 4)
+    assert (info.misses, info.currsize) == (49, TotalsCache.MAXSIZE)
     cache(12, 50)
     cache(6, 49)
     assert cache.cache_info().hits == 2
-    # the module-wide cache has a bound too
+    # the module-wide cache has the same bound
     for r in range(2, 51):
         class_totals(3, r)
-    assert class_totals.cache_info().currsize <= class_totals.maxsize
+    assert class_totals.cache_info().currsize == TotalsCache.MAXSIZE
 
 
 def test_totals_table_is_built_once_for_a_range_of_n():
