@@ -1,0 +1,8 @@
+"""``python -m beckpart``: the same command as ``beckpart``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -284,6 +284,8 @@ def _cmd_euler(args) -> int:
     cfg = RunConfig(args.n_max, (args.r,), args.j_max, "all",
                     args.format, args.output)
     bound = args.bound if args.bound is not None else cfg.n_max
+    if bound > MAX_ENUM_N:  # checked before S1 is materialized
+        raise ValueError(f"bound must be at most {MAX_ENUM_N}, got {bound}")
     pair = euler_pairs.make_euler_pair(
         args.r, _load_s1(args, bound), bound,
         s2_override=None if args.s2 is None else _int_list(args.s2))
@@ -432,3 +434,7 @@ def run(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     return run(sys.argv[1:] if argv is None else argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,16 +5,18 @@ S1 is materialized as an explicit finite window so membership and the
 closure condition (r*S1 inside S1, S2 = S1 minus r*S1) are decidable.  A
 pair failing the closure condition can still be constructed, which is how
 the counterexample search is exercised; the theorem verifier refuses such
-pairs.
+pairs.  The restricted-class totals come from the part-value dynamic
+program of ``identities``, run over the pair's allowed parts: one table
+per pair holds every n up to the largest asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
-from .identities import VerificationRecord, _record
+from .identities import (TotalsCache, VerificationRecord,
+                         _exact_or_cumulative, _part_value_dp, _record)
 
 EULER_ITEM_IDS = ("euler_item1", "euler_item2", "euler_item3", "euler_item4")
 
@@ -64,74 +66,55 @@ def make_euler_pair(r: int, s1_members: Iterable[int], bound: int,
                      subbarao_ok=closure and s2 == derived_s2)
 
 
-def _restricted_partitions(n: int, values_desc: tuple[int, ...]) -> Iterator[
-        tuple[tuple[int, int], ...]]:
-    """Canonical (part, mult) tuples of partitions of n with parts drawn
-    from the given strictly decreasing value list."""
-    def rec(remaining, idx, acc):
-        if remaining == 0:
-            yield acc
-            return
-        for i in range(idx, len(values_desc)):
-            v = values_desc[i]
-            if v > remaining:
-                continue
-            for mult in range(remaining // v, 0, -1):
-                yield from rec(remaining - v * mult, i + 1, acc + ((v, mult),))
-    yield from rec(n, 0, ())
+class TildeTotals(NamedTuple):
+    """Per-class totals for one (pair, n): index j maps to the total over
+    the exactly-j restricted class of each family."""
+
+    o_count: dict[int, int]
+    o_parts: dict[int, int]
+    o_distinct: dict[int, int]
+    d_count: dict[int, int]
+    d_parts: dict[int, int]
+    d_distinct: dict[int, int]
+    d_window: dict[int, int]
 
 
-class TildeTotals:
-    """Accumulators for the restricted classes at one (pair, n)."""
-
-    __slots__ = ("o_count", "o_parts", "o_distinct",
-                 "d_count", "d_parts", "d_distinct", "d_window")
-
-    def __init__(self):
-        self.o_count: dict[int, int] = {}
-        self.o_parts: dict[int, int] = {}
-        self.o_distinct: dict[int, int] = {}
-        self.d_count: dict[int, int] = {}
-        self.d_parts: dict[int, int] = {}
-        self.d_distinct: dict[int, int] = {}
-        self.d_window: dict[int, int] = {}
+def _columns(row: dict[int, list[int]], width: int) -> list[dict[int, int]]:
+    """Split a DP row {j: [size, *sums]} into one {j: value} per column."""
+    items = sorted(row.items())
+    return [{j: vec[i] for j, vec in items} for i in range(width)]
 
 
-@lru_cache(maxsize=None)
-def tilde_totals(pair: EulerPair, n: int) -> TildeTotals:
-    """One constrained-enumeration pass for each family at size n."""
+def _tilde_table(pair: EulerPair, n_max: int) -> list[TildeTotals]:
+    """TildeTotals of every n <= n_max for the pair."""
+    r = pair.r
+    marked = frozenset(r * s for s in pair.s1 if r * s <= pair.bound)
+
+    def o_step(p, m):
+        # marked when p is in r*S1; sums: ell, ell_bar
+        return int(p in marked), [0, m, 1]
+
+    def d_step(p, m):
+        # marked when m >= r; sums: ell, ell_bar, multiplicity in [r+1, 2r-1]
+        return int(m >= r), [0, m, 1, int(r < m < 2 * r)]
+
+    o_rows = _part_value_dp(n_max, 3, o_step, marked.union(pair.s2))
+    d_rows = _part_value_dp(n_max, 4, d_step, pair.s1)
+    return [TildeTotals(*_columns(o_row, 3), *_columns(d_row, 4))
+            for o_row, d_row in zip(o_rows, d_rows)]
+
+
+def _tilde_key(pair: EulerPair, n: int) -> tuple[EulerPair, int]:
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if n > pair.bound:
         raise ValueError(f"n={n} exceeds the realized window {pair.bound}")
-    r = pair.r
-    tot = TildeTotals()
-
-    marked_values = frozenset(r * s for s in pair.s1 if r * s <= pair.bound)
-    allowed = sorted(marked_values.union(pair.s2), reverse=True)
-    for pairs in _restricted_partitions(n, tuple(allowed)):
-        j = sum(1 for p, _ in pairs if p in marked_values)
-        tot.o_count[j] = tot.o_count.get(j, 0) + 1
-        tot.o_parts[j] = tot.o_parts.get(j, 0) + sum(m for _, m in pairs)
-        tot.o_distinct[j] = tot.o_distinct.get(j, 0) + len(pairs)
-
-    values = tuple(sorted(pair.s1, reverse=True))
-    for pairs in _restricted_partitions(n, values):
-        j = sum(1 for _, m in pairs if m >= r)
-        tot.d_count[j] = tot.d_count.get(j, 0) + 1
-        tot.d_parts[j] = tot.d_parts.get(j, 0) + sum(m for _, m in pairs)
-        tot.d_distinct[j] = tot.d_distinct.get(j, 0) + len(pairs)
-        window = sum(1 for _, m in pairs if r + 1 <= m <= 2 * r - 1)
-        tot.d_window[j] = tot.d_window.get(j, 0) + window
-    return tot
+    return pair, n
 
 
-def _exact_or_cumulative(table: dict[int, int], j: int, mode: str) -> int:
-    if mode == "exact":
-        return table.get(j, 0)
-    if mode == "at_most":
-        return sum(v for i, v in table.items() if i <= j)
-    raise ValueError(f"mode must be 'exact' or 'at_most', got {mode!r}")
+# tilde_totals(pair, n) -> TildeTotals: one table per pair, at most
+# TotalsCache.MAXSIZE pairs
+tilde_totals = TotalsCache(_tilde_table, _tilde_key)
 
 
 def tilde_count(n: int, pair: EulerPair, j: int, family: str,
@@ -215,8 +198,12 @@ def verify_tilde_instance(item: int, pair: EulerPair, n: int,
 def verify_tilde(item: int, pair: EulerPair, n_values: Iterable[int],
                  j_max: int) -> list[VerificationRecord]:
     """All instances of one item over the grid, in (n, j) order."""
+    ns = sorted(set(n_values))
+    if ns and ns[-1] >= 0:
+        # the pair's table is built once, at the largest n in the window
+        tilde_totals(pair, min(ns[-1], pair.bound))
     records = []
-    for n in sorted(set(n_values)):
+    for n in ns:
         for j in range(j_max + 1):
             records.append(verify_tilde_instance(item, pair, n, j))
     return records
@@ -230,7 +217,10 @@ def subbarao_counterexample(pair: EulerPair, n_max: int
     window is inconclusive.  A None on a pair with ``subbarao_ok`` False
     does not certify anything: the finite window may simply be too small.
     """
-    for n in range(0, min(n_max, pair.bound) + 1):
+    top = min(n_max, pair.bound)
+    if top >= 0:
+        tilde_totals(pair, top)  # one table build for the whole search
+    for n in range(0, top + 1):
         o = tilde_count(n, pair, 0, "O")
         d = tilde_count(n, pair, 0, "D")
         if o != d:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Hashable, Iterable, NamedTuple
 
 from .enumeration import (MAX_ENUM_N, enumerate_fixed_repeats,
                           index_weight_tuples)
@@ -58,21 +58,25 @@ class ClassTotals:
 _Step = Callable[[int, int], tuple[int, list[int]]]
 
 
-def _part_value_dp(n_max: int, width: int,
-                   step: _Step) -> list[dict[int, list[int]]]:
+def _part_value_dp(n_max: int, width: int, step: _Step,
+                   parts: Iterable[int] | None = None
+                   ) -> list[dict[int, list[int]]]:
     """rows[n][j] = [size, *sums] over the partitions of n with exactly j
     marked distinct parts, for every n <= n_max; j is absent when there
     are none.
 
-    ``step(p, m)`` returns (mark, vec) for part p taken m times: mark is 1
-    when that part counts towards j, vec its contribution to each sum
-    (vec[0] is 0, so the size carries over).  Part values are added one
-    at a time and n walks downwards, so each source row n - p*m still
-    holds the partitions without part p.
+    Parts are drawn from ``parts`` (default 1..n_max; values above n_max
+    are skipped).  ``step(p, m)`` returns (mark, vec) for part p taken m
+    times: mark is 1 when that part counts towards j, vec its contribution
+    to each sum (vec[0] is 0, so the size carries over).  Part values are
+    added one at a time and n walks downwards, so each source row n - p*m
+    still holds the partitions without part p.
     """
     rows: list[dict[int, list[int]]] = [{} for _ in range(n_max + 1)]
     rows[0][0] = [1] + [0] * (width - 1)
-    for p in range(1, n_max + 1):
+    for p in range(1, n_max + 1) if parts is None else sorted(parts):
+        if p > n_max:
+            break
         steps = [step(p, m) for m in range(1, n_max // p + 1)]
         for n in range(n_max, p - 1, -1):
             row = rows[n]
@@ -87,7 +91,7 @@ def _part_value_dp(n_max: int, width: int,
     return rows
 
 
-def _totals_table(n_max: int, r: int) -> list[ClassTotals]:
+def _totals_table(r: int, n_max: int) -> list[ClassTotals]:
     """ClassTotals of every n <= n_max for modulus r."""
 
     def o_step(p, m):
@@ -133,36 +137,46 @@ class CacheInfo(NamedTuple):
     currsize: int
 
 
-class TotalsCache:
-    """Class totals by (n, r), kept as one table per modulus r.
+def _class_key(n: int, r: int) -> tuple[int, int]:
+    if r < 2:
+        raise ValueError(f"modulus r must be >= 2, got {r}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if n > MAX_ENUM_N:
+        raise ValueError(f"n={n} exceeds the totals bound {MAX_ENUM_N}")
+    return r, n
 
-    A table holds every n up to the largest n asked for; a call beyond it
+
+class TotalsCache:
+    """Totals by (key, n), kept as one table per key.
+
+    ``key(*args)`` checks a call's arguments and returns (key, n);
+    ``build(key, n)`` returns the totals of every n' <= n as a list.  The
+    default is the class totals: ``class_totals(n, r)``, keyed by r.  A
+    table holds every n up to the largest n asked for; a call beyond it
     rebuilds the table at the new n, so a caller that will need a range
-    of n asks for the largest first.  At most ``MAXSIZE`` moduli are kept,
+    of n asks for the largest first.  At most ``MAXSIZE`` keys are kept,
     dropping the least recently used.  ``cache_info`` counts table
     lookups as hits and table builds as misses.
     """
 
     MAXSIZE = 8
 
-    def __init__(self):
-        self._tables: OrderedDict[int, list[ClassTotals]] = OrderedDict()
+    def __init__(self, build: Callable[[Hashable, int], list] = _totals_table,
+                 key: Callable[..., tuple[Hashable, int]] = _class_key):
+        self._build, self._key = build, key
+        self._tables: OrderedDict[Hashable, list] = OrderedDict()
         self._hits = self._misses = 0
 
-    def __call__(self, n: int, r: int) -> ClassTotals:
-        if r < 2:
-            raise ValueError(f"modulus r must be >= 2, got {r}")
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if n > MAX_ENUM_N:
-            raise ValueError(f"n={n} exceeds the totals bound {MAX_ENUM_N}")
-        table = self._tables.get(r)
+    def __call__(self, *args):
+        key, n = self._key(*args)
+        table = self._tables.get(key)
         if table is not None and n < len(table):
             self._hits += 1
         else:
             self._misses += 1
-            table = self._tables[r] = _totals_table(n, r)
-        self._tables.move_to_end(r)
+            table = self._tables[key] = self._build(key, n)
+        self._tables.move_to_end(key)
         if len(self._tables) > self.MAXSIZE:
             self._tables.popitem(last=False)
         return table[n]

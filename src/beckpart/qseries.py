@@ -17,6 +17,10 @@ from math import comb
 # desk scale.
 MAX_Q_ORDER = 120
 
+# Builders cached per (family, r, N, J) or (r, N, J); one CLI run needs a
+# handful of keys.
+SERIES_CACHE_SIZE = 32
+
 
 class Series:
     """Dense table c[n][j] of integer coefficients of q^n w^j."""
@@ -214,7 +218,7 @@ def _check_t(r: int, t: int) -> None:
         raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _count_series(family: str, r: int, N: int, J: int) -> Series:
     s = one(N, J)
     for m in range(1, N // r + 1):
@@ -265,7 +269,7 @@ def residual_depth_series(r: int, t: int, N: int, J: int) -> Series:
     return count_series("D", r, N, J) * s
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _marked_block_sum(r: int, N: int, J: int) -> Series:
     """sum_m w*q^(r*m) / ((1 - (1-w)q^(r*m)) (1 - q^(r*m)))."""
     s = Series(N, J)

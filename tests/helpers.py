@@ -3,6 +3,7 @@
 from hypothesis import strategies as st
 
 from beckpart.enumeration import partitions_of
+from beckpart.euler_pairs import EulerPair, TildeTotals
 from beckpart.identities import ClassTotals
 from beckpart.partition import Partition, stats
 
@@ -54,6 +55,47 @@ def enumerated_class_totals(n: int, r: int) -> ClassTotals:
         depth = tot.d_depth.setdefault(j_rep, [0] * r)
         for t in range(r):
             depth[t] += st_.ell_bar_resid[t]
+    return tot
+
+
+def restricted_partitions(n: int, values_desc: tuple[int, ...]):
+    """Canonical (part, mult) tuples of the partitions of n with parts
+    drawn from the given strictly decreasing value list."""
+    def rec(remaining, idx, acc):
+        if remaining == 0:
+            yield acc
+            return
+        for i in range(idx, len(values_desc)):
+            v = values_desc[i]
+            if v > remaining:
+                continue
+            for mult in range(remaining // v, 0, -1):
+                yield from rec(remaining - v * mult, i + 1, acc + ((v, mult),))
+    yield from rec(n, 0, ())
+
+
+def enumerated_tilde_totals(pair: EulerPair, n: int) -> TildeTotals:
+    """TildeTotals by walking every restricted partition of n once per
+    family: the small-n oracle for the Euler-pair dynamic program."""
+    r = pair.r
+    tot = TildeTotals({}, {}, {}, {}, {}, {}, {})
+
+    marked_values = frozenset(r * s for s in pair.s1 if r * s <= pair.bound)
+    allowed = sorted(marked_values.union(pair.s2), reverse=True)
+    for pairs in restricted_partitions(n, tuple(allowed)):
+        j = sum(1 for p, _ in pairs if p in marked_values)
+        tot.o_count[j] = tot.o_count.get(j, 0) + 1
+        tot.o_parts[j] = tot.o_parts.get(j, 0) + sum(m for _, m in pairs)
+        tot.o_distinct[j] = tot.o_distinct.get(j, 0) + len(pairs)
+
+    values = tuple(sorted(pair.s1, reverse=True))
+    for pairs in restricted_partitions(n, values):
+        j = sum(1 for _, m in pairs if m >= r)
+        tot.d_count[j] = tot.d_count.get(j, 0) + 1
+        tot.d_parts[j] = tot.d_parts.get(j, 0) + sum(m for _, m in pairs)
+        tot.d_distinct[j] = tot.d_distinct.get(j, 0) + len(pairs)
+        window = sum(1 for _, m in pairs if r + 1 <= m <= 2 * r - 1)
+        tot.d_window[j] = tot.d_window.get(j, 0) + window
     return tot
 
 

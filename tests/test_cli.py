@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from beckpart import identities
+import beckpart
+from beckpart import cli, euler_pairs, identities
 from beckpart.cli import RunConfig, _verify_chunk, _verify_tasks, run
 from beckpart.identities import VerificationRecord
 
@@ -265,6 +270,55 @@ def test_euler_s1_file(capsys, tmp_path):
 def test_euler_requires_exactly_one_s1_source(capsys):
     code, _, err = run_capture(capsys, ["euler", "--r", "2", "--n-max", "5"])
     assert code == 2 and "exactly one of" in err
+
+
+def test_euler_bound_is_capped_before_s1_is_built(capsys, monkeypatch):
+    def no_s1(*_):
+        raise AssertionError("S1 was built before --bound was checked")
+    monkeypatch.setattr(cli, "_load_s1", no_s1)
+    code, out, err = run_capture(capsys, [
+        "euler", "--r", "2", "--s1-multiples-of", "1",
+        "--bound", "1000000000", "--n-max", "5"])
+    assert code == 2 and not out
+    assert "bound must be at most 120, got 1000000000" in err
+
+
+def test_euler_accepts_the_largest_bound(capsys):
+    code, out, _ = run_capture(capsys, [
+        "euler", "--r", "2", "--s1-multiples-of", "1", "--bound", "120",
+        "--n-max", "6", "--j-max", "1", "--format", "csv"])
+    assert code == 0
+    assert all(row["ok"] == "true"
+               for row in csv.DictReader(io.StringIO(out)))
+
+
+def test_euler_builds_one_table_per_run(capsys, monkeypatch):
+    cache = identities.TotalsCache(euler_pairs._tilde_table,
+                                   euler_pairs._tilde_key)
+    monkeypatch.setattr(euler_pairs, "tilde_totals", cache)
+    assert run(["euler", "--r", "2", "--s1-multiples-of", "1",
+                "--n-max", "30", "--j-max", "2"]) == 0
+    assert run(["euler", "--r", "2", "--s1", "1", "--s2", "1",
+                "--bound", "30", "--n-max", "30"]) == 2
+    capsys.readouterr()
+    assert cache.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("module", ["beckpart", "beckpart.cli"])
+def test_python_dash_m_runs_the_command(capsys, module):
+    argv = ["verify", "--theorem", "franklin", "--n-max", "6", "--r", "2,3",
+            "--j-max", "1", "--format", "csv"]
+    _, want, _ = run_capture(capsys, argv)
+    src = str(Path(beckpart.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, want)
+    proc = subprocess.run([sys.executable, "-m", module], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and "usage: beckpart" in proc.stderr
 
 
 def test_oeis_fixture_hit(capsys):

@@ -1,14 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beckpart.euler_pairs import (EULER_ITEM_IDS, make_euler_pair,
-                                  subbarao_counterexample, tilde_count,
-                                  tilde_distinct_count_gap,
+from beckpart import euler_pairs
+from beckpart.euler_pairs import (EULER_ITEM_IDS, TildeTotals,
+                                  make_euler_pair, subbarao_counterexample,
+                                  tilde_count, tilde_distinct_count_gap,
                                   tilde_part_count_gap,
-                                  tilde_repeat_window_total, verify_tilde,
-                                  verify_tilde_instance)
-from beckpart.identities import (class_count, distinct_count_gap,
+                                  tilde_repeat_window_total, tilde_totals,
+                                  verify_tilde, verify_tilde_instance)
+from beckpart.identities import (TotalsCache, class_count, distinct_count_gap,
                                  part_count_gap, repeat_window_total,
                                  verify_instance)
+from helpers import enumerated_tilde_totals
 
 BOUND = 24
 
@@ -149,3 +153,100 @@ def test_r3_pair_items(classical):
     for item in (1, 2, 3, 4):
         records = verify_tilde(item, pair, range(19), 2)
         assert all(rec.ok for rec in records)
+
+
+# -- the part-value DP against the enumeration oracle ------------------------
+
+ORACLE_PAIRS = {
+    "classical": make_euler_pair(2, range(1, BOUND + 1), BOUND),
+    "triples": make_euler_pair(2, range(3, BOUND + 1, 3), BOUND),
+    "r=3": make_euler_pair(3, range(1, BOUND + 1), BOUND),
+    # S2 = {2}: a part divisible by r that is not in r*S1
+    "powers of two": make_euler_pair(2, [2, 4, 8, 16], BOUND),
+    "s2 override": make_euler_pair(2, [1], BOUND, s2_override=[1]),
+    # the override puts 2, a member of r*S1, into S2 as well
+    "overlapping s2": make_euler_pair(
+        2, range(1, BOUND + 1), BOUND,
+        s2_override=[2] + list(range(1, BOUND + 1, 2))),
+    "not closed": make_euler_pair(2, [1, 2], BOUND),
+}
+
+
+def _assert_same_tilde_totals(got, want, label):
+    for field in TildeTotals._fields:
+        # dict equality also compares the key sets: a class index is
+        # present exactly when its restricted class is non-empty
+        assert getattr(got, field) == getattr(want, field), (label, field)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PAIRS))
+def test_tilde_dp_equals_enumeration(name):
+    pair = ORACLE_PAIRS[name]
+    for n in range(BOUND, -1, -1):
+        _assert_same_tilde_totals(tilde_totals(pair, n),
+                                  enumerated_tilde_totals(pair, n), (name, n))
+
+
+@st.composite
+def small_pairs(draw):
+    r = draw(st.integers(min_value=2, max_value=4))
+    bound = draw(st.integers(min_value=16, max_value=20))
+    s1 = draw(st.sets(st.integers(min_value=1, max_value=16), max_size=8))
+    if draw(st.booleans()):  # close S1 under multiplication by r
+        s1 = {s * r ** k for s in s1 for k in range(5) if s * r ** k <= bound}
+    s2 = draw(st.none() | st.sets(st.integers(min_value=1, max_value=16),
+                                  max_size=8))
+    return make_euler_pair(r, s1, bound, s2_override=s2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_pairs(), st.integers(min_value=0, max_value=20))
+def test_tilde_dp_equals_enumeration_random(pair, n):
+    n = min(n, pair.bound)
+    _assert_same_tilde_totals(tilde_totals(pair, n),
+                              enumerated_tilde_totals(pair, n), n)
+
+
+def _fresh_tilde_cache(monkeypatch):
+    cache = TotalsCache(euler_pairs._tilde_table, euler_pairs._tilde_key)
+    monkeypatch.setattr(euler_pairs, "tilde_totals", cache)
+    return cache
+
+
+@pytest.mark.parametrize("item", [1, 2, 3, 4])
+def test_verify_tilde_builds_each_table_once(monkeypatch, classical, triples,
+                                             item):
+    cache = _fresh_tilde_cache(monkeypatch)
+    for pair in (classical, triples):
+        assert all(rec.ok for rec in verify_tilde(item, pair,
+                                                  range(BOUND + 1), 2))
+    assert cache.cache_info().misses == 2
+
+
+def test_counterexample_search_builds_each_table_once(monkeypatch, broken):
+    cache = _fresh_tilde_cache(monkeypatch)
+    assert subbarao_counterexample(broken, 10) == (2, 1, 0)
+    pair = make_euler_pair(2, [1, 2], 4)
+    assert subbarao_counterexample(pair, 4) == (4, 1, 0)
+    assert cache.cache_info().misses == 2
+
+
+def test_tilde_cache_stays_bounded():
+    pairs = [make_euler_pair(2, range(1, b + 1), b) for b in range(1, 13)]
+    cache = TotalsCache(euler_pairs._tilde_table, euler_pairs._tilde_key)
+    for pair in pairs:
+        cache(pair, pair.bound)
+        assert cache.cache_info().currsize <= TotalsCache.MAXSIZE
+    info = cache.cache_info()
+    assert (info.misses, info.currsize) == (12, TotalsCache.MAXSIZE)
+    cache(pairs[-1], 5)
+    assert cache.cache_info().hits == 1
+    # the module-wide cache has the same bound
+    for pair in pairs:
+        tilde_totals(pair, 0)
+    assert tilde_totals.cache_info().currsize == TotalsCache.MAXSIZE
+
+
+def test_euler_pairs_is_independent_of_the_series_route():
+    import inspect
+    assert "qseries" not in inspect.getsource(euler_pairs)

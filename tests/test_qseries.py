@@ -183,3 +183,15 @@ def test_builder_validation():
         qs.beck_delta_series(3, 0, 5, 1)
     with pytest.raises(ValueError, match="k must be >= 1"):
         qs.geometric_factor(0, 5, 1)
+
+
+@pytest.mark.parametrize("builder,cached", [
+    (lambda N: qs.count_series("O", 2, N, 1), qs._count_series),
+    (lambda N: qs.divisible_parts_series(2, N, 1), qs._marked_block_sum),
+])
+def test_series_caches_are_bounded(builder, cached):
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 16
+    for N in range(maxsize + 5):
+        builder(N)
+    assert cached.cache_info().currsize == maxsize
