@@ -284,8 +284,12 @@ def _cmd_euler(args) -> int:
     cfg = RunConfig(args.n_max, (args.r,), args.j_max, "all",
                     args.format, args.output)
     bound = args.bound if args.bound is not None else cfg.n_max
-    if bound > MAX_ENUM_N:  # checked before S1 is materialized
+    # both checked before S1 is materialized
+    if bound > MAX_ENUM_N:
         raise ValueError(f"bound must be at most {MAX_ENUM_N}, got {bound}")
+    if bound < cfg.n_max:
+        raise ValueError(f"--bound must be at least --n-max={cfg.n_max}, "
+                         f"got {bound}")
     pair = euler_pairs.make_euler_pair(
         args.r, _load_s1(args, bound), bound,
         s2_override=None if args.s2 is None else _int_list(args.s2))

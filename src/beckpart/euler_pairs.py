@@ -7,7 +7,10 @@ pair failing the closure condition can still be constructed, which is how
 the counterexample search is exercised; the theorem verifier refuses such
 pairs.  The restricted-class totals come from the part-value dynamic
 program of ``identities``, run over the pair's allowed parts: one table
-per pair holds every n up to the largest asked for.
+per pair holds every n up to the largest asked for.  Items 1-4 are the
+statements of ``beck_cumulative``, ``beck_main``, ``distinct_cumulative``
+and ``distinct_parts`` from ``identities``, evaluated on those totals: the
+unrestricted theorems are the pair S1 = all positive integers.
 """
 
 from __future__ import annotations
@@ -15,10 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .identities import (TotalsCache, VerificationRecord,
+from .identities import (STATEMENTS, TotalsCache, VerificationRecord,
+                         _check_family, _check_j, _columns,
                          _exact_or_cumulative, _part_value_dp, _record)
 
 EULER_ITEM_IDS = ("euler_item1", "euler_item2", "euler_item3", "euler_item4")
+# item k is the unrestricted theorem ITEM_THEOREMS[k - 1] over the pair
+ITEM_THEOREMS = ("beck_cumulative", "beck_main", "distinct_cumulative",
+                 "distinct_parts")
 
 
 @dataclass(frozen=True)
@@ -79,12 +86,6 @@ class TildeTotals(NamedTuple):
     d_window: dict[int, int]
 
 
-def _columns(row: dict[int, list[int]], width: int) -> list[dict[int, int]]:
-    """Split a DP row {j: [size, *sums]} into one {j: value} per column."""
-    items = sorted(row.items())
-    return [{j: vec[i] for j, vec in items} for i in range(width)]
-
-
 def _tilde_table(pair: EulerPair, n_max: int) -> list[TildeTotals]:
     """TildeTotals of every n <= n_max for the pair."""
     r = pair.r
@@ -123,76 +124,29 @@ def tilde_count(n: int, pair: EulerPair, j: int, family: str,
     exactly j distinct parts from r*S1 and all other parts from S2;
     family 'D' counts partitions with parts in S1 and exactly j distinct
     parts repeated >= r times."""
-    if j < 0:
-        raise ValueError(f"class index j must be >= 0, got {j}")
+    _check_j(j)
+    _check_family(family)
     tot = tilde_totals(pair, n)
-    if family == "O":
-        return _exact_or_cumulative(tot.o_count, j, mode)
-    if family == "D":
-        return _exact_or_cumulative(tot.d_count, j, mode)
-    raise ValueError(f"family must be 'O' or 'D', got {family!r}")
-
-
-def tilde_part_count_gap(n: int, pair: EulerPair, j: int,
-                         mode: str = "exact") -> int:
-    """Total parts over the restricted O-class minus the restricted
-    D-class."""
-    tot = tilde_totals(pair, n)
-    return (_exact_or_cumulative(tot.o_parts, j, mode)
-            - _exact_or_cumulative(tot.d_parts, j, mode))
-
-
-def tilde_distinct_count_gap(n: int, pair: EulerPair, j: int,
-                             mode: str = "exact") -> int:
-    """Total distinct parts over the restricted D-class minus the
-    restricted O-class (D-minus-O, as in the unrestricted statistic)."""
-    tot = tilde_totals(pair, n)
-    return (_exact_or_cumulative(tot.d_distinct, j, mode)
-            - _exact_or_cumulative(tot.o_distinct, j, mode))
-
-
-def tilde_repeat_window_total(n: int, pair: EulerPair, j: int) -> int:
-    """Repeat-window total over the restricted exactly-j D-class."""
-    return tilde_totals(pair, n).d_window.get(j, 0)
+    return _exact_or_cumulative(tot.o_count if family == "O" else tot.d_count,
+                                j, mode)
 
 
 def verify_tilde_instance(item: int, pair: EulerPair, n: int,
                           j: int) -> VerificationRecord:
-    """One instance of the restricted-identity family; items 1..4 are the
-    cumulative/exact part-count and distinct-count statements."""
+    """One instance of the restricted-identity family: item k is the
+    statement of theorem ``ITEM_THEOREMS[k - 1]`` evaluated on the pair's
+    totals, with its classes labelled O~, D~ and T~."""
     if item not in (1, 2, 3, 4):
         raise ValueError(f"item must be in 1..4, got {item}")
     if not pair.subbarao_ok:
         raise ValueError(
             "pair fails the closure condition (r*S1 inside S1 and "
             "S2 = S1 minus r*S1); the identities are not asserted for it")
-    r = pair.r
-    theorem = EULER_ITEM_IDS[item - 1]
-    if item in (1, 2):
-        mode = "at_most" if item == 1 else "exact"
-        gap = tilde_part_count_gap(n, pair, j, mode)
-        o_next = (j + 1) * tilde_count(n, pair, j + 1, "O")
-        d_next = (j + 1) * tilde_count(n, pair, j + 1, "D")
-        if item == 1:
-            rhs = [("(j+1)|O~_{j+1}|", o_next), ("(j+1)|D~_{j+1}|", d_next)]
-        else:
-            rhs = [("(j+1)|O~_{j+1}|-j|O~_j|",
-                    o_next - j * tilde_count(n, pair, j, "O")),
-                   ("(j+1)|D~_{j+1}|-j|D~_j|",
-                    d_next - j * tilde_count(n, pair, j, "D"))]
-        if gap % (r - 1):
-            return _record(theorem, n, r, j, None, gap, rhs,
-                           note=f"gap {gap} not divisible by r-1={r - 1}")
-        return _record(theorem, n, r, j, None, gap // (r - 1), rhs)
-    if item == 3:
-        return _record(theorem, n, r, j, None,
-                       tilde_distinct_count_gap(n, pair, j, "at_most"),
-                       [("T~_{j+1}", tilde_repeat_window_total(n, pair, j + 1))])
-    return _record(theorem, n, r, j, None,
-                   tilde_distinct_count_gap(n, pair, j, "exact"),
-                   [("T~_{j+1}-T~_j",
-                     tilde_repeat_window_total(n, pair, j + 1)
-                     - tilde_repeat_window_total(n, pair, j))])
+    _check_j(j)
+    statement, mode = STATEMENTS[ITEM_THEOREMS[item - 1]]
+    lhs, rhs, note = statement(tilde_totals(pair, n), pair.r, j, mode, "~")
+    return _record(EULER_ITEM_IDS[item - 1], n, pair.r, j, None, lhs, rhs,
+                   note)
 
 
 def verify_tilde(item: int, pair: EulerPair, n_values: Iterable[int],

@@ -7,7 +7,10 @@ adds (number of those partitions) x (that part's contribution) to every
 total of n.  Adding the part values 1..N one at a time fills the totals of
 every n <= N in a single pass.  The program works from the class
 definitions alone; the q-series module reproduces the same numbers by a
-different route and is deliberately not used here.
+different route and is deliberately not used here.  The verifier reads
+every number of an instance from one totals record, and the statements it
+shares with the Euler-pair items read any record with the seven fields of
+``euler_pairs.TildeTotals``.
 """
 
 from __future__ import annotations
@@ -32,27 +35,21 @@ THEOREM_IDS = (
 )
 
 
-class ClassTotals:
-    """Per-class accumulators for one (n, r): index j maps to the totals
-    over the exactly-j class of each family."""
+class ClassTotals(NamedTuple):
+    """Per-class totals for one (n, r): index j maps to the total over the
+    exactly-j class of each family.  The first seven fields are those of
+    ``euler_pairs.TildeTotals``, so a statement reads either record."""
 
-    __slots__ = ("n", "r", "o_count", "o_parts", "o_parts_mod", "o_distinct",
-                 "d_count", "d_parts", "d_depth", "d_distinct",
-                 "d_nonresid", "d_window")
-
-    def __init__(self, n: int, r: int):
-        self.n = n
-        self.r = r
-        self.o_count: dict[int, int] = {}
-        self.o_parts: dict[int, int] = {}
-        self.o_parts_mod: dict[int, list[int]] = {}
-        self.o_distinct: dict[int, int] = {}
-        self.d_count: dict[int, int] = {}
-        self.d_parts: dict[int, int] = {}
-        self.d_depth: dict[int, list[int]] = {}
-        self.d_distinct: dict[int, int] = {}
-        self.d_nonresid: dict[int, int] = {}
-        self.d_window: dict[int, int] = {}
+    o_count: dict[int, int]
+    o_parts: dict[int, int]
+    o_distinct: dict[int, int]
+    d_count: dict[int, int]
+    d_parts: dict[int, int]
+    d_distinct: dict[int, int]
+    d_window: dict[int, int]
+    d_nonresid: dict[int, int]
+    o_parts_mod: dict[int, list[int]]
+    d_depth: dict[int, list[int]]
 
 
 _Step = Callable[[int, int], tuple[int, list[int]]]
@@ -91,6 +88,13 @@ def _part_value_dp(n_max: int, width: int, step: _Step,
     return rows
 
 
+def _columns(row: dict[int, list[int]], width: int) -> list[dict[int, int]]:
+    """Split the first ``width`` columns of a DP row {j: [size, *sums]}
+    into one {j: value} per column."""
+    items = sorted(row.items())
+    return [{j: vec[i] for j, vec in items} for i in range(width)]
+
+
 def _totals_table(r: int, n_max: int) -> list[ClassTotals]:
     """ClassTotals of every n <= n_max for modulus r."""
 
@@ -101,31 +105,18 @@ def _totals_table(r: int, n_max: int) -> list[ClassTotals]:
         return int(p % r == 0), [0, m, 1, *mod]
 
     def d_step(p, m):
-        # marked when m >= r; sums: ell, ell_bar, ell_bar_resid[0..r-1],
-        # nonresidual multiplicity, multiplicity in [r+1, 2r-1]
+        # marked when m >= r; sums: ell, ell_bar, multiplicity in
+        # [r+1, 2r-1], nonresidual multiplicity, ell_bar_resid[0..r-1]
         d = m % r
         depth = [1] * (d + 1) + [0] * (r - d - 1)
-        return int(m >= r), [0, m, 1, *depth, m - d, int(r < m < 2 * r)]
+        return int(m >= r), [0, m, 1, int(r < m < 2 * r), m - d, *depth]
 
     o_rows = _part_value_dp(n_max, 3 + r, o_step)
     d_rows = _part_value_dp(n_max, 5 + r, d_step)
-    table = []
-    for n in range(n_max + 1):
-        tot = ClassTotals(n, r)
-        for j, (size, ell, ell_bar, *mod) in sorted(o_rows[n].items()):
-            tot.o_count[j] = size
-            tot.o_parts[j] = ell
-            tot.o_distinct[j] = ell_bar
-            tot.o_parts_mod[j] = mod
-        for j, (size, ell, ell_bar, *rest) in sorted(d_rows[n].items()):
-            tot.d_count[j] = size
-            tot.d_parts[j] = ell
-            tot.d_distinct[j] = ell_bar
-            tot.d_depth[j] = rest[:r]
-            tot.d_nonresid[j] = rest[r]
-            tot.d_window[j] = rest[r + 1]
-        table.append(tot)
-    return table
+    return [ClassTotals(*_columns(o_row, 3), *_columns(d_row, 5),
+                        {j: vec[3:] for j, vec in sorted(o_row.items())},
+                        {j: vec[5:] for j, vec in sorted(d_row.items())})
+            for o_row, d_row in zip(o_rows, d_rows)]
 
 
 class CacheInfo(NamedTuple):
@@ -138,10 +129,10 @@ class CacheInfo(NamedTuple):
 
 
 def _class_key(n: int, r: int) -> tuple[int, int]:
-    if r < 2:
-        raise ValueError(f"modulus r must be >= 2, got {r}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    if r < 2:
+        raise ValueError(f"modulus r must be >= 2, got {r}")
     if n > MAX_ENUM_N:
         raise ValueError(f"n={n} exceeds the totals bound {MAX_ENUM_N}")
     return r, n
@@ -190,18 +181,26 @@ class TotalsCache:
 class_totals = TotalsCache()
 
 
-def _check_args(n: int, r: int, j: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if r < 2:
-        raise ValueError(f"modulus r must be >= 2, got {r}")
+def _check_j(j: int) -> None:
     if j < 0:
         raise ValueError(f"class index j must be >= 0, got {j}")
+
+
+def _totals(n: int, r: int, j: int) -> ClassTotals:
+    """class_totals(n, r), whose key checks n and r, after checking j."""
+    tot = class_totals(n, r)
+    _check_j(j)
+    return tot
 
 
 def _check_t(r: int, t: int) -> None:
     if not 1 <= t <= r - 1:
         raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t}")
+
+
+def _check_family(family: str) -> None:
+    if family not in ("O", "D"):
+        raise ValueError(f"family must be 'O' or 'D', got {family!r}")
 
 
 def _exact_or_cumulative(table: dict[int, int], j: int, mode: str) -> int:
@@ -212,14 +211,25 @@ def _exact_or_cumulative(table: dict[int, int], j: int, mode: str) -> int:
     raise ValueError(f"mode must be 'exact' or 'at_most', got {mode!r}")
 
 
+def _gap(plus: dict[int, int], minus: dict[int, int], j: int,
+         mode: str) -> int:
+    return (_exact_or_cumulative(plus, j, mode)
+            - _exact_or_cumulative(minus, j, mode))
+
+
+def _modular_gap(tot: ClassTotals, j: int, t: int) -> int:
+    o_row = tot.o_parts_mod.get(j)
+    d_row = tot.d_depth.get(j)
+    o_term = (o_row[t] - o_row[0]) if o_row else 0
+    return o_term - (d_row[t] if d_row else 0)
+
+
 def class_count(family: str, n: int, r: int, j: int, mode: str = "exact") -> int:
     """Size of the exactly-j (or at-most-j) class of the given family."""
-    _check_args(n, r, j)
-    tot = class_totals(n, r)
-    table = tot.o_count if family == "O" else tot.d_count
-    if family not in ("O", "D"):
-        raise ValueError(f"family must be 'O' or 'D', got {family!r}")
-    return _exact_or_cumulative(table, j, mode)
+    _check_family(family)
+    tot = _totals(n, r, j)
+    return _exact_or_cumulative(tot.o_count if family == "O" else tot.d_count,
+                                j, mode)
 
 
 def part_count_gap(n: int, r: int, j: int, mode: str = "exact") -> int:
@@ -227,83 +237,68 @@ def part_count_gap(n: int, r: int, j: int, mode: str = "exact") -> int:
 
     May be negative for j >= 1.
     """
-    _check_args(n, r, j)
-    tot = class_totals(n, r)
-    return (_exact_or_cumulative(tot.o_parts, j, mode)
-            - _exact_or_cumulative(tot.d_parts, j, mode))
+    tot = _totals(n, r, j)
+    return _gap(tot.o_parts, tot.d_parts, j, mode)
 
 
 def modular_part_gap(n: int, r: int, j: int, t: int) -> int:
     """Sum over the O-class of (parts congruent to t minus parts divisible
     by r), minus the sum over the D-class of distinct parts with residual
     multiplicity >= t."""
-    _check_args(n, r, j)
+    tot = _totals(n, r, j)
     _check_t(r, t)
-    tot = class_totals(n, r)
-    o_row = tot.o_parts_mod.get(j)
-    d_row = tot.d_depth.get(j)
-    o_term = (o_row[t] - o_row[0]) if o_row else 0
-    return o_term - (d_row[t] if d_row else 0)
+    return _modular_gap(tot, j, t)
 
 
 def distinct_count_gap(n: int, r: int, j: int, mode: str = "exact") -> int:
     """Total distinct parts over the D-class minus the same over the
     O-class (note the D-minus-O orientation)."""
-    _check_args(n, r, j)
-    tot = class_totals(n, r)
-    return (_exact_or_cumulative(tot.d_distinct, j, mode)
-            - _exact_or_cumulative(tot.o_distinct, j, mode))
+    tot = _totals(n, r, j)
+    return _gap(tot.d_distinct, tot.o_distinct, j, mode)
 
 
 def repeat_window_total(n: int, r: int, j: int) -> int:
     """Distinct parts with multiplicity in [r+1, 2r-1], totalled over the
     exactly-j D-class."""
-    _check_args(n, r, j)
-    return class_totals(n, r).d_window.get(j, 0)
+    return _totals(n, r, j).d_window.get(j, 0)
 
 
 def divisible_parts_total(n: int, r: int, j: int) -> int:
     """Parts divisible by r (with multiplicity), totalled over the
     exactly-j O-class."""
-    _check_args(n, r, j)
-    row = class_totals(n, r).o_parts_mod.get(j)
+    row = _totals(n, r, j).o_parts_mod.get(j)
     return row[0] if row else 0
 
 
 def congruent_parts_total(n: int, r: int, j: int, t: int) -> int:
     """Parts congruent to t mod r, totalled over the exactly-j O-class."""
-    _check_args(n, r, j)
+    tot = _totals(n, r, j)
     if not 0 <= t <= r - 1:
         raise ValueError(f"t must satisfy 0 <= t <= r-1, got {t}")
-    row = class_totals(n, r).o_parts_mod.get(j)
+    row = tot.o_parts_mod.get(j)
     return row[t] if row else 0
 
 
 def residual_depth_total(n: int, r: int, j: int, t: int) -> int:
     """Distinct parts with residual multiplicity >= t, totalled over the
     exactly-j D-class."""
-    _check_args(n, r, j)
+    tot = _totals(n, r, j)
     _check_t(r, t)
-    row = class_totals(n, r).d_depth.get(j)
+    row = tot.d_depth.get(j)
     return row[t] if row else 0
 
 
 def distinct_parts_total(family: str, n: int, r: int, j: int) -> int:
     """Distinct-part count totalled over the exactly-j class of a family."""
-    _check_args(n, r, j)
-    tot = class_totals(n, r)
-    if family == "O":
-        return tot.o_distinct.get(j, 0)
-    if family == "D":
-        return tot.d_distinct.get(j, 0)
-    raise ValueError(f"family must be 'O' or 'D', got {family!r}")
+    _check_family(family)
+    tot = _totals(n, r, j)
+    return (tot.o_distinct if family == "O" else tot.d_distinct).get(j, 0)
 
 
 def nonresidual_sum_total(n: int, r: int, j: int) -> int:
     """Sum of nonresidual multiplicities, totalled over the exactly-j
     D-class."""
-    _check_args(n, r, j)
-    return class_totals(n, r).d_nonresid.get(j, 0)
+    return _totals(n, r, j).d_nonresid.get(j, 0)
 
 
 def fiber_ragged_repeat_count(n: int, r: int, m_vec, k_vec) -> int:
@@ -340,67 +335,85 @@ def _record(theorem, n, r, j, t, lhs, rhs, note=""):
     return VerificationRecord(theorem, n, r, j, t, lhs, tuple(rhs), ok, note)
 
 
-def _beck_rhs(n: int, r: int, j: int) -> list[tuple[str, int]]:
-    o1 = (j + 1) * class_count("O", n, r, j + 1) - j * class_count("O", n, r, j)
-    d1 = (j + 1) * class_count("D", n, r, j + 1) - j * class_count("D", n, r, j)
-    return [("(j+1)|O_{j+1}|-j|O_j|", o1), ("(j+1)|D_{j+1}|-j|D_j|", d1)]
+# -- the statements shared with the Euler-pair items ----------------------
+# Each reads one totals record, a ClassTotals or a euler_pairs.TildeTotals,
+# and returns (lhs, labelled right sides, note); ``mark`` tags the class
+# names in the labels ("~" for the restricted classes).
+
+def beck_statement(tot, r: int, j: int, mode: str, mark: str = ""):
+    """Part-count gap over r-1 against (j+1)|O_{j+1}| - j|O_j| and the same
+    for D (exact), or against (j+1)|O_{j+1}| and (j+1)|D_{j+1}| (at_most,
+    the telescoped sum)."""
+    gap = _gap(tot.o_parts, tot.d_parts, j, mode)
+    rhs = []
+    for family, counts in (("O", tot.o_count), ("D", tot.d_count)):
+        label = f"(j+1)|{family}{mark}_{{j+1}}|"
+        value = (j + 1) * counts.get(j + 1, 0)
+        if mode == "exact":
+            label += f"-j|{family}{mark}_j|"
+            value -= j * counts.get(j, 0)
+        rhs.append((label, value))
+    if gap % (r - 1):
+        return gap, rhs, f"gap {gap} not divisible by r-1={r - 1}"
+    return gap // (r - 1), rhs, ""
+
+
+def distinct_statement(tot, r: int, j: int, mode: str, mark: str = ""):
+    """Distinct-count gap (D minus O) against T_{j+1} - T_j (exact) or
+    T_{j+1} (at_most), T being the repeat-window total."""
+    label, value = f"T{mark}_{{j+1}}", tot.d_window.get(j + 1, 0)
+    if mode == "exact":
+        label += f"-T{mark}_j"
+        value -= tot.d_window.get(j, 0)
+    return _gap(tot.d_distinct, tot.o_distinct, j, mode), [(label, value)], ""
+
+
+# theorem id -> (statement, mode)
+STATEMENTS = {
+    "beck_main": (beck_statement, "exact"),
+    "beck_cumulative": (beck_statement, "at_most"),
+    "distinct_parts": (distinct_statement, "exact"),
+    "distinct_cumulative": (distinct_statement, "at_most"),
+}
 
 
 def verify_instance(theorem: str, n: int, r: int, j: int,
                     t: int | None = None) -> VerificationRecord:
     """Evaluate one theorem instance exactly; never rounds."""
-    _check_args(n, r, j)
+    tot = _totals(n, r, j)
+    if theorem in STATEMENTS:
+        statement, mode = STATEMENTS[theorem]
+        lhs, rhs, note = statement(tot, r, j, mode)
+        return _record(theorem, n, r, j, None, lhs, rhs, note)
     if theorem == "franklin":
-        return _record(theorem, n, r, j, None,
-                       class_count("O", n, r, j),
-                       [("|D_j|", class_count("D", n, r, j))])
-    if theorem == "beck_main":
-        gap = part_count_gap(n, r, j, "exact")
-        rhs = _beck_rhs(n, r, j)
-        if gap % (r - 1):
-            return _record(theorem, n, r, j, None, gap, rhs,
-                           note=f"gap {gap} not divisible by r-1={r - 1}")
-        return _record(theorem, n, r, j, None, gap // (r - 1), rhs)
-    if theorem == "beck_cumulative":
-        gap = part_count_gap(n, r, j, "at_most")
-        rhs = [("(j+1)|O_{j+1}|", (j + 1) * class_count("O", n, r, j + 1)),
-               ("(j+1)|D_{j+1}|", (j + 1) * class_count("D", n, r, j + 1))]
-        if gap % (r - 1):
-            return _record(theorem, n, r, j, None, gap, rhs,
-                           note=f"gap {gap} not divisible by r-1={r - 1}")
-        return _record(theorem, n, r, j, None, gap // (r - 1), rhs)
+        return _record(theorem, n, r, j, None, tot.o_count.get(j, 0),
+                       [("|D_j|", tot.d_count.get(j, 0))])
     if theorem == "modular_refine":
         if t is None:
             raise ValueError("modular_refine requires t")
-        return _record(theorem, n, r, j, t,
-                       modular_part_gap(n, r, j, t), _beck_rhs(n, r, j))
+        _check_t(r, t)
+        return _record(theorem, n, r, j, t, _modular_gap(tot, j, t),
+                       beck_statement(tot, r, j, "exact")[1])
     if theorem == "sum_reduction":
-        lhs = sum(modular_part_gap(n, r, j, t_) for t_ in range(1, r))
+        lhs = sum(_modular_gap(tot, j, t_) for t_ in range(1, r))
         return _record(theorem, n, r, j, None, lhs,
-                       [("b_{j,r}(n)", part_count_gap(n, r, j, "exact"))])
+                       [("b_{j,r}(n)", _gap(tot.o_parts, tot.d_parts, j,
+                                            "exact"))])
+    row = tot.o_parts_mod.get(j)
+    divisible = row[0] if row else 0
     if theorem == "diff3":
         lhs = sum(
-            class_count("O", n - r * sum(m * k for m, k in zip(mv, kv)), r, 1)
+            class_totals(n - r * sum(m * k for m, k in zip(mv, kv)),
+                         r).o_count.get(1, 0)
             for mv, kv in index_weight_tuples(j, n // r))
-        rhs_val = ((j + 1) * class_count("O", n, r, j + 1)
-                   - j * class_count("O", n, r, j)
-                   + divisible_parts_total(n, r, j))
+        rhs_val = ((j + 1) * tot.o_count.get(j + 1, 0)
+                   - j * tot.o_count.get(j, 0) + divisible)
         return _record(theorem, n, r, j, None, lhs,
                        [("(j+1)|O_{j+1}|-j|O_j|+sum ell_0", rhs_val)])
-    if theorem == "distinct_parts":
-        return _record(theorem, n, r, j, None,
-                       distinct_count_gap(n, r, j, "exact"),
-                       [("T_{j+1}-T_j", repeat_window_total(n, r, j + 1)
-                         - repeat_window_total(n, r, j))])
-    if theorem == "distinct_cumulative":
-        return _record(theorem, n, r, j, None,
-                       distinct_count_gap(n, r, j, "at_most"),
-                       [("T_{j+1}", repeat_window_total(n, r, j + 1))])
     if theorem == "nonresidual_balance":
-        return _record(theorem, n, r, j, None,
-                       r * divisible_parts_total(n, r, j),
+        return _record(theorem, n, r, j, None, r * divisible,
                        [("sum nonresidual mult over D_j",
-                         nonresidual_sum_total(n, r, j))])
+                         tot.d_nonresid.get(j, 0))])
     raise ValueError(f"unknown theorem {theorem!r}")
 
 

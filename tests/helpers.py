@@ -29,11 +29,19 @@ def pentagonal_counts(n_max: int) -> list[int]:
     return p
 
 
+def assert_same_totals(got, want, label) -> None:
+    """Every field of two totals records is equal."""
+    for field in type(want)._fields:
+        # dict equality also compares the key sets: a class index is
+        # present exactly when its class is non-empty
+        assert getattr(got, field) == getattr(want, field), (label, field)
+
+
 def enumerated_class_totals(n: int, r: int) -> ClassTotals:
     """ClassTotals by walking every partition of n and scattering its
     ``stats`` into the accumulators of its two classes: the small-n oracle
     for the part-value dynamic program in ``identities``."""
-    tot = ClassTotals(n, r)
+    tot = ClassTotals(*({} for _ in ClassTotals._fields))
     for lam in partitions_of(n):
         st_ = stats(lam, r)
         j_div = sum(1 for p, _ in lam.pairs if p % r == 0)
@@ -78,7 +86,7 @@ def enumerated_tilde_totals(pair: EulerPair, n: int) -> TildeTotals:
     """TildeTotals by walking every restricted partition of n once per
     family: the small-n oracle for the Euler-pair dynamic program."""
     r = pair.r
-    tot = TildeTotals({}, {}, {}, {}, {}, {}, {})
+    tot = TildeTotals(*({} for _ in TildeTotals._fields))
 
     marked_values = frozenset(r * s for s in pair.s1 if r * s <= pair.bound)
     allowed = sorted(marked_values.union(pair.s2), reverse=True)

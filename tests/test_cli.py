@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,10 @@ import beckpart
 from beckpart import cli, euler_pairs, identities
 from beckpart.cli import RunConfig, _verify_chunk, _verify_tasks, run
 from beckpart.identities import VerificationRecord
+
+
+EXPECTED = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                       / "expected.json").read_text(encoding="utf-8"))
 
 
 def run_capture(capsys, argv):
@@ -145,6 +150,52 @@ def test_exit_one_on_failing_record(capsys, monkeypatch):
     assert "FAIL franklin n=3 r=2 j=0: lhs=1" in err
 
 
+def test_fail_lines_label_the_classes_of_each_route(capsys, monkeypatch):
+    # one partition too many in O_1 at n=4, in both routes' totals
+    def tampered(lookup, n_arg):
+        def tampered_lookup(*args):
+            tot = lookup(*args)
+            if args[n_arg] != 4:
+                return tot
+            return tot._replace(o_count={**tot.o_count,
+                                         1: tot.o_count[1] + 1})
+        return tampered_lookup
+    monkeypatch.setattr(identities, "class_totals",
+                        tampered(identities.class_totals, 0))
+    monkeypatch.setattr(euler_pairs, "tilde_totals",
+                        tampered(euler_pairs.tilde_totals, 1))
+    code, _, err = run_capture(capsys, [
+        "verify", "--theorem", "beck_main", "--n-max", "4", "--r", "2",
+        "--j-max", "0"])
+    assert code == 1
+    assert err == ("FAIL beck_main n=4 r=2 j=0: lhs=3 vs "
+                   "(j+1)|O_{j+1}|-j|O_j|=4; (j+1)|D_{j+1}|-j|D_j|=3\n")
+    code, _, err = run_capture(capsys, [
+        "euler", "--r", "2", "--s1-multiples-of", "1", "--item", "2",
+        "--n-max", "4", "--j-max", "0"])
+    assert code == 1
+    assert err == ("FAIL euler_item2 n=4 r=2 j=0: lhs=3 vs "
+                   "(j+1)|O~_{j+1}|-j|O~_j|=4; (j+1)|D~_{j+1}|-j|D~_j|=3\n")
+
+
+def test_output_matches_the_recorded_digests(capsys):
+    # the verify grid and the two fixed euler runs of the benchmark
+    code, out, err = run_capture(capsys, [
+        "verify", "--theorem", "all", "--n-max", "40", "--r", "2,3,4,5",
+        "--j-max", "3", "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        EXPECTED["verify_grid_sha256"]
+    for r in ("2", "3"):
+        code, out, err = run_capture(capsys, [
+            "euler", "--bound", "40", "--item", "all", "--j-max", "3",
+            "--n-max", "40", "--format", "csv", "--r", r,
+            "--s1-multiples-of", "1"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            EXPECTED["euler_fixed_sha256"][f"N r={r}"]
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(["verify", "--theorem", "franklin", "--n-max", "-1"]) == 2
     assert run(["verify", "--theorem", "pythagoras"]) == 2
@@ -272,15 +323,27 @@ def test_euler_requires_exactly_one_s1_source(capsys):
     assert code == 2 and "exactly one of" in err
 
 
+def _no_s1(*_):
+    raise AssertionError("S1 was built before --bound was checked")
+
+
 def test_euler_bound_is_capped_before_s1_is_built(capsys, monkeypatch):
-    def no_s1(*_):
-        raise AssertionError("S1 was built before --bound was checked")
-    monkeypatch.setattr(cli, "_load_s1", no_s1)
+    monkeypatch.setattr(cli, "_load_s1", _no_s1)
     code, out, err = run_capture(capsys, [
         "euler", "--r", "2", "--s1-multiples-of", "1",
         "--bound", "1000000000", "--n-max", "5"])
     assert code == 2 and not out
     assert "bound must be at most 120, got 1000000000" in err
+
+
+def test_euler_bound_below_n_max_is_refused_before_s1_is_built(
+        capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_load_s1", _no_s1)
+    code, out, err = run_capture(capsys, [
+        "euler", "--r", "2", "--s1-multiples-of", "1", "--n-max", "10",
+        "--bound", "5"])
+    assert (code, out) == (2, "")
+    assert err == "error: --bound must be at least --n-max=10, got 5\n"
 
 
 def test_euler_accepts_the_largest_bound(capsys):

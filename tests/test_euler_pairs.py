@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,14 +7,11 @@ from hypothesis import strategies as st
 from beckpart import euler_pairs
 from beckpart.euler_pairs import (EULER_ITEM_IDS, TildeTotals,
                                   make_euler_pair, subbarao_counterexample,
-                                  tilde_count, tilde_distinct_count_gap,
-                                  tilde_part_count_gap,
-                                  tilde_repeat_window_total, tilde_totals,
-                                  verify_tilde, verify_tilde_instance)
-from beckpart.identities import (TotalsCache, class_count, distinct_count_gap,
-                                 part_count_gap, repeat_window_total,
-                                 verify_instance)
-from helpers import enumerated_tilde_totals
+                                  tilde_count, tilde_totals, verify_tilde,
+                                  verify_tilde_instance)
+from beckpart.identities import (ClassTotals, TotalsCache, class_count,
+                                 class_totals, verify_instance)
+from helpers import assert_same_totals, enumerated_tilde_totals
 
 BOUND = 24
 
@@ -78,18 +77,15 @@ def test_tilde_count_window_guard(classical):
         tilde_count(BOUND + 1, classical, 0, "O")
 
 
-def test_classical_pair_reduces_to_unrestricted_statistics(classical):
-    for n in range(BOUND + 1):
-        for j in range(3):
-            for family in ("O", "D"):
-                assert tilde_count(n, classical, j, family) == \
-                    class_count(family, n, 2, j)
-            assert tilde_part_count_gap(n, classical, j) == \
-                part_count_gap(n, 2, j)
-            assert tilde_distinct_count_gap(n, classical, j) == \
-                distinct_count_gap(n, 2, j)
-            assert tilde_repeat_window_total(n, classical, j) == \
-                repeat_window_total(n, 2, j)
+def test_classical_pair_reduces_to_unrestricted_statistics():
+    assert ClassTotals._fields[:len(TildeTotals._fields)] == \
+        TildeTotals._fields
+    for r in (2, 3):
+        pair = make_euler_pair(r, range(1, BOUND + 1), BOUND)
+        for n in range(BOUND + 1):
+            # the seven fields of the restricted record
+            assert_same_totals(class_totals(n, r), tilde_totals(pair, n),
+                               (r, n))
 
 
 def test_scaling_embedding(triples):
@@ -110,11 +106,23 @@ def test_good_pairs_have_equinumerous_classes(classical, triples):
                     tilde_count(n, pair, j, "D")
 
 
-def test_item2_reduces_to_classical_beck(classical):
-    rec = verify_tilde_instance(2, classical, 4, 0)
-    classical_rec = verify_instance("beck_main", 4, 2, 0)
-    assert rec.lhs == classical_rec.lhs == 3
-    assert rec.ok
+def test_items_reduce_to_unrestricted_theorems():
+    # over S1 = all positive integers, item k is the unrestricted theorem
+    theorems = {1: "beck_cumulative", 2: "beck_main",
+                3: "distinct_cumulative", 4: "distinct_parts"}
+    for r in (2, 3):
+        pair = make_euler_pair(r, range(1, BOUND + 1), BOUND)
+        for item, theorem in theorems.items():
+            for n in range(BOUND + 1):
+                for j in range(3):
+                    rec = verify_tilde_instance(item, pair, n, j)
+                    want = verify_instance(theorem, n, r, j)
+                    assert rec.ok and want.ok
+                    assert (rec.lhs, rec.note) == (want.lhs, want.note)
+                    # the same values, with the restricted classes marked
+                    assert rec.rhs == tuple(
+                        (re.sub(r"([ODT])_", r"\1~_", label), value)
+                        for label, value in want.rhs)
 
 
 @pytest.mark.parametrize("item", [1, 2, 3, 4])
@@ -144,6 +152,10 @@ def test_counterexample_search_can_be_inconclusive():
 def test_item_validation(classical):
     with pytest.raises(ValueError, match="item must be in 1..4"):
         verify_tilde_instance(5, classical, 3, 0)
+    with pytest.raises(ValueError, match="class index j"):
+        verify_tilde_instance(1, classical, 3, -1)
+    with pytest.raises(ValueError, match="family"):
+        tilde_count(BOUND + 1, classical, 0, "X")
 
 
 def test_r3_pair_items(classical):
@@ -172,19 +184,12 @@ ORACLE_PAIRS = {
 }
 
 
-def _assert_same_tilde_totals(got, want, label):
-    for field in TildeTotals._fields:
-        # dict equality also compares the key sets: a class index is
-        # present exactly when its restricted class is non-empty
-        assert getattr(got, field) == getattr(want, field), (label, field)
-
-
 @pytest.mark.parametrize("name", list(ORACLE_PAIRS))
 def test_tilde_dp_equals_enumeration(name):
     pair = ORACLE_PAIRS[name]
     for n in range(BOUND, -1, -1):
-        _assert_same_tilde_totals(tilde_totals(pair, n),
-                                  enumerated_tilde_totals(pair, n), (name, n))
+        assert_same_totals(tilde_totals(pair, n),
+                           enumerated_tilde_totals(pair, n), (name, n))
 
 
 @st.composite
@@ -203,8 +208,8 @@ def small_pairs(draw):
 @given(small_pairs(), st.integers(min_value=0, max_value=20))
 def test_tilde_dp_equals_enumeration_random(pair, n):
     n = min(n, pair.bound)
-    _assert_same_tilde_totals(tilde_totals(pair, n),
-                              enumerated_tilde_totals(pair, n), n)
+    assert_same_totals(tilde_totals(pair, n),
+                       enumerated_tilde_totals(pair, n), n)
 
 
 def _fresh_tilde_cache(monkeypatch):

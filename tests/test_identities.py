@@ -1,34 +1,30 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from beckpart import identities
 from beckpart.enumeration import ClassSpec, enumerate_class, index_weight_tuples
-from beckpart.identities import (THEOREM_IDS, ClassTotals, TotalsCache,
+from beckpart.identities import (THEOREM_IDS, TotalsCache, _class_key,
                                  _record, class_count, class_totals,
                                  distinct_count_gap,
                                  fiber_ragged_repeat_count, modular_part_gap,
                                  part_count_gap, repeat_window_total, verify,
                                  verify_instance)
-from helpers import enumerated_class_totals, pentagonal_counts
-
-
-def _assert_same_totals(got, want):
-    for field in ClassTotals.__slots__:
-        # dict equality also compares the key sets: a class index is
-        # present exactly when its class is non-empty
-        assert getattr(got, field) == getattr(want, field), (
-            got.n, got.r, field)
+from helpers import (assert_same_totals, enumerated_class_totals,
+                     pentagonal_counts)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_totals_dp_equals_enumeration(r):
     for n in range(30, -1, -1):
-        _assert_same_totals(class_totals(n, r), enumerated_class_totals(n, r))
+        assert_same_totals(class_totals(n, r), enumerated_class_totals(n, r),
+                           (n, r))
 
 
 @given(st.integers(min_value=0, max_value=24),
        st.integers(min_value=2, max_value=7))
 def test_totals_dp_equals_enumeration_random(n, r):
-    _assert_same_totals(class_totals(n, r), enumerated_class_totals(n, r))
+    assert_same_totals(class_totals(n, r), enumerated_class_totals(n, r),
+                       (n, r))
 
 
 def test_class_sizes_sum_to_partition_counts_up_to_120():
@@ -133,6 +129,51 @@ def test_verify_instance_spec_examples():
 
     rec = verify_instance("diff3", 4, 2, 1)
     assert rec.lhs == 1 and rec.rhs[0][1] == 1 and rec.ok
+
+
+def test_statement_labels():
+    labels = {
+        "beck_cumulative": ["(j+1)|O_{j+1}|", "(j+1)|D_{j+1}|"],
+        "beck_main": ["(j+1)|O_{j+1}|-j|O_j|", "(j+1)|D_{j+1}|-j|D_j|"],
+        "modular_refine": ["(j+1)|O_{j+1}|-j|O_j|", "(j+1)|D_{j+1}|-j|D_j|"],
+        "distinct_cumulative": ["T_{j+1}"],
+        "distinct_parts": ["T_{j+1}-T_j"],
+    }
+    for theorem, want in labels.items():
+        rec = verify_instance(theorem, 6, 3, 1, t=1)
+        assert [label for label, _ in rec.rhs] == want, theorem
+
+
+def test_one_totals_lookup_per_call(monkeypatch):
+    # n and r are checked by the cache's key alone, once per call, and
+    # verify_instance reads every number from one totals record
+    keys = []
+
+    def key(n, r):
+        keys.append((n, r))
+        return _class_key(n, r)
+    monkeypatch.setattr(identities, "class_totals", TotalsCache(key=key))
+    calls = [lambda: class_count("O", 9, 3, 1),
+             lambda: class_count("D", 9, 3, 1, "at_most"),
+             lambda: part_count_gap(9, 3, 1),
+             lambda: modular_part_gap(9, 3, 1, 2),
+             lambda: distinct_count_gap(9, 3, 1, "at_most"),
+             lambda: repeat_window_total(9, 3, 1),
+             lambda: identities.divisible_parts_total(9, 3, 1),
+             lambda: identities.congruent_parts_total(9, 3, 1, 0),
+             lambda: identities.residual_depth_total(9, 3, 1, 2),
+             lambda: identities.distinct_parts_total("D", 9, 3, 1),
+             lambda: identities.nonresidual_sum_total(9, 3, 1)]
+    calls += [lambda theorem=theorem: verify_instance(theorem, 9, 3, 1, t=1)
+              for theorem in THEOREM_IDS if theorem != "diff3"]
+    for call in calls:
+        keys.clear()
+        call()
+        assert keys == [(9, 3)]
+    # diff3 adds one O_1 lookup per index tuple
+    keys.clear()
+    verify_instance("diff3", 9, 3, 1)
+    assert len(keys) == 1 + len(list(index_weight_tuples(1, 3)))
 
 
 def test_franklin_instance():
@@ -244,5 +285,14 @@ def test_parameter_errors():
         class_count("O", -1, 2, 0)
     with pytest.raises(ValueError, match="family"):
         class_count("Q", 4, 2, 0)
+    # the family is checked before the totals are looked up
+    with pytest.raises(ValueError, match="family"):
+        class_count("X", 200, 2, 0)
+    with pytest.raises(ValueError, match="family"):
+        identities.distinct_parts_total("X", 200, 2, 0)
+    with pytest.raises(ValueError, match="class index j"):
+        part_count_gap(4, 2, -1)
+    with pytest.raises(ValueError, match="class index j"):
+        verify_instance("franklin", 4, 2, -1)
     with pytest.raises(ValueError, match="modular_refine requires t"):
         verify_instance("modular_refine", 4, 2, 0)
