@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import bijections, euler_pairs, identities, oeis, qseries
@@ -46,7 +45,6 @@ class RunConfig:
     t: str | int
     fmt: str
     output: str | None
-    jobs: int = 1
 
     def __post_init__(self):
         if not 0 <= self.n_max <= MAX_ENUM_N:
@@ -58,10 +56,12 @@ class RunConfig:
                 raise ValueError(f"every r must be >= 2, got {r}")
         if self.j_max < 0:
             raise ValueError(f"j-max must be >= 0, got {self.j_max}")
+        # a class index above n selects an empty class
+        if self.j_max > MAX_ENUM_N:
+            raise ValueError(f"j-max must be at most {MAX_ENUM_N}, "
+                             f"got {self.j_max}")
         if self.fmt not in ("table", "csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -136,22 +136,6 @@ def _report_failures(records: list[VerificationRecord]) -> int:
     return 1 if failures else 0
 
 
-def _verify_tasks(theorems, cfg: RunConfig) -> list[tuple]:
-    """One (theorems, n, r, j_max, t) task per grid point, n downwards so
-    that a worker builds each totals table at the largest n it will need;
-    ``_sort_records`` restores the output order."""
-    return [(theorems, n, r, cfg.j_max, cfg.t)
-            for n in range(cfg.n_max, -1, -1) for r in cfg.r_list]
-
-
-def _verify_chunk(args) -> list[VerificationRecord]:
-    theorems, n, r, j_max, t = args
-    out = []
-    for theorem in theorems:
-        out.extend(identities.verify(theorem, [n], [r], j_max, t))
-    return out
-
-
 def _sort_records(records: list[VerificationRecord]) -> list[VerificationRecord]:
     order = {tid: i for i, tid in enumerate(THEOREM_IDS)}
     for i, tid in enumerate(euler_pairs.EULER_ITEM_IDS):
@@ -163,17 +147,12 @@ def _sort_records(records: list[VerificationRecord]) -> list[VerificationRecord]
 
 def _cmd_verify(args) -> int:
     cfg = RunConfig(args.n_max, _int_list(args.r), args.j_max,
-                    _t_selector(args.t), args.format, args.output, args.jobs)
+                    _t_selector(args.t), args.format, args.output)
     theorems = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
     records = []
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for chunk in pool.map(_verify_chunk, _verify_tasks(theorems, cfg)):
-                records.extend(chunk)
-    else:
-        for theorem in theorems:
-            records.extend(identities.verify(theorem, range(cfg.n_max + 1),
-                                             cfg.r_list, cfg.j_max, cfg.t))
+    for theorem in theorems:
+        records.extend(identities.verify(theorem, range(cfg.n_max + 1),
+                                         cfg.r_list, cfg.j_max, cfg.t))
     records = _sort_records(records)
     meta = {"command": "verify", "theorem": args.theorem, "n_max": cfg.n_max,
             "r": list(cfg.r_list), "j_max": cfg.j_max, "t": cfg.t}
@@ -344,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of partition part-count identities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=False):
+    def common(p):
         p.add_argument("--n-max", type=int, default=20)
         p.add_argument("--r", default="2", help="comma-separated moduli")
         p.add_argument("--j-max", type=int, default=3)
@@ -352,12 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "csv", "json"),
                        default="table")
         p.add_argument("--output", default=None, help="write to file")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("verify", help="verify theorem instances on a grid")
     p.add_argument("--theorem", choices=THEOREM_IDS + ("all",), default="all")
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="tables of aggregate statistics")

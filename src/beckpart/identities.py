@@ -11,6 +11,12 @@ different route and is deliberately not used here.  The verifier reads
 every number of an instance from one totals record, and the statements it
 shares with the Euler-pair items read any record with the seven fields of
 ``euler_pairs.TildeTotals``.
+
+The left side of ``diff3`` sums |O_1(n - r*w)| over index tuples (m, k),
+m strictly increasing and k positive, of weight w = sum m_i*k_i.  Such a
+j-tuple is a partition of w with exactly j distinct part values, so the
+same program with every part marked counts the tuples of each weight, and
+the table stores the sum per j as one more field, ``o1_tuples``.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple
 
-from .enumeration import (MAX_ENUM_N, enumerate_fixed_repeats,
-                          index_weight_tuples)
+from .enumeration import MAX_ENUM_N, enumerate_fixed_repeats
 
 THEOREM_IDS = (
     "franklin",
@@ -38,7 +43,9 @@ THEOREM_IDS = (
 class ClassTotals(NamedTuple):
     """Per-class totals for one (n, r): index j maps to the total over the
     exactly-j class of each family.  The first seven fields are those of
-    ``euler_pairs.TildeTotals``, so a statement reads either record."""
+    ``euler_pairs.TildeTotals``, so a statement reads either record.
+    ``o1_tuples`` is diff3's left side: j maps to the sum of |O_1(n - r*w)|
+    over the index j-tuples of weight w <= n/r, present when one exists."""
 
     o_count: dict[int, int]
     o_parts: dict[int, int]
@@ -50,6 +57,7 @@ class ClassTotals(NamedTuple):
     d_nonresid: dict[int, int]
     o_parts_mod: dict[int, list[int]]
     d_depth: dict[int, list[int]]
+    o1_tuples: dict[int, int]
 
 
 _Step = Callable[[int, int], tuple[int, list[int]]]
@@ -113,10 +121,20 @@ def _totals_table(r: int, n_max: int) -> list[ClassTotals]:
 
     o_rows = _part_value_dp(n_max, 3 + r, o_step)
     d_rows = _part_value_dp(n_max, 5 + r, d_step)
-    return [ClassTotals(*_columns(o_row, 3), *_columns(d_row, 5),
-                        {j: vec[3:] for j, vec in sorted(o_row.items())},
-                        {j: vec[5:] for j, vec in sorted(d_row.items())})
-            for o_row, d_row in zip(o_rows, d_rows)]
+    # tuple_rows[w][j] = [number of index j-tuples of weight w]
+    tuple_rows = _part_value_dp(n_max // r, 1, lambda p, m: (1, [0]))
+    o1 = [row.get(1, [0])[0] for row in o_rows]
+    tables = []
+    for n, (o_row, d_row) in enumerate(zip(o_rows, d_rows)):
+        o1_tuples: dict[int, int] = {}
+        for w in range(n // r + 1):
+            for j, (count,) in tuple_rows[w].items():
+                o1_tuples[j] = o1_tuples.get(j, 0) + count * o1[n - r * w]
+        tables.append(ClassTotals(
+            *_columns(o_row, 3), *_columns(d_row, 5),
+            {j: vec[3:] for j, vec in sorted(o_row.items())},
+            {j: vec[5:] for j, vec in sorted(d_row.items())}, o1_tuples))
+    return tables
 
 
 class CacheInfo(NamedTuple):
@@ -402,13 +420,9 @@ def verify_instance(theorem: str, n: int, r: int, j: int,
     row = tot.o_parts_mod.get(j)
     divisible = row[0] if row else 0
     if theorem == "diff3":
-        lhs = sum(
-            class_totals(n - r * sum(m * k for m, k in zip(mv, kv)),
-                         r).o_count.get(1, 0)
-            for mv, kv in index_weight_tuples(j, n // r))
         rhs_val = ((j + 1) * tot.o_count.get(j + 1, 0)
                    - j * tot.o_count.get(j, 0) + divisible)
-        return _record(theorem, n, r, j, None, lhs,
+        return _record(theorem, n, r, j, None, tot.o1_tuples.get(j, 0),
                        [("(j+1)|O_{j+1}|-j|O_j|+sum ell_0", rhs_val)])
     if theorem == "nonresidual_balance":
         return _record(theorem, n, r, j, None, r * divisible,

@@ -13,8 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-# Matches the enumeration bound; beyond this the dense tables stop being
-# desk scale.
+# Caps both truncation orders, N and J; matches the enumeration bound, and
+# beyond it the dense tables stop being desk scale.
 MAX_Q_ORDER = 120
 
 # Builders cached per (family, r, N, J) or (r, N, J); one CLI run needs a
@@ -32,6 +32,8 @@ class Series:
             raise ValueError("truncation orders must be non-negative")
         if N > MAX_Q_ORDER:
             raise ValueError(f"q-truncation {N} exceeds cap {MAX_Q_ORDER}")
+        if J > MAX_Q_ORDER:
+            raise ValueError(f"w-truncation {J} exceeds cap {MAX_Q_ORDER}")
         self.N = N
         self.J = J
         self.c = table if table is not None else [

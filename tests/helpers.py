@@ -1,8 +1,10 @@
 """Shared test helpers: independent oracles and hypothesis strategies."""
 
+from functools import cache
+
 from hypothesis import strategies as st
 
-from beckpart.enumeration import partitions_of
+from beckpart.enumeration import index_weight_tuples, partitions_of
 from beckpart.euler_pairs import EulerPair, TildeTotals
 from beckpart.identities import ClassTotals
 from beckpart.partition import Partition, stats
@@ -37,10 +39,19 @@ def assert_same_totals(got, want, label) -> None:
         assert getattr(got, field) == getattr(want, field), (label, field)
 
 
+@cache
+def enumerated_o1_count(n: int, r: int) -> int:
+    """|O_1(n)|: partitions of n with exactly one distinct part divisible
+    by r, counted by walking every partition of n."""
+    return sum(1 for lam in partitions_of(n)
+               if sum(1 for p, _ in lam.pairs if p % r == 0) == 1)
+
+
 def enumerated_class_totals(n: int, r: int) -> ClassTotals:
     """ClassTotals by walking every partition of n and scattering its
-    ``stats`` into the accumulators of its two classes: the small-n oracle
-    for the part-value dynamic program in ``identities``."""
+    ``stats`` into the accumulators of its two classes, and diff3's left
+    side by summing |O_1| over every index tuple: the small-n oracle for
+    the part-value dynamic program in ``identities``."""
     tot = ClassTotals(*({} for _ in ClassTotals._fields))
     for lam in partitions_of(n):
         st_ = stats(lam, r)
@@ -63,7 +74,16 @@ def enumerated_class_totals(n: int, r: int) -> ClassTotals:
         depth = tot.d_depth.setdefault(j_rep, [0] * r)
         for t in range(r):
             depth[t] += st_.ell_bar_resid[t]
-    return tot
+
+    j = 0
+    while True:
+        tuples = list(index_weight_tuples(j, n // r))
+        if not tuples:  # a longer tuple weighs more still
+            return tot
+        tot.o1_tuples[j] = sum(
+            enumerated_o1_count(n - r * sum(m * k for m, k in zip(mv, kv)), r)
+            for mv, kv in tuples)
+        j += 1
 
 
 def restricted_partitions(n: int, values_desc: tuple[int, ...]):

@@ -11,7 +11,7 @@ import pytest
 
 import beckpart
 from beckpart import cli, euler_pairs, identities
-from beckpart.cli import RunConfig, _verify_chunk, _verify_tasks, run
+from beckpart.cli import run
 from beckpart.identities import VerificationRecord
 
 
@@ -126,19 +126,6 @@ def test_runs_are_byte_identical(capsys, tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_verify_parallel_matches_sequential(capsys, tmp_path):
-    base = ["verify", "--theorem", "all", "--n-max", "6", "--r", "2",
-            "--j-max", "1", "--format", "csv"]
-    code, _, _ = run_capture(capsys, base + [
-        "--output", str(tmp_path / "seq.csv")])
-    assert code == 0
-    code, _, _ = run_capture(capsys, base + [
-        "--jobs", "2", "--output", str(tmp_path / "par.csv")])
-    assert code == 0
-    assert (tmp_path / "seq.csv").read_bytes() == \
-        (tmp_path / "par.csv").read_bytes()
-
-
 def test_exit_one_on_failing_record(capsys, monkeypatch):
     bad = VerificationRecord("franklin", 3, 2, 0, None, 1,
                              (("|D_j|", 2),), False, "")
@@ -196,8 +183,34 @@ def test_output_matches_the_recorded_digests(capsys):
             EXPECTED["euler_fixed_sha256"][f"N r={r}"]
 
 
+def test_verify_at_the_largest_n(capsys):
+    # every theorem, diff3 included, at n = 120 in one process
+    code, out, err = run_capture(capsys, [
+        "verify", "--theorem", "all", "--n-max", "120", "--r", "2",
+        "--j-max", "3", "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out.count(",true\n") == 4356
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a51bdcdd80548e1985ac69d7bac4b04c4d6802d07c3c6049ac45ccea6d52bae3")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--j-max", "121"], "error: j-max must be at most 120, got 121"),
+    (["stats", "--stat", "counts", "--j-max", "121"],
+     "error: j-max must be at most 120, got 121"),
+    (["euler", "--r", "2", "--s1", "1", "--j-max", "121"],
+     "error: j-max must be at most 120, got 121"),
+    (["series", "--which", "repeat-window", "--r", "2", "--n-max", "5",
+      "--j-max", "121"], "error: w-truncation 121 exceeds cap 120"),
+])
+def test_class_index_is_capped(capsys, argv, message):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(["verify", "--theorem", "franklin", "--n-max", "-1"]) == 2
+    assert run(["verify", "--jobs", "2"]) == 2  # no process pool any more
     assert run(["verify", "--theorem", "pythagoras"]) == 2
     assert run(["frobnicate"]) == 2
     assert run([]) == 2
@@ -251,18 +264,6 @@ def test_one_totals_table_build_per_modulus(capsys, monkeypatch, argv,
     assert run(argv) == 0
     capsys.readouterr()
     assert cache.cache_info().misses == builds
-
-
-def test_parallel_verify_tasks_build_each_table_once(monkeypatch):
-    # a worker runs its tasks in queue order; n must come downwards
-    cache = identities.TotalsCache()
-    monkeypatch.setattr(identities, "class_totals", cache)
-    cfg = RunConfig(12, (2, 3), 1, "all", "table", None, jobs=2)
-    tasks = _verify_tasks(identities.THEOREM_IDS, cfg)
-    assert len(tasks) == 13 * 2
-    for task in tasks:
-        _verify_chunk(task)
-    assert cache.cache_info().misses == 2
 
 
 def test_series_csv_spot_value(capsys):

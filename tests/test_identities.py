@@ -165,15 +165,11 @@ def test_one_totals_lookup_per_call(monkeypatch):
              lambda: identities.distinct_parts_total("D", 9, 3, 1),
              lambda: identities.nonresidual_sum_total(9, 3, 1)]
     calls += [lambda theorem=theorem: verify_instance(theorem, 9, 3, 1, t=1)
-              for theorem in THEOREM_IDS if theorem != "diff3"]
+              for theorem in THEOREM_IDS]
     for call in calls:
         keys.clear()
         call()
         assert keys == [(9, 3)]
-    # diff3 adds one O_1 lookup per index tuple
-    keys.clear()
-    verify_instance("diff3", 9, 3, 1)
-    assert len(keys) == 1 + len(list(index_weight_tuples(1, 3)))
 
 
 def test_franklin_instance():
