@@ -3,9 +3,17 @@
 Coefficients are integers; q-degree is truncated at N and w-degree at J.
 Truncation is closed under ring operations (degrees only ever add), so
 every kept coefficient is exact.  The builders at the bottom realize the
-generating functions whose [q^n w^j] coefficients reproduce the
-enumeration totals of the identities module; cross-checking the two routes
-coefficientwise is the point of this module.
+generating functions whose [q^n w^j] coefficients reproduce the class
+totals of the identities module (its part-value dynamic program);
+cross-checking the two routes coefficientwise is the point of this module.
+
+Each builder's table is one dense product: a count prefactor times a
+sparse multiplier.  The prefactor is the product form of the class's
+generating function, applied to one table factor by factor in place; the
+multiplier's sum over part values is written straight into a second
+table.  The public factor helpers (``geometric_factor``,
+``repeat_marker``, ``finite_run``, ``marked_geometric``) spell out the
+same product forms one general product at a time.
 """
 
 from __future__ import annotations
@@ -187,6 +195,19 @@ def marked_geometric(p: int, N: int, J: int) -> Series:
     return s
 
 
+def _add_marked_run(c: list[list[int]], p: int, first: int, sign: int = 1,
+                    i_min: int = 0, dj: int = 0) -> None:
+    """Add sign * w^dj * sum_{i >= i_min} (1-w)^i q^(first + p*i) into the
+    table c, truncated to its bounds.  ``marked_geometric`` keeps its own
+    loop because the tests build the builders' reference from it."""
+    top = len(c[0]) - 1 - dj
+    for i, n in enumerate(range(first + p * i_min, len(c), p), i_min):
+        row = c[n]
+        for k in range(min(i, top) + 1):
+            v = comb(i, k)
+            row[k + dj] += -sign * v if k % 2 else sign * v
+
+
 def lambert_by_parts(r: int, t: int, N: int, J: int) -> Series:
     """sum over parts p = t, t+r, t+2r, ... of q^p/(1 - q^p)."""
     s = Series(N, J)
@@ -220,18 +241,43 @@ def _check_t(r: int, t: int) -> None:
         raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t}")
 
 
+def _divide_by_one_minus(c: list[list[int]], k: int) -> None:
+    """c *= 1/(1 - q^k) in place: an ascending running sum with stride k."""
+    for n in range(k, len(c)):
+        c[n] = [a + b for a, b in zip(c[n], c[n - k])]
+
+
+def _times_one_minus(c: list[list[int]], k: int) -> None:
+    """c *= (1 - q^k) in place, descending so each row reads the old one."""
+    for n in range(len(c) - 1, k - 1, -1):
+        c[n] = [a - b for a, b in zip(c[n], c[n - k])]
+
+
+def _times_marked_step(c: list[list[int]], p: int) -> None:
+    """c *= (1 - (1-w)q^p) in place: descending, and the w*q^p term moves
+    row n - p one unit up in w (its top entry falls past J)."""
+    for n in range(len(c) - 1, p - 1, -1):
+        below = c[n - p]
+        c[n] = [a - b + u for a, b, u in zip(c[n], below, [0] + below[:-1])]
+
+
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _count_series(family: str, r: int, N: int, J: int) -> Series:
     s = one(N, J)
+    c = s.c
     for m in range(1, N // r + 1):
-        s = s * repeat_marker(r * m, N, J)
+        # repeat_marker(rm) = (1 - (1-w)q^(rm)) / (1 - q^(rm))
+        _times_marked_step(c, r * m)
+        _divide_by_one_minus(c, r * m)
     if family == "O":
         for k in range(1, N + 1):
             if k % r:
-                s = s * geometric_factor(k, N, J)
+                _divide_by_one_minus(c, k)
     else:
         for k in range(1, N + 1):
-            s = s * finite_run(k, r, N, J)
+            # finite_run(k, r) = (1 - q^(rk)) / (1 - q^k)
+            _times_one_minus(c, r * k)
+            _divide_by_one_minus(c, k)
     return s
 
 
@@ -248,7 +294,7 @@ def congruent_parts_series(r: int, t: int, N: int, J: int) -> Series:
     O-class."""
     _check_r(r)
     _check_t(r, t)
-    return count_series("O", r, N, J) * lambert_by_mult(r, t, N, J)
+    return _count_series("O", r, N, J) * lambert_by_mult(r, t, N, J)
 
 
 def residual_depth_series(r: int, t: int, N: int, J: int) -> Series:
@@ -268,7 +314,7 @@ def residual_depth_series(r: int, t: int, N: int, J: int) -> Series:
             s.c[e][0] -= 1
             e += r * m
         m += 1
-    return count_series("D", r, N, J) * s
+    return _count_series("D", r, N, J) * s
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
@@ -277,45 +323,49 @@ def _marked_block_sum(r: int, N: int, J: int) -> Series:
     s = Series(N, J)
     for m in range(1, N // r + 1):
         p = r * m
-        term = (geometric_factor(p, N, J) * marked_geometric(p, N, J)
-                ).shift(p, 1)
-        s = s + term
+        # [q^(p*i) w^k] of 1/((1 - q^p)(1 - (1-w)q^p)) is
+        # (-1)^k C(i+1, k+1); the term is shifted by w*q^p
+        for i, n in enumerate(range(p, N + 1, p)):
+            row = s.c[n]
+            for k in range(min(i, J - 1) + 1):
+                v = comb(i + 1, k + 1)
+                row[k + 1] += -v if k % 2 else v
     return s
 
 
 def divisible_parts_series(r: int, N: int, J: int) -> Series:
     """[q^n w^j] = total parts divisible by r over the exactly-j O-class."""
     _check_r(r)
-    return count_series("O", r, N, J) * _marked_block_sum(r, N, J)
+    return _count_series("O", r, N, J) * _marked_block_sum(r, N, J)
 
 
 def nonresidual_sum_series(r: int, N: int, J: int) -> Series:
     """[q^n w^j] = total nonresidual multiplicity over the exactly-j
     D-class."""
     _check_r(r)
-    return count_series("D", r, N, J) * _marked_block_sum(r, N, J).scale(r)
+    return _count_series("D", r, N, J) * _marked_block_sum(r, N, J).scale(r)
 
 
 def distinct_parts_series(family: str, r: int, N: int, J: int) -> Series:
     """[q^n w^j] = total distinct parts over the exactly-j class."""
     _check_r(r)
+    if family not in ("O", "D"):
+        raise ValueError(f"family must be 'O' or 'D', got {family!r}")
+    s = Series(N, J)
     if family == "O":
-        s = Series(N, J)
         for m in range(1, N + 1):
             if m % r:
                 s.c[m][0] += 1
         for m in range(1, N // r + 1):
-            s = s + marked_geometric(r * m, N, J).shift(r * m, 1)
-        return count_series("O", r, N, J) * s
-    if family == "D":
-        s = Series(N, J)
+            # w*q^(rm) / (1 - (1-w)q^(rm))
+            _add_marked_run(s.c, r * m, r * m, dj=1)
+    else:
         for m in range(1, N + 1):
-            # 1 - (1 - q^m) * 1/(1 - (1-w)q^(r*m))
-            term = one(N, J) - (
-                (one(N, J) - monomial(N, J, m)) * marked_geometric(r * m, N, J))
-            s = s + term
-        return count_series("D", r, N, J) * s
-    raise ValueError(f"family must be 'O' or 'D', got {family!r}")
+            # 1 - (1 - q^m) / (1 - (1-w)q^(rm))
+            #   = q^m * marked_geometric(rm) - (marked_geometric(rm) - 1)
+            _add_marked_run(s.c, r * m, m)
+            _add_marked_run(s.c, r * m, 0, sign=-1, i_min=1)
+    return _count_series(family, r, N, J) * s
 
 
 def beck_delta_series(r: int, t: int, N: int, J: int) -> Series:
@@ -326,33 +376,23 @@ def beck_delta_series(r: int, t: int, N: int, J: int) -> Series:
     s = Series(N, J)
     for m in range(1, N // r + 1):
         # (1-w)q^(rm)/(1 - (1-w)q^(rm)) = marked_geometric - 1
-        s = s + (marked_geometric(r * m, N, J) - one(N, J))
-    return count_series("O", r, N, J) * s
+        _add_marked_run(s.c, r * m, 0, i_min=1)
+    return _count_series("O", r, N, J) * s
 
 
 def repeat_window_series(r: int, N: int, J: int) -> Series:
     """[q^n w^j] = repeat-window total over the exactly-(j+1) D-class.
 
-    Built as sum_m (q^((r+1)m) + ... + q^((2r-1)m)) times the with-repeats
-    product over all part values except m.
+    The D product's factor for part m is
+    F_m = repeat_marker(rm) * finite_run(m, r) = (1 - (1-w)q^(rm))/(1 - q^m),
+    so the product over k != m is count-D * (1 - q^m) * marked_geometric(rm).
+    The window q^((r+1)m) + ... + q^((2r-1)m) times (1 - q^m) is
+    q^((r+1)m) - q^(2rm), so the total is count-D times
+    sum_m (q^((r+1)m) - q^(2rm)) * marked_geometric(rm).
     """
     _check_r(r)
-    factors = [one(N, J)]  # index 0 unused placeholder
-    for m in range(1, N + 1):
-        factors.append(repeat_marker(r * m, N, J) * finite_run(m, r, N, J))
-    prefix = [one(N, J)]
-    for m in range(1, N + 1):
-        prefix.append(prefix[-1] * factors[m])
-    suffix = [one(N, J)] * (N + 2)
-    for m in range(N, 0, -1):
-        suffix[m] = factors[m] * suffix[m + 1]
-    total = Series(N, J)
+    s = Series(N, J)
     for m in range(1, N // (r + 1) + 1):
-        window = Series(N, J)
-        for d in range(r + 1, 2 * r):
-            if d * m <= N:
-                window.c[d * m][0] = 1
-        if window.nnz() == 0:
-            continue
-        total = total + window * (prefix[m - 1] * suffix[m + 1])
-    return total
+        _add_marked_run(s.c, r * m, (r + 1) * m)
+        _add_marked_run(s.c, r * m, 2 * r * m, sign=-1)
+    return _count_series("D", r, N, J) * s

@@ -1,6 +1,8 @@
 """Shared test helpers: independent oracles and hypothesis strategies."""
 
+import json
 from functools import cache
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -8,6 +10,10 @@ from beckpart.enumeration import index_weight_tuples, partitions_of
 from beckpart.euler_pairs import EulerPair, TildeTotals
 from beckpart.identities import ClassTotals
 from beckpart.partition import Partition, stats
+
+# The benchmark's regression digests; tests only read them.
+EXPECTED = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                       / "expected.json").read_text(encoding="utf-8"))
 
 
 def pentagonal_counts(n_max: int) -> list[int]:

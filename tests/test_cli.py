@@ -13,10 +13,7 @@ import beckpart
 from beckpart import cli, euler_pairs, identities
 from beckpart.cli import run
 from beckpart.identities import VerificationRecord
-
-
-EXPECTED = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
-                       / "expected.json").read_text(encoding="utf-8"))
+from helpers import EXPECTED
 
 
 def run_capture(capsys, argv):
@@ -192,6 +189,16 @@ def test_verify_at_the_largest_n(capsys):
     assert out.count(",true\n") == 4356
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a51bdcdd80548e1985ac69d7bac4b04c4d6802d07c3c6049ac45ccea6d52bae3")
+
+
+def test_series_at_the_largest_j(capsys):
+    # the largest series workload the command accepts
+    code, out, err = run_capture(capsys, [
+        "series", "--which", "repeat-window", "--r", "2", "--n-max", "120",
+        "--j-max", "120", "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "834decc5ce638d9cfd5f45da7c7cff015b7db8fb4796339d53336cc27a8826a7")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,11 +1,14 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beckpart import cli
 from beckpart import identities as ids
 from beckpart import qseries as qs
 from beckpart.qseries import Series
-from helpers import pentagonal_counts
+from helpers import EXPECTED, pentagonal_counts
 
 small_series = st.builds(
     lambda rows: Series(4, 2, rows),
@@ -195,3 +198,108 @@ def test_series_caches_are_bounded(builder, cached):
     for N in range(maxsize + 5):
         builder(N)
     assert cached.cache_info().currsize == maxsize
+
+
+def test_series_tables_match_the_recorded_digests():
+    # every `beckpart series` kind, r = 2..5 and every t, at N=120, J=8;
+    # the rows hashed are the "n,j,coefficient" rows the command prints
+    N, J = 120, 8
+    digests = {}
+    for kind, build in cli.SERIES_KINDS.items():
+        for r in range(2, 6):
+            for t in (range(1, r) if kind in cli._NEEDS_T else (None,)):
+                s = build(r, t, N, J)
+                rows = "".join(f"{n},{j},{s[n, j]}\n" for n in range(N + 1)
+                               for j in range(J + 1))
+                key = f"{kind} r={r}" + ("" if t is None else f" t={t}")
+                digests[key] = hashlib.sha256(rows.encode()).hexdigest()
+    assert len(digests) == 58
+    assert digests == EXPECTED["series_table_sha256"]
+
+
+# Product forms, one general product per factor, from the public factor
+# helpers: the reference for the builders' in-place steps and sparse
+# multipliers.
+
+def _product(factors, N, J):
+    s = qs.one(N, J)
+    for f in factors:
+        s = s * f
+    return s
+
+
+def _count_product(family, r, N, J):
+    factors = [qs.repeat_marker(r * m, N, J) for m in range(1, N // r + 1)]
+    if family == "O":
+        factors += [qs.geometric_factor(k, N, J)
+                    for k in range(1, N + 1) if k % r]
+    else:
+        factors += [qs.finite_run(k, r, N, J) for k in range(1, N + 1)]
+    return _product(factors, N, J)
+
+
+def _repeat_window_product(r, N, J):
+    factors = [qs.one(N, J)]  # index 0 unused placeholder
+    for m in range(1, N + 1):
+        factors.append(qs.repeat_marker(r * m, N, J) * qs.finite_run(m, r, N, J))
+    prefix = [qs.one(N, J)]
+    for m in range(1, N + 1):
+        prefix.append(prefix[-1] * factors[m])
+    suffix = [qs.one(N, J)] * (N + 2)
+    for m in range(N, 0, -1):
+        suffix[m] = factors[m] * suffix[m + 1]
+    total = qs.zero(N, J)
+    for m in range(1, N // (r + 1) + 1):
+        window = qs.zero(N, J)
+        for d in range(r + 1, 2 * r):
+            if d * m <= N:
+                window.c[d * m][0] = 1
+        total = total + window * (prefix[m - 1] * suffix[m + 1])
+    return total
+
+
+def _marked_block_product(r, N, J):
+    total = qs.zero(N, J)
+    for m in range(1, N // r + 1):
+        p = r * m
+        total = total + (qs.geometric_factor(p, N, J)
+                         * qs.marked_geometric(p, N, J)).shift(p, 1)
+    return total
+
+
+def _distinct_multiplier(family, r, N, J):
+    total = qs.zero(N, J)
+    if family == "O":
+        for m in range(1, N + 1):
+            if m % r:
+                total = total + qs.monomial(N, J, m)
+        for m in range(1, N // r + 1):
+            total = total + qs.marked_geometric(r * m, N, J).shift(r * m, 1)
+    else:
+        for m in range(1, N + 1):
+            total = total + (qs.one(N, J) - (qs.one(N, J) - qs.monomial(
+                N, J, m)) * qs.marked_geometric(r * m, N, J))
+    return total
+
+
+def _beck_delta_multiplier(r, N, J):
+    total = qs.zero(N, J)
+    for m in range(1, N // r + 1):
+        total = total + (qs.marked_geometric(r * m, N, J) - qs.one(N, J))
+    return total
+
+
+@pytest.mark.parametrize("J", range(5))
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_builders_equal_their_product_forms(r, J):
+    # J = 0 and J = 1 reach the top-row edge of the in-place w-step
+    N = 40
+    count = {f: _count_product(f, r, N, J) for f in ("O", "D")}
+    for f in ("O", "D"):
+        assert qs.count_series(f, r, N, J) == count[f], f
+        assert qs.distinct_parts_series(f, r, N, J) == \
+            count[f] * _distinct_multiplier(f, r, N, J), f
+    assert qs._marked_block_sum(r, N, J) == _marked_block_product(r, N, J)
+    assert qs.beck_delta_series(r, 1, N, J) == \
+        count["O"] * _beck_delta_multiplier(r, N, J)
+    assert qs.repeat_window_series(r, N, J) == _repeat_window_product(r, N, J)
