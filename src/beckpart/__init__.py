@@ -7,12 +7,12 @@ from .bijections import (ZetaCase, ZetaOutcome, adjoin_and_classify,
                          glaisher_map)
 from .enumeration import (MAX_ENUM_N, ClassSpec, count_class, enumerate_class,
                           enumerate_fixed_divisible, enumerate_fixed_repeats,
-                          index_weight_tuples, partitions_of)
+                          fiber_ragged_repeat_count, index_weight_tuples,
+                          partitions_of)
 from .euler_pairs import (EulerPair, make_euler_pair, subbarao_counterexample,
                           tilde_count, verify_tilde)
 from .identities import (THEOREM_IDS, VerificationRecord, class_count,
-                         distinct_count_gap, fiber_ragged_repeat_count,
-                         modular_part_gap, part_count_gap,
+                         distinct_count_gap, modular_part_gap, part_count_gap,
                          repeat_window_total, verify, verify_instance)
 from .partition import (ClassIndex, PartStats, Partition, PartitionParseError,
                         classify, difference, parse_partition, stats, union)

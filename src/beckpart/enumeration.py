@@ -204,6 +204,17 @@ def enumerate_fixed_repeats(n: int, r: int, m_vec, k_vec, *,
         yield mu.union(fixed)
 
 
+def fiber_ragged_repeat_count(n: int, r: int, m_vec, k_vec) -> int:
+    """In the D-side fiber where the over-repeated parts are exactly the
+    m_i with nonresidual multiplicity r*k_i: count distinct parts that
+    appear with multiplicity >= r but not divisible by r, over the whole
+    fiber."""
+    total = 0
+    for mu in enumerate_fixed_repeats(n, r, m_vec, k_vec):
+        total += sum(1 for _, mult in mu.pairs if mult >= r and mult % r != 0)
+    return total
+
+
 def index_weight_tuples(j: int, budget: int) -> Iterator[
         tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield all (m, k) j-tuples: m strictly increasing, k positive,

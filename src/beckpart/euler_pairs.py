@@ -5,22 +5,23 @@ S1 is materialized as an explicit finite window so membership and the
 closure condition (r*S1 inside S1, S2 = S1 minus r*S1) are decidable.  A
 pair failing the closure condition can still be constructed, which is how
 the counterexample search is exercised; the theorem verifier refuses such
-pairs.  The restricted-class totals come from the part-value dynamic
-program of ``identities``, run over the pair's allowed parts: one table
-per pair holds every n up to the largest asked for.  Items 1-4 are the
-statements of ``beck_cumulative``, ``beck_main``, ``distinct_cumulative``
-and ``distinct_parts`` from ``identities``, evaluated on those totals: the
+pairs.  The restricted-class totals are ``identities.totals_table`` on
+the pair's S1 and S2, the builder of the unrestricted totals, so a pair's
+record is a ``ClassTotals`` with every field: one table per pair holds
+every n up to the largest asked for.  Items 1-4 are the statements of
+``beck_cumulative``, ``beck_main``, ``distinct_cumulative`` and
+``distinct_parts`` from ``identities``, evaluated on that record: the
 unrestricted theorems are the pair S1 = all positive integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .identities import (STATEMENTS, TotalsCache, VerificationRecord,
-                         _check_family, _check_j, _columns,
-                         _exact_or_cumulative, _part_value_dp, _record)
+from .identities import (STATEMENTS, ClassTotals, TotalsCache,
+                         VerificationRecord, _check_family, _check_j,
+                         _class_size, _record, totals_table)
 
 EULER_ITEM_IDS = ("euler_item1", "euler_item2", "euler_item3", "euler_item4")
 # item k is the unrestricted theorem ITEM_THEOREMS[k - 1] over the pair
@@ -73,36 +74,9 @@ def make_euler_pair(r: int, s1_members: Iterable[int], bound: int,
                      subbarao_ok=closure and s2 == derived_s2)
 
 
-class TildeTotals(NamedTuple):
-    """Per-class totals for one (pair, n): index j maps to the total over
-    the exactly-j restricted class of each family."""
-
-    o_count: dict[int, int]
-    o_parts: dict[int, int]
-    o_distinct: dict[int, int]
-    d_count: dict[int, int]
-    d_parts: dict[int, int]
-    d_distinct: dict[int, int]
-    d_window: dict[int, int]
-
-
-def _tilde_table(pair: EulerPair, n_max: int) -> list[TildeTotals]:
-    """TildeTotals of every n <= n_max for the pair."""
-    r = pair.r
-    marked = frozenset(r * s for s in pair.s1 if r * s <= pair.bound)
-
-    def o_step(p, m):
-        # marked when p is in r*S1; sums: ell, ell_bar
-        return int(p in marked), [0, m, 1]
-
-    def d_step(p, m):
-        # marked when m >= r; sums: ell, ell_bar, multiplicity in [r+1, 2r-1]
-        return int(m >= r), [0, m, 1, int(r < m < 2 * r)]
-
-    o_rows = _part_value_dp(n_max, 3, o_step, marked.union(pair.s2))
-    d_rows = _part_value_dp(n_max, 4, d_step, pair.s1)
-    return [TildeTotals(*_columns(o_row, 3), *_columns(d_row, 4))
-            for o_row, d_row in zip(o_rows, d_rows)]
+def _pair_table(pair: EulerPair, n_max: int) -> list[ClassTotals]:
+    """The pair's ClassTotals of every n <= n_max."""
+    return totals_table(pair.r, n_max, pair.s1, pair.s2)
 
 
 def _tilde_key(pair: EulerPair, n: int) -> tuple[EulerPair, int]:
@@ -113,9 +87,9 @@ def _tilde_key(pair: EulerPair, n: int) -> tuple[EulerPair, int]:
     return pair, n
 
 
-# tilde_totals(pair, n) -> TildeTotals: one table per pair, at most
+# tilde_totals(pair, n) -> ClassTotals: one table per pair, at most
 # TotalsCache.MAXSIZE pairs
-tilde_totals = TotalsCache(_tilde_table, _tilde_key)
+tilde_totals = TotalsCache(_pair_table, _tilde_key)
 
 
 def tilde_count(n: int, pair: EulerPair, j: int, family: str,
@@ -126,9 +100,7 @@ def tilde_count(n: int, pair: EulerPair, j: int, family: str,
     parts repeated >= r times."""
     _check_j(j)
     _check_family(family)
-    tot = tilde_totals(pair, n)
-    return _exact_or_cumulative(tot.o_count if family == "O" else tot.d_count,
-                                j, mode)
+    return _class_size(tilde_totals(pair, n), family, j, mode)
 
 
 def verify_tilde_instance(item: int, pair: EulerPair, n: int,

@@ -1,22 +1,24 @@
 """Aggregate class statistics, and theorem verification.
 
-The totals come from one dynamic program over part values per modulus r.
-Every aggregated statistic is a sum over the distinct parts of a
-partition, so giving part p multiplicity m in each partition of n - p*m
-adds (number of those partitions) x (that part's contribution) to every
-total of n.  Adding the part values 1..N one at a time fills the totals of
-every n <= N in a single pass.  The program works from the class
-definitions alone; the q-series module reproduces the same numbers by a
-different route and is deliberately not used here.  The verifier reads
-every number of an instance from one totals record, and the statements it
-shares with the Euler-pair items read any record with the seven fields of
-``euler_pairs.TildeTotals``.
+The totals come from one dynamic program over part values, run over the
+part sets of an Euler pair of order r; the unrestricted classes are the
+pair S1 = all positive integers, S2 = the non-multiples of r.  Every
+aggregated statistic is a sum over the distinct parts of a partition, so
+giving part p multiplicity m in each partition of n - p*m adds (number of
+those partitions) x (that part's contribution) to every total of n.
+Adding the allowed part values one at a time fills the totals of every
+n <= N in a single pass.  The program works from the class definitions
+alone; the q-series module reproduces the same numbers by a different
+route and is deliberately not used here.  The verifier reads every number
+of an instance from one totals record, and the statements it shares with
+the Euler-pair items read the record of a pair in the same way.
 
 The left side of ``diff3`` sums |O_1(n - r*w)| over index tuples (m, k),
-m strictly increasing and k positive, of weight w = sum m_i*k_i.  Such a
-j-tuple is a partition of w with exactly j distinct part values, so the
-same program with every part marked counts the tuples of each weight, and
-the table stores the sum per j as one more field, ``o1_tuples``.
+m strictly increasing in S1 and k positive, of weight w = sum m_i*k_i.
+Such a j-tuple is a partition of w into exactly j distinct part values
+from S1, so the same program with every part marked counts the tuples of
+each weight, and the table stores the sum per j as one more field,
+``o1_tuples``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple
 
-from .enumeration import MAX_ENUM_N, enumerate_fixed_repeats
+from .enumeration import MAX_ENUM_N
 
 THEOREM_IDS = (
     "franklin",
@@ -41,11 +43,16 @@ THEOREM_IDS = (
 
 
 class ClassTotals(NamedTuple):
-    """Per-class totals for one (n, r): index j maps to the total over the
-    exactly-j class of each family.  The first seven fields are those of
-    ``euler_pairs.TildeTotals``, so a statement reads either record.
+    """Per-class totals for one n over the part sets of an Euler pair of
+    order r: index j maps to the total over the exactly-j class of each
+    family.  The O-class takes its parts from r*S1 and S2, j counting its
+    distinct parts from r*S1; the D-class takes its parts from S1, j
+    counting its distinct parts repeated at least r times.
+    ``o_parts_mod[j][t]`` counts O's parts congruent to t mod r, and
+    ``d_depth[j][t]`` D's distinct parts with residual multiplicity >= t.
     ``o1_tuples`` is diff3's left side: j maps to the sum of |O_1(n - r*w)|
-    over the index j-tuples of weight w <= n/r, present when one exists."""
+    over the index j-tuples of weight w <= n/r, index parts from S1,
+    present when one exists."""
 
     o_count: dict[int, int]
     o_parts: dict[int, int]
@@ -63,66 +70,75 @@ class ClassTotals(NamedTuple):
 _Step = Callable[[int, int], tuple[int, list[int]]]
 
 
-def _part_value_dp(n_max: int, width: int, step: _Step,
-                   parts: Iterable[int] | None = None
+def _part_value_dp(n_max: int, width: int, step: _Step, parts: Iterable[int]
                    ) -> list[dict[int, list[int]]]:
-    """rows[n][j] = [size, *sums] over the partitions of n with exactly j
-    marked distinct parts, for every n <= n_max; j is absent when there
-    are none.
+    """rows[n][j] = [size, *sums] over the partitions of n into the given
+    parts with exactly j marked distinct parts, for every n <= n_max; j is
+    absent when there are none.  Parts above n_max are skipped.
 
-    Parts are drawn from ``parts`` (default 1..n_max; values above n_max
-    are skipped).  ``step(p, m)`` returns (mark, vec) for part p taken m
-    times: mark is 1 when that part counts towards j, vec its contribution
-    to each sum (vec[0] is 0, so the size carries over).  Part values are
-    added one at a time and n walks downwards, so each source row n - p*m
-    still holds the partitions without part p.
+    ``step(p, m)`` returns (mark, sums) for part p taken m times: mark is
+    1 when that part counts towards j, sums its width - 1 contributions.
+    Part values are added one at a time and n walks downwards, so each
+    source row n - p*m still holds the partitions without part p.
+
+    Each row vector is packed into one int, lane i in bits [i*bits,
+    (i+1)*bits): every total is at most n*p(n) <= n*2^(n-1), so no lane
+    carries into the next, and adding a part's contribution to every lane
+    is one multiply-add of the packed size.
     """
-    rows: list[dict[int, list[int]]] = [{} for _ in range(n_max + 1)]
-    rows[0][0] = [1] + [0] * (width - 1)
-    for p in range(1, n_max + 1) if parts is None else sorted(parts):
+    bits = n_max + n_max.bit_length() + 1
+    mask = (1 << bits) - 1
+    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    rows[0][0] = 1
+    for p in sorted(parts):
         if p > n_max:
             break
-        steps = [step(p, m) for m in range(1, n_max // p + 1)]
+        steps = []
+        for m in range(1, n_max // p + 1):
+            mark, sums = step(p, m)
+            steps.append((mark, sum(s << (i * bits)
+                                    for i, s in enumerate(sums, 1))))
         for n in range(n_max, p - 1, -1):
             row = rows[n]
             for m in range(1, n // p + 1):
                 mark, vec = steps[m - 1]
                 for j, src in rows[n - p * m].items():
-                    size = src[0]
-                    add = [s + size * v for s, v in zip(src, vec)]
-                    dst = row.get(j + mark)
-                    row[j + mark] = add if dst is None else [
-                        a + b for a, b in zip(dst, add)]
-    return rows
+                    row[j + mark] = (row.get(j + mark, 0) + src
+                                     + (src & mask) * vec)
+    return [{j: [x >> (i * bits) & mask for i in range(width)]
+             for j, x in sorted(row.items())} for row in rows]
 
 
 def _columns(row: dict[int, list[int]], width: int) -> list[dict[int, int]]:
     """Split the first ``width`` columns of a DP row {j: [size, *sums]}
     into one {j: value} per column."""
-    items = sorted(row.items())
-    return [{j: vec[i] for j, vec in items} for i in range(width)]
+    return [{j: vec[i] for j, vec in row.items()} for i in range(width)]
 
 
-def _totals_table(r: int, n_max: int) -> list[ClassTotals]:
-    """ClassTotals of every n <= n_max for modulus r."""
+def totals_table(r: int, n_max: int, s1: Iterable[int],
+                 s2: Iterable[int]) -> list[ClassTotals]:
+    """ClassTotals of every n <= n_max for the part sets S1 and S2 of an
+    Euler pair of order r; members above n_max are never used."""
+    s1 = [s for s in s1 if s <= n_max]
+    marked = {r * s for s in s1}
 
     def o_step(p, m):
-        # marked when p is divisible by r; sums: ell, ell_bar, ell_mod[0..r-1]
+        # marked when p is in r*S1; sums: ell, ell_bar, ell_mod[0..r-1]
         mod = [0] * r
         mod[p % r] = m
-        return int(p % r == 0), [0, m, 1, *mod]
+        return int(p in marked), [m, 1, *mod]
 
     def d_step(p, m):
         # marked when m >= r; sums: ell, ell_bar, multiplicity in
         # [r+1, 2r-1], nonresidual multiplicity, ell_bar_resid[0..r-1]
         d = m % r
         depth = [1] * (d + 1) + [0] * (r - d - 1)
-        return int(m >= r), [0, m, 1, int(r < m < 2 * r), m - d, *depth]
+        return int(m >= r), [m, 1, int(r < m < 2 * r), m - d, *depth]
 
-    o_rows = _part_value_dp(n_max, 3 + r, o_step)
-    d_rows = _part_value_dp(n_max, 5 + r, d_step)
+    o_rows = _part_value_dp(n_max, 3 + r, o_step, marked.union(s2))
+    d_rows = _part_value_dp(n_max, 5 + r, d_step, s1)
     # tuple_rows[w][j] = [number of index j-tuples of weight w]
-    tuple_rows = _part_value_dp(n_max // r, 1, lambda p, m: (1, [0]))
+    tuple_rows = _part_value_dp(n_max // r, 1, lambda p, m: (1, []), s1)
     o1 = [row.get(1, [0])[0] for row in o_rows]
     tables = []
     for n, (o_row, d_row) in enumerate(zip(o_rows, d_rows)):
@@ -132,9 +148,16 @@ def _totals_table(r: int, n_max: int) -> list[ClassTotals]:
                 o1_tuples[j] = o1_tuples.get(j, 0) + count * o1[n - r * w]
         tables.append(ClassTotals(
             *_columns(o_row, 3), *_columns(d_row, 5),
-            {j: vec[3:] for j, vec in sorted(o_row.items())},
-            {j: vec[5:] for j, vec in sorted(d_row.items())}, o1_tuples))
+            {j: vec[3:] for j, vec in o_row.items()},
+            {j: vec[5:] for j, vec in d_row.items()}, o1_tuples))
     return tables
+
+
+def _class_table(r: int, n_max: int) -> list[ClassTotals]:
+    """The unrestricted classes: S1 = 1..n_max, S2 its non-multiples of
+    r."""
+    return totals_table(r, n_max, range(1, n_max + 1),
+                        [p for p in range(1, n_max + 1) if p % r])
 
 
 class CacheInfo(NamedTuple):
@@ -160,8 +183,7 @@ class TotalsCache:
     """Totals by (key, n), kept as one table per key.
 
     ``key(*args)`` checks a call's arguments and returns (key, n);
-    ``build(key, n)`` returns the totals of every n' <= n as a list.  The
-    default is the class totals: ``class_totals(n, r)``, keyed by r.  A
+    ``build(key, n)`` returns the totals of every n' <= n as a list.  A
     table holds every n up to the largest n asked for; a call beyond it
     rebuilds the table at the new n, so a caller that will need a range
     of n asks for the largest first.  At most ``MAXSIZE`` keys are kept,
@@ -171,8 +193,8 @@ class TotalsCache:
 
     MAXSIZE = 8
 
-    def __init__(self, build: Callable[[Hashable, int], list] = _totals_table,
-                 key: Callable[..., tuple[Hashable, int]] = _class_key):
+    def __init__(self, build: Callable[[Hashable, int], list],
+                 key: Callable[..., tuple[Hashable, int]]):
         self._build, self._key = build, key
         self._tables: OrderedDict[Hashable, list] = OrderedDict()
         self._hits = self._misses = 0
@@ -195,8 +217,8 @@ class TotalsCache:
                          len(self._tables))
 
 
-# class_totals(n, r) -> ClassTotals, behind every accessor below
-class_totals = TotalsCache()
+# class_totals(n, r) -> ClassTotals, keyed by r, behind every accessor below
+class_totals = TotalsCache(_class_table, _class_key)
 
 
 def _check_j(j: int) -> None:
@@ -242,12 +264,17 @@ def _modular_gap(tot: ClassTotals, j: int, t: int) -> int:
     return o_term - (d_row[t] if d_row else 0)
 
 
+def _class_size(tot: ClassTotals, family: str, j: int, mode: str) -> int:
+    """Size of the exactly-j (or at-most-j) class of a family in ``tot``;
+    the family is checked by the caller, before it looks ``tot`` up."""
+    return _exact_or_cumulative(tot.o_count if family == "O" else tot.d_count,
+                                j, mode)
+
+
 def class_count(family: str, n: int, r: int, j: int, mode: str = "exact") -> int:
     """Size of the exactly-j (or at-most-j) class of the given family."""
     _check_family(family)
-    tot = _totals(n, r, j)
-    return _exact_or_cumulative(tot.o_count if family == "O" else tot.d_count,
-                                j, mode)
+    return _class_size(_totals(n, r, j), family, j, mode)
 
 
 def part_count_gap(n: int, r: int, j: int, mode: str = "exact") -> int:
@@ -319,17 +346,6 @@ def nonresidual_sum_total(n: int, r: int, j: int) -> int:
     return _totals(n, r, j).d_nonresid.get(j, 0)
 
 
-def fiber_ragged_repeat_count(n: int, r: int, m_vec, k_vec) -> int:
-    """In the D-side fiber where the over-repeated parts are exactly the
-    m_i with nonresidual multiplicity r*k_i: count distinct parts that
-    appear with multiplicity >= r but not divisible by r, over the whole
-    fiber."""
-    total = 0
-    for mu in enumerate_fixed_repeats(n, r, m_vec, k_vec):
-        total += sum(1 for _, mult in mu.pairs if mult >= r and mult % r != 0)
-    return total
-
-
 @dataclass(frozen=True)
 class VerificationRecord:
     """One theorem instance: parameters, left side, labelled right sides."""
@@ -354,8 +370,8 @@ def _record(theorem, n, r, j, t, lhs, rhs, note=""):
 
 
 # -- the statements shared with the Euler-pair items ----------------------
-# Each reads one totals record, a ClassTotals or a euler_pairs.TildeTotals,
-# and returns (lhs, labelled right sides, note); ``mark`` tags the class
+# Each reads one totals record, of the unrestricted classes or of an Euler
+# pair, and returns (lhs, labelled right sides, note); ``mark`` tags the class
 # names in the labels ("~" for the restricted classes).
 
 def beck_statement(tot, r: int, j: int, mode: str, mark: str = ""):

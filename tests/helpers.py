@@ -7,7 +7,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from beckpart.enumeration import index_weight_tuples, partitions_of
-from beckpart.euler_pairs import EulerPair, TildeTotals
+from beckpart.euler_pairs import EulerPair
 from beckpart.identities import ClassTotals
 from beckpart.partition import Partition, stats
 
@@ -45,6 +45,48 @@ def assert_same_totals(got, want, label) -> None:
         assert getattr(got, field) == getattr(want, field), (label, field)
 
 
+def _add_o(tot: ClassTotals, j: int, st_) -> None:
+    """Scatter one O-class partition's ``stats`` into class j of ``tot``."""
+    tot.o_count[j] = tot.o_count.get(j, 0) + 1
+    tot.o_parts[j] = tot.o_parts.get(j, 0) + st_.ell
+    tot.o_distinct[j] = tot.o_distinct.get(j, 0) + st_.ell_bar
+    row = tot.o_parts_mod.setdefault(j, [0] * st_.r)
+    for t in range(st_.r):
+        row[t] += st_.ell_mod[t]
+
+
+def _add_d(tot: ClassTotals, j: int, st_) -> None:
+    """Scatter one D-class partition's ``stats`` into class j of ``tot``."""
+    tot.d_count[j] = tot.d_count.get(j, 0) + 1
+    tot.d_parts[j] = tot.d_parts.get(j, 0) + st_.ell
+    tot.d_distinct[j] = tot.d_distinct.get(j, 0) + st_.ell_bar
+    tot.d_nonresid[j] = tot.d_nonresid.get(j, 0) + st_.nonresidual_total
+    tot.d_window[j] = tot.d_window.get(j, 0) + st_.t_window_count
+    depth = tot.d_depth.setdefault(j, [0] * st_.r)
+    for t in range(st_.r):
+        depth[t] += st_.ell_bar_resid[t]
+
+
+def _add_o1_tuples(tot: ClassTotals, n: int, r: int, o1_count,
+                   index_ok=lambda m_vec: True) -> None:
+    """diff3's left side: for each j, sum o1_count(n - r*w) over the index
+    j-tuples of weight w <= n/r whose parts all pass ``index_ok``."""
+    j = 0
+    while True:
+        tuples = [(mv, kv) for mv, kv in index_weight_tuples(j, n // r)
+                  if index_ok(mv)]
+        if not tuples:  # a longer tuple weighs more still
+            return
+        tot.o1_tuples[j] = sum(
+            o1_count(n - r * sum(m * k for m, k in zip(mv, kv)))
+            for mv, kv in tuples)
+        j += 1
+
+
+def _empty_totals() -> ClassTotals:
+    return ClassTotals(*({} for _ in ClassTotals._fields))
+
+
 @cache
 def enumerated_o1_count(n: int, r: int) -> int:
     """|O_1(n)|: partitions of n with exactly one distinct part divisible
@@ -58,38 +100,13 @@ def enumerated_class_totals(n: int, r: int) -> ClassTotals:
     ``stats`` into the accumulators of its two classes, and diff3's left
     side by summing |O_1| over every index tuple: the small-n oracle for
     the part-value dynamic program in ``identities``."""
-    tot = ClassTotals(*({} for _ in ClassTotals._fields))
+    tot = _empty_totals()
     for lam in partitions_of(n):
         st_ = stats(lam, r)
-        j_div = sum(1 for p, _ in lam.pairs if p % r == 0)
-        j_rep = sum(1 for _, m in lam.pairs if m >= r)
-
-        tot.o_count[j_div] = tot.o_count.get(j_div, 0) + 1
-        tot.o_parts[j_div] = tot.o_parts.get(j_div, 0) + st_.ell
-        tot.o_distinct[j_div] = tot.o_distinct.get(j_div, 0) + st_.ell_bar
-        row = tot.o_parts_mod.setdefault(j_div, [0] * r)
-        for t in range(r):
-            row[t] += st_.ell_mod[t]
-
-        tot.d_count[j_rep] = tot.d_count.get(j_rep, 0) + 1
-        tot.d_parts[j_rep] = tot.d_parts.get(j_rep, 0) + st_.ell
-        tot.d_distinct[j_rep] = tot.d_distinct.get(j_rep, 0) + st_.ell_bar
-        tot.d_nonresid[j_rep] = (tot.d_nonresid.get(j_rep, 0)
-                                 + st_.nonresidual_total)
-        tot.d_window[j_rep] = tot.d_window.get(j_rep, 0) + st_.t_window_count
-        depth = tot.d_depth.setdefault(j_rep, [0] * r)
-        for t in range(r):
-            depth[t] += st_.ell_bar_resid[t]
-
-    j = 0
-    while True:
-        tuples = list(index_weight_tuples(j, n // r))
-        if not tuples:  # a longer tuple weighs more still
-            return tot
-        tot.o1_tuples[j] = sum(
-            enumerated_o1_count(n - r * sum(m * k for m, k in zip(mv, kv)), r)
-            for mv, kv in tuples)
-        j += 1
+        _add_o(tot, sum(1 for p, _ in lam.pairs if p % r == 0), st_)
+        _add_d(tot, sum(1 for _, m in lam.pairs if m >= r), st_)
+    _add_o1_tuples(tot, n, r, lambda k: enumerated_o1_count(k, r))
+    return tot
 
 
 def restricted_partitions(n: int, values_desc: tuple[int, ...]):
@@ -108,28 +125,41 @@ def restricted_partitions(n: int, values_desc: tuple[int, ...]):
     yield from rec(n, 0, ())
 
 
-def enumerated_tilde_totals(pair: EulerPair, n: int) -> TildeTotals:
-    """TildeTotals by walking every restricted partition of n once per
-    family: the small-n oracle for the Euler-pair dynamic program."""
+def _o_values(pair: EulerPair) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The pair's marked O parts r*S1, and every allowed O part, in
+    decreasing order."""
+    marked = frozenset(pair.r * s for s in pair.s1
+                       if pair.r * s <= pair.bound)
+    return marked, tuple(sorted(marked.union(pair.s2), reverse=True))
+
+
+@cache
+def enumerated_tilde_o1_count(pair: EulerPair, n: int) -> int:
+    """|O~_1(n)|: the pair's O-class partitions of n with exactly one
+    distinct part from r*S1, counted by walking them all."""
+    marked, allowed = _o_values(pair)
+    return sum(1 for pairs in restricted_partitions(n, allowed)
+               if sum(1 for p, _ in pairs if p in marked) == 1)
+
+
+def enumerated_tilde_totals(pair: EulerPair, n: int) -> ClassTotals:
+    """The pair's ClassTotals by walking every restricted partition of n
+    once per family and scattering its ``stats``, and diff3's left side by
+    summing |O~_1| over every index tuple with parts in S1: the small-n
+    oracle for the part-value dynamic program on a pair."""
     r = pair.r
-    tot = TildeTotals(*({} for _ in TildeTotals._fields))
-
-    marked_values = frozenset(r * s for s in pair.s1 if r * s <= pair.bound)
-    allowed = sorted(marked_values.union(pair.s2), reverse=True)
-    for pairs in restricted_partitions(n, tuple(allowed)):
-        j = sum(1 for p, _ in pairs if p in marked_values)
-        tot.o_count[j] = tot.o_count.get(j, 0) + 1
-        tot.o_parts[j] = tot.o_parts.get(j, 0) + sum(m for _, m in pairs)
-        tot.o_distinct[j] = tot.o_distinct.get(j, 0) + len(pairs)
-
-    values = tuple(sorted(pair.s1, reverse=True))
-    for pairs in restricted_partitions(n, values):
-        j = sum(1 for _, m in pairs if m >= r)
-        tot.d_count[j] = tot.d_count.get(j, 0) + 1
-        tot.d_parts[j] = tot.d_parts.get(j, 0) + sum(m for _, m in pairs)
-        tot.d_distinct[j] = tot.d_distinct.get(j, 0) + len(pairs)
-        window = sum(1 for _, m in pairs if r + 1 <= m <= 2 * r - 1)
-        tot.d_window[j] = tot.d_window.get(j, 0) + window
+    tot = _empty_totals()
+    marked, allowed = _o_values(pair)
+    for pairs in restricted_partitions(n, allowed):
+        _add_o(tot, sum(1 for p, _ in pairs if p in marked),
+               stats(Partition(pairs), r))
+    for pairs in restricted_partitions(n, tuple(sorted(pair.s1,
+                                                       reverse=True))):
+        _add_d(tot, sum(1 for _, m in pairs if m >= r),
+               stats(Partition(pairs), r))
+    s1 = frozenset(pair.s1)
+    _add_o1_tuples(tot, n, r, lambda k: enumerated_tilde_o1_count(pair, k),
+                   lambda m_vec: s1.issuperset(m_vec))
     return tot
 
 

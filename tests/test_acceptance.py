@@ -167,7 +167,7 @@ def test_criterion_08_series_match_enumeration():
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"criterion 8 took {elapsed:.1f}s"
     _announce(8, f"{coeffs_checked} series coefficients equal their "
-                 f"enumeration sums (N=30, J=5, r in 2..4, all t)", t0)
+                 f"DP totals (N=30, J=5, r in 2..4, all t)", t0)
 
 
 def test_criterion_09_euler_pairs():
@@ -223,5 +223,6 @@ def test_criterion_11_oeis_fixture_prefix():
     gaps = [ids.part_count_gap(n, 2, 0) for n in range(31)]
     gap_report = crosscheck("A265251", gaps)
     assert gap_report.status == "ok" and gap_report.matched >= 20
-    _announce(11, f"one-even-part counts match the bundled reference for "
-                  f"{report.matched} initial values (need >= 20)", t0)
+    _announce(11, f"one-even-part counts match the self-generated "
+                  f"regression data for {report.matched} initial values "
+                  f"(need >= 20)", t0)

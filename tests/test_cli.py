@@ -266,7 +266,8 @@ def test_stats_rows_keep_n_then_given_r_order(capsys):
 ])
 def test_one_totals_table_build_per_modulus(capsys, monkeypatch, argv,
                                             builds):
-    cache = identities.TotalsCache()
+    cache = identities.TotalsCache(identities._class_table,
+                                   identities._class_key)
     monkeypatch.setattr(identities, "class_totals", cache)
     assert run(argv) == 0
     capsys.readouterr()
@@ -364,7 +365,7 @@ def test_euler_accepts_the_largest_bound(capsys):
 
 
 def test_euler_builds_one_table_per_run(capsys, monkeypatch):
-    cache = identities.TotalsCache(euler_pairs._tilde_table,
+    cache = identities.TotalsCache(euler_pairs._pair_table,
                                    euler_pairs._tilde_key)
     monkeypatch.setattr(euler_pairs, "tilde_totals", cache)
     assert run(["euler", "--r", "2", "--s1-multiples-of", "1",

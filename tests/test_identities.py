@@ -2,13 +2,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from beckpart import identities
-from beckpart.enumeration import ClassSpec, enumerate_class, index_weight_tuples
+from beckpart.enumeration import (ClassSpec, enumerate_class,
+                                  fiber_ragged_repeat_count,
+                                  index_weight_tuples)
+from beckpart.euler_pairs import make_euler_pair, tilde_totals
 from beckpart.identities import (THEOREM_IDS, TotalsCache, _class_key,
-                                 _record, class_count, class_totals,
-                                 distinct_count_gap,
-                                 fiber_ragged_repeat_count, modular_part_gap,
-                                 part_count_gap, repeat_window_total, verify,
-                                 verify_instance)
+                                 _class_table, _record, class_count,
+                                 class_totals, distinct_count_gap,
+                                 modular_part_gap, part_count_gap,
+                                 repeat_window_total, verify, verify_instance)
 from helpers import (assert_same_totals, enumerated_class_totals,
                      pentagonal_counts)
 
@@ -36,8 +38,25 @@ def test_class_sizes_sum_to_partition_counts_up_to_120():
                     == oracle[n]), (n, r)
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_widest_totals_at_120_match_classical_sums(r):
+    # the largest totals of the packed DP lanes: over all partitions of n,
+    # parts total sum_k tau(k) p(n-k) and distinct parts sum_k p(n-k)
+    n = 120
+    p = pentagonal_counts(n)
+    tau = [0] + [sum(1 for d in range(1, k + 1) if k % d == 0)
+                 for k in range(1, n + 1)]
+    parts = sum(tau[k] * p[n - k] for k in range(1, n + 1))
+    distinct = sum(p[n - k] for k in range(1, n + 1))
+    pair = make_euler_pair(r, range(1, n + 1), n)
+    for tot in (class_totals(n, r), tilde_totals(pair, n)):
+        assert sum(tot.o_parts.values()) == sum(tot.d_parts.values()) == parts
+        assert (sum(tot.o_distinct.values()) == sum(tot.d_distinct.values())
+                == distinct)
+
+
 def test_totals_cache_stays_bounded():
-    cache = TotalsCache()
+    cache = TotalsCache(_class_table, _class_key)
     for r in range(2, 51):
         assert sum(cache(12, r).o_count.values()) == 77
         assert cache.cache_info().currsize <= TotalsCache.MAXSIZE
@@ -53,7 +72,7 @@ def test_totals_cache_stays_bounded():
 
 
 def test_totals_table_is_built_once_for_a_range_of_n():
-    cache = TotalsCache()
+    cache = TotalsCache(_class_table, _class_key)
     cache(20, 3)
     for n in range(21):
         cache(n, 3)
@@ -152,7 +171,7 @@ def test_one_totals_lookup_per_call(monkeypatch):
     def key(n, r):
         keys.append((n, r))
         return _class_key(n, r)
-    monkeypatch.setattr(identities, "class_totals", TotalsCache(key=key))
+    monkeypatch.setattr(identities, "class_totals", TotalsCache(_class_table, key))
     calls = [lambda: class_count("O", 9, 3, 1),
              lambda: class_count("D", 9, 3, 1, "at_most"),
              lambda: part_count_gap(9, 3, 1),
