@@ -4,25 +4,51 @@
 size-preserving bijection from partitions with no part divisible by r onto
 partitions with no part repeated r times.  ``franklin_map`` extends it
 levelwise: strip the divisible parts, map the remainder, re-adjoin the
-stripped material as repeats.  ``adjoin_and_classify`` is the two-case
-adjoin map used for the double-counting arguments.
+stripped material as repeats.  Each map writes its image into one
+part -> multiplicity dict in a single pass and sorts it once.
+``adjoin_and_classify`` is the two-case adjoin map used for the
+double-counting arguments.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 from .partition import Partition
-
-# signature shared by the base bijection and its inverse
-BaseMap = Callable[[Partition, int], Partition]
 
 
 def _check_modulus(r: int) -> None:
     if r < 2:
         raise ValueError(f"modulus r must be >= 2, got {r}")
+
+
+def _from_counts(counts: dict[int, int]) -> Partition:
+    # every key is a distinct positive part and every value a positive
+    # multiplicity, so one descending sort is the canonical form
+    return Partition._from_canonical(tuple(sorted(counts.items(),
+                                                  reverse=True)))
+
+
+def _add_base_digits(counts: dict[int, int], part: int, mult: int,
+                     r: int) -> None:
+    """Glaisher's rewrite of one part: mult = sum(a_v * r^v) adds a_v
+    copies of part*r^v to ``counts``."""
+    while mult:
+        mult, digit = divmod(mult, r)
+        if digit:
+            counts[part] = counts.get(part, 0) + digit
+        part *= r
+
+
+def _add_r_free(counts: dict[int, int], part: int, mult: int,
+                r: int) -> None:
+    """The inverse rewrite of one part: part s*r^v (s not divisible by r)
+    with multiplicity a adds a*r^v copies of s to ``counts``."""
+    while part % r == 0:
+        part //= r
+        mult *= r
+    counts[part] = counts.get(part, 0) + mult
 
 
 def glaisher_map(lam: Partition, r: int) -> Partition:
@@ -33,17 +59,12 @@ def glaisher_map(lam: Partition, r: int) -> Partition:
     the image has no part repeated r or more times.
     """
     _check_modulus(r)
-    out = []
+    counts: dict[int, int] = {}
     for part, mult in lam.pairs:
         if part % r == 0:
             raise ValueError(f"part {part} is divisible by {r}")
-        scale = 1
-        while mult:
-            mult, digit = divmod(mult, r)
-            if digit:
-                out.append((part * scale, digit))
-            scale *= r
-    return Partition(out)
+        _add_base_digits(counts, part, mult, r)
+    return _from_counts(counts)
 
 
 def glaisher_inverse(mu: Partition, r: int) -> Partition:
@@ -54,54 +75,44 @@ def glaisher_inverse(mu: Partition, r: int) -> Partition:
     for part, mult in mu.pairs:
         if mult >= r:
             raise ValueError(f"part {part} is repeated {mult} >= {r} times")
-        scale = 1
-        while part % r == 0:
-            part //= r
-            scale *= r
-        counts[part] = counts.get(part, 0) + mult * scale
-    return Partition(counts.items())
+        _add_r_free(counts, part, mult, r)
+    return _from_counts(counts)
 
 
-def _split_divisible(lam: Partition, r: int):
-    divisible = [(p, m) for p, m in lam.pairs if p % r == 0]
-    rest = [(p, m) for p, m in lam.pairs if p % r != 0]
-    return divisible, rest
-
-
-def franklin_map(lam: Partition, r: int, *,
-                 base_map: BaseMap = glaisher_map) -> Partition:
+def franklin_map(lam: Partition, r: int) -> Partition:
     """Map a partition with j distinct parts divisible by r to one with j
     distinct parts repeated >= r times, preserving size.
 
-    Parts (m*r)^k are stripped, the remainder goes through ``base_map``
-    (any size-preserving bijection between the two j=0 classes works;
-    Glaisher's rewrite is the default), and m^(k*r) is adjoined for each
-    stripped part.
+    Each part (m*r)^k is stripped and adjoined as m^(k*r); every other
+    part goes through Glaisher's rewrite.  The image is the multiset
+    union of the two, written into one dict.
     """
     _check_modulus(r)
-    divisible, rest = _split_divisible(lam, r)
-    image = base_map(Partition(rest), r)
-    return image.union(Partition((p // r, m * r) for p, m in divisible))
-
-
-def franklin_inverse(mu: Partition, r: int, *,
-                     base_inverse: BaseMap = glaisher_inverse) -> Partition:
-    """Inverse of ``franklin_map``: for each part with multiplicity
-    a = k*r + d >= r, remove k*r copies, apply ``base_inverse`` to the
-    remainder, then adjoin (part*r)^k."""
-    _check_modulus(r)
-    stripped = []
-    rest = []
-    for part, mult in mu.pairs:
-        if mult >= r:
-            k, d = divmod(mult, r)
-            stripped.append((part * r, k))
-            if d:
-                rest.append((part, d))
+    counts: dict[int, int] = {}
+    for part, mult in lam.pairs:
+        if part % r:
+            _add_base_digits(counts, part, mult, r)
         else:
-            rest.append((part, mult))
-    lam = base_inverse(Partition(rest), r)
-    return lam.union(Partition(stripped))
+            base = part // r
+            counts[base] = counts.get(base, 0) + mult * r
+    return _from_counts(counts)
+
+
+def franklin_inverse(mu: Partition, r: int) -> Partition:
+    """Inverse of ``franklin_map``: each part with multiplicity
+    a = k*r + d gives (part*r)^k, and its remainder d goes through the
+    inverse rewrite."""
+    _check_modulus(r)
+    counts: dict[int, int] = {}
+    for part, mult in mu.pairs:
+        k, d = divmod(mult, r)
+        if k:
+            # part*r is divisible by r and every rewritten part is not,
+            # and distinct parts give distinct part*r: no collision
+            counts[part * r] = k
+        if d:
+            _add_r_free(counts, part, d, r)
+    return _from_counts(counts)
 
 
 class ZetaCase(enum.Enum):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from beckpart.bijections import glaisher_inverse, glaisher_map
 from beckpart.enumeration import index_weight_tuples, partitions_of
 from beckpart.euler_pairs import EulerPair
 from beckpart.identities import ClassTotals
@@ -163,6 +164,37 @@ def enumerated_tilde_totals(pair: EulerPair, n: int) -> ClassTotals:
     return tot
 
 
+def composed_franklin_map(lam: Partition, r: int) -> Partition:
+    """Franklin's map as the paper builds it: strip each divisible part
+    (m*r)^k, apply ``glaisher_map`` to the rest, then take the union with
+    the adjoined m^(k*r).  The oracle for the one-pass ``franklin_map``."""
+    rest = Partition((p, m) for p, m in lam.pairs if p % r)
+    stripped = Partition((p // r, m * r) for p, m in lam.pairs
+                         if p % r == 0)
+    return glaisher_map(rest, r).union(stripped)
+
+
+def composed_franklin_inverse(mu: Partition, r: int) -> Partition:
+    """The paper's inverse: split each multiplicity a = k*r + d, apply
+    ``glaisher_inverse`` to the parts with their remainders d, then take
+    the union with the adjoined (part*r)^k."""
+    rest = Partition((p, m % r) for p, m in mu.pairs if m % r)
+    stripped = Partition((p * r, m // r) for p, m in mu.pairs if m >= r)
+    return glaisher_inverse(rest, r).union(stripped)
+
+
+def assert_canonical(lam: Partition) -> None:
+    """``lam`` is in the form ``Partition`` would build: positive parts,
+    strictly decreasing, every multiplicity >= 1, and ``size`` equal to
+    the sum of its own parts.  Guards maps that skip validation."""
+    parts = [p for p, _ in lam.pairs]
+    assert all(p >= 1 for p in parts), lam.pairs
+    assert all(a > b for a, b in zip(parts, parts[1:])), lam.pairs
+    assert all(m >= 1 for _, m in lam.pairs), lam.pairs
+    assert lam.size == sum(p * m for p, m in lam.pairs), lam.pairs
+    assert Partition(lam.pairs).pairs == lam.pairs
+
+
 partitions = st.lists(
     st.integers(min_value=1, max_value=12), max_size=10
 ).map(Partition.from_parts)
@@ -182,5 +214,16 @@ def partitions_with_low_multiplicity(r: int, max_part: int = 12,
     return st.dictionaries(
         keys=st.integers(min_value=1, max_value=max_part),
         values=st.integers(min_value=1, max_value=r - 1),
+        max_size=max_distinct,
+    ).map(lambda d: Partition(d.items()))
+
+
+def partitions_with_high_multiplicity(r: int, max_part: int = 40,
+                                      max_distinct: int = 6):
+    """Partitions whose multiplicities are all at least r^2, so that
+    Glaisher's rewrite expands them into two or more base-r digits."""
+    return st.dictionaries(
+        keys=st.integers(min_value=1, max_value=max_part),
+        values=st.integers(min_value=r * r, max_value=r ** 4),
         max_size=max_distinct,
     ).map(lambda d: Partition(d.items()))

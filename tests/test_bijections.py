@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from beckpart.bijections import (ZetaCase, adjoin_and_classify,
                                  franklin_inverse, franklin_map,
@@ -10,7 +11,10 @@ from beckpart.enumeration import (ClassSpec, enumerate_class,
                                   enumerate_fixed_divisible,
                                   index_weight_tuples, partitions_of)
 from beckpart.partition import Partition, classify, parse_partition, stats
-from helpers import partitions_avoiding_multiples, partitions_with_low_multiplicity
+from helpers import (assert_canonical, composed_franklin_inverse,
+                     composed_franklin_map, partitions_avoiding_multiples,
+                     partitions_with_high_multiplicity,
+                     partitions_with_low_multiplicity)
 
 
 def test_glaisher_examples():
@@ -109,6 +113,48 @@ def test_nonresidual_balance_is_pointwise_under_franklin():
                 mu = franklin_map(lam, r)
                 ell0 = stats(lam, r).ell_mod[0]
                 assert stats(mu, r).nonresidual_total == r * ell0
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_one_pass_maps_equal_the_composition(r):
+    """The one-pass maps equal the paper's strip / rewrite / union
+    construction on every partition of n <= 20, and every image they
+    build without validation is canonical with its own size."""
+    for n in range(21):
+        for lam in partitions_of(n):
+            mu = franklin_map(lam, r)
+            assert mu == composed_franklin_map(lam, r), (lam, r)
+            assert_canonical(mu)
+            assert mu.size == n
+            back = franklin_inverse(lam, r)
+            assert back == composed_franklin_inverse(lam, r), (lam, r)
+            assert_canonical(back)
+            assert back.size == n
+            j = classify(lam, r)
+            if j.j_div == 0:
+                assert_canonical(glaisher_map(lam, r))
+            if j.j_rep == 0:
+                assert_canonical(glaisher_inverse(lam, r))
+
+
+@given(data=st.data())
+def test_one_pass_maps_equal_the_composition_multi_digit(data):
+    """Multiplicities of at least r^2 expand into several base-r digits,
+    and r runs up to 10: both maps still equal the composition, round
+    trip, and build canonical images."""
+    r = data.draw(st.integers(min_value=2, max_value=10), label="r")
+    lam = data.draw(partitions_with_high_multiplicity(r), label="lam")
+    mu = franklin_map(lam, r)
+    assert mu == composed_franklin_map(lam, r)
+    assert_canonical(mu)
+    assert mu.size == lam.size
+    assert classify(mu, r).j_rep == classify(lam, r).j_div
+    assert franklin_inverse(mu, r) == lam
+    back = franklin_inverse(lam, r)
+    assert back == composed_franklin_inverse(lam, r)
+    assert_canonical(back)
+    assert back.size == lam.size
+    assert franklin_map(back, r) == lam
 
 
 def test_zeta_divisible_spec_examples():
