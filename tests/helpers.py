@@ -192,7 +192,6 @@ def assert_canonical(lam: Partition) -> None:
     assert all(a > b for a, b in zip(parts, parts[1:])), lam.pairs
     assert all(m >= 1 for _, m in lam.pairs), lam.pairs
     assert lam.size == sum(p * m for p, m in lam.pairs), lam.pairs
-    assert Partition(lam.pairs).pairs == lam.pairs
 
 
 partitions = st.lists(
