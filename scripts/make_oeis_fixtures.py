@@ -5,23 +5,28 @@ The fixtures are self-generated regression data, not the published OEIS
 b-files: they were computed by this package on a build host with no route
 to oeis.org.  A check against them shows that the code still reproduces
 its own earlier output, not that it agrees with OEIS.  Before a value is
-written it must agree across three routes of this package: direct
-constrained generation, filtering the full partition stream, and the
-truncated-series coefficient.  Run from the repository root:
+written it must agree across three routes: direct constrained
+generation and filtering the full partition stream (the enumeration
+oracles in ``tests/helpers.py``), and the package's truncated-series
+coefficient.  Run from the repository root:
 
     python scripts/make_oeis_fixtures.py
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from beckpart import qseries
-from beckpart.enumeration import ClassSpec, count_class
 from beckpart.identities import part_count_gap
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from helpers import ClassSpec, count_class  # noqa: E402
+
 N_MAX = 60
-DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "beckpart" / "data"
+DATA_DIR = ROOT / "src" / "beckpart" / "data"
 
 HEADER = """\
 # Reference values for {sid}: {what}.

@@ -16,8 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import bijections, euler_pairs, identities, oeis, qseries
-from .enumeration import MAX_ENUM_N
-from .identities import THEOREM_IDS, VerificationRecord
+from .identities import MAX_N, THEOREM_IDS, VerificationRecord
 from .partition import Partition
 
 SERIES_KINDS = {
@@ -47,8 +46,8 @@ class RunConfig:
     output: str | None
 
     def __post_init__(self):
-        if not 0 <= self.n_max <= MAX_ENUM_N:
-            raise ValueError(f"n-max must be in 0..{MAX_ENUM_N}, got {self.n_max}")
+        if not 0 <= self.n_max <= MAX_N:
+            raise ValueError(f"n-max must be in 0..{MAX_N}, got {self.n_max}")
         if not self.r_list:
             raise ValueError("at least one modulus r is required")
         for r in self.r_list:
@@ -57,8 +56,8 @@ class RunConfig:
         if self.j_max < 0:
             raise ValueError(f"j-max must be >= 0, got {self.j_max}")
         # a class index above n selects an empty class
-        if self.j_max > MAX_ENUM_N:
-            raise ValueError(f"j-max must be at most {MAX_ENUM_N}, "
+        if self.j_max > MAX_N:
+            raise ValueError(f"j-max must be at most {MAX_N}, "
                              f"got {self.j_max}")
         if self.fmt not in ("table", "csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
@@ -174,8 +173,9 @@ def _cmd_stats(args) -> int:
     mode = args.mode.replace("-", "_")
     rows = []
     # r outermost and n downwards, as in identities.verify: one totals
-    # table build per r; the stable sort restores the (n, r, j) order
-    for r in cfg.r_list:
+    # table build per r; the stable sort restores the (n, r, j) order.
+    # Each r once, in first-seen order, so a repeated r adds no rows.
+    for r in dict.fromkeys(cfg.r_list):
         for n in range(cfg.n_max, -1, -1):
             for j in range(cfg.j_max + 1):
                 if args.stat == "counts":
@@ -255,8 +255,17 @@ def _load_s1(args, bound: int) -> list[int]:
         if d < 1:
             raise ValueError(f"--s1-multiples-of must be >= 1, got {d}")
         return list(range(d, bound + 1, d))
+    members = []
     with open(args.s1_file, encoding="utf-8") as fh:
-        return [int(line) for line in fh if line.strip()]
+        for num, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    members.append(int(line))
+                except ValueError:
+                    raise ValueError(
+                        f"--s1-file {args.s1_file} line {num}: expected an "
+                        f"integer, got {line.strip()!r}") from None
+    return members
 
 
 def _cmd_euler(args) -> int:
@@ -264,8 +273,8 @@ def _cmd_euler(args) -> int:
                     args.format, args.output)
     bound = args.bound if args.bound is not None else cfg.n_max
     # both checked before S1 is materialized
-    if bound > MAX_ENUM_N:
-        raise ValueError(f"bound must be at most {MAX_ENUM_N}, got {bound}")
+    if bound > MAX_N:
+        raise ValueError(f"bound must be at most {MAX_N}, got {bound}")
     if bound < cfg.n_max:
         raise ValueError(f"--bound must be at least --n-max={cfg.n_max}, "
                          f"got {bound}")
@@ -299,8 +308,8 @@ def _cmd_euler(args) -> int:
 def _cmd_oeis(args) -> int:
     if args.r < 2:
         raise ValueError(f"r must be >= 2, got {args.r}")
-    if not 0 <= args.n_max <= MAX_ENUM_N:
-        raise ValueError(f"n-max must be in 0..{MAX_ENUM_N}, got {args.n_max}")
+    if not 0 <= args.n_max <= MAX_N:
+        raise ValueError(f"n-max must be in 0..{MAX_N}, got {args.n_max}")
     identities.class_totals(args.n_max, args.r)  # one table build, at n-max
     values = [identities.class_count(args.family, n, args.r, args.j)
               for n in range(args.n_max + 1)]

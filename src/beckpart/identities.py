@@ -27,7 +27,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple
 
-from .enumeration import MAX_ENUM_N
+# The largest n of a totals table, and so of every command.
+MAX_N = 120
 
 THEOREM_IDS = (
     "franklin",
@@ -174,8 +175,8 @@ def _class_key(n: int, r: int) -> tuple[int, int]:
         raise ValueError(f"n must be non-negative, got {n}")
     if r < 2:
         raise ValueError(f"modulus r must be >= 2, got {r}")
-    if n > MAX_ENUM_N:
-        raise ValueError(f"n={n} exceeds the totals bound {MAX_ENUM_N}")
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the totals bound {MAX_N}")
     return r, n
 
 
@@ -306,44 +307,6 @@ def repeat_window_total(n: int, r: int, j: int) -> int:
     """Distinct parts with multiplicity in [r+1, 2r-1], totalled over the
     exactly-j D-class."""
     return _totals(n, r, j).d_window.get(j, 0)
-
-
-def divisible_parts_total(n: int, r: int, j: int) -> int:
-    """Parts divisible by r (with multiplicity), totalled over the
-    exactly-j O-class."""
-    row = _totals(n, r, j).o_parts_mod.get(j)
-    return row[0] if row else 0
-
-
-def congruent_parts_total(n: int, r: int, j: int, t: int) -> int:
-    """Parts congruent to t mod r, totalled over the exactly-j O-class."""
-    tot = _totals(n, r, j)
-    if not 0 <= t <= r - 1:
-        raise ValueError(f"t must satisfy 0 <= t <= r-1, got {t}")
-    row = tot.o_parts_mod.get(j)
-    return row[t] if row else 0
-
-
-def residual_depth_total(n: int, r: int, j: int, t: int) -> int:
-    """Distinct parts with residual multiplicity >= t, totalled over the
-    exactly-j D-class."""
-    tot = _totals(n, r, j)
-    _check_t(r, t)
-    row = tot.d_depth.get(j)
-    return row[t] if row else 0
-
-
-def distinct_parts_total(family: str, n: int, r: int, j: int) -> int:
-    """Distinct-part count totalled over the exactly-j class of a family."""
-    _check_family(family)
-    tot = _totals(n, r, j)
-    return (tot.o_distinct if family == "O" else tot.d_distinct).get(j, 0)
-
-
-def nonresidual_sum_total(n: int, r: int, j: int) -> int:
-    """Sum of nonresidual multiplicities, totalled over the exactly-j
-    D-class."""
-    return _totals(n, r, j).d_nonresid.get(j, 0)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
-"""Canonical integer partitions and their per-partition statistics.
+"""Canonical integer partitions and their class indices.
 
 A partition is stored as strictly decreasing (part, multiplicity) pairs, so
-every statistic below is linear in the number of *distinct* parts.  All
+every statistic of it is linear in the number of *distinct* parts.  All
 objects are immutable and hashable; functions here are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -88,15 +87,6 @@ class Partition:
             f"{p}^{m}" if m > 1 else str(p) for p, m in self.pairs
         )
 
-    @property
-    def num_parts(self) -> int:
-        """Number of parts counted with multiplicity."""
-        return sum(m for _, m in self.pairs)
-
-    @property
-    def num_distinct(self) -> int:
-        return len(self.pairs)
-
     def parts(self) -> Iterator[int]:
         """Parts in non-increasing order, with multiplicity."""
         for p, m in self.pairs:
@@ -105,22 +95,6 @@ class Partition:
     def union(self, other: "Partition") -> "Partition":
         """Multiset union: all parts of both partitions."""
         return Partition(self.pairs + other.pairs)
-
-    def difference(self, other: "Partition") -> "Partition":
-        """Multiset difference; ``other`` must be a sub-multiset of ``self``."""
-        counts = dict(self.pairs)
-        for part, mult in other.pairs:
-            have = counts.get(part, 0)
-            if have < mult:
-                raise ValueError(
-                    f"not a sub-multiset: part {part} has multiplicity "
-                    f"{have} < {mult}"
-                )
-            if have == mult:
-                del counts[part]
-            else:
-                counts[part] = have - mult
-        return Partition(counts.items())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.pairs == other.pairs
@@ -135,21 +109,6 @@ class Partition:
         return self.render()
 
 
-EMPTY = Partition()
-
-
-def parse_partition(text: str) -> Partition:
-    return Partition.parse(text)
-
-
-def union(a: Partition, b: Partition) -> Partition:
-    return a.union(b)
-
-
-def difference(a: Partition, b: Partition) -> Partition:
-    return a.difference(b)
-
-
 class ClassIndex(NamedTuple):
     """Class indices of a partition for a fixed modulus r."""
 
@@ -157,73 +116,10 @@ class ClassIndex(NamedTuple):
     j_rep: int  # distinct part values with multiplicity >= r
 
 
-def _check_modulus(r: int) -> None:
-    if r < 2:
-        raise ValueError(f"modulus r must be >= 2, got {r}")
-
-
 def classify(lam: Partition, r: int) -> ClassIndex:
     """Count distinct parts divisible by r, and distinct parts repeated >= r times."""
-    _check_modulus(r)
+    if r < 2:
+        raise ValueError(f"modulus r must be >= 2, got {r}")
     j_div = sum(1 for p, _ in lam.pairs if p % r == 0)
     j_rep = sum(1 for _, m in lam.pairs if m >= r)
     return ClassIndex(j_div, j_rep)
-
-
-@dataclass(frozen=True)
-class PartStats:
-    """All per-partition statistics for a fixed modulus r.
-
-    ell_mod[t]        number of parts congruent to t (mod r), 0 <= t < r
-    ell_bar_resid[t]  number of distinct parts whose multiplicity mod r is
-                      >= t; index 0 is vacuous and equals ell_bar
-    per_part          (part, mult, mult mod r, mult - mult mod r) per
-                      distinct part, decreasing part order
-    t_window_count    distinct parts with multiplicity in [r+1, 2r-1]
-    """
-
-    r: int
-    ell: int
-    ell_mod: tuple[int, ...]
-    ell_bar_resid: tuple[int, ...]
-    ell_bar: int
-    per_part: tuple[tuple[int, int, int, int], ...]
-    t_window_count: int
-
-    @property
-    def nonresidual_total(self) -> int:
-        """Sum of nonresidual multiplicities over distinct parts."""
-        return sum(nr for _, _, _, nr in self.per_part)
-
-
-def stats(lam: Partition, r: int) -> PartStats:
-    """Compute every modulus-r statistic of ``lam`` in one pass."""
-    _check_modulus(r)
-    ell = 0
-    ell_mod = [0] * r
-    resid_hist = [0] * r  # resid_hist[d] = #distinct parts with mult % r == d
-    per_part = []
-    window = 0
-    for part, mult in lam.pairs:
-        ell += mult
-        ell_mod[part % r] += mult
-        d = mult % r
-        resid_hist[d] += 1
-        per_part.append((part, mult, d, mult - d))
-        if r + 1 <= mult <= 2 * r - 1:
-            window += 1
-    # suffix sums: parts with residual multiplicity >= t
-    ell_bar_resid = [0] * r
-    running = 0
-    for t in range(r - 1, -1, -1):
-        running += resid_hist[t]
-        ell_bar_resid[t] = running
-    return PartStats(
-        r=r,
-        ell=ell,
-        ell_mod=tuple(ell_mod),
-        ell_bar_resid=tuple(ell_bar_resid),
-        ell_bar=len(lam.pairs),
-        per_part=tuple(per_part),
-        t_window_count=window,
-    )

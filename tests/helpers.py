@@ -1,16 +1,17 @@
 """Shared test helpers: independent oracles and hypothesis strategies."""
 
 import json
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 from beckpart.bijections import glaisher_inverse, glaisher_map
-from beckpart.enumeration import index_weight_tuples, partitions_of
+from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import EulerPair
-from beckpart.identities import ClassTotals
-from beckpart.partition import Partition, stats
+from beckpart.identities import ClassTotals, class_totals
+from beckpart.partition import Partition, classify
 
 # The benchmark's regression digests; tests only read them.
 EXPECTED = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
@@ -36,6 +37,229 @@ def pentagonal_counts(n_max: int) -> list[int]:
             k += 1
         p[n] = total
     return p
+
+
+@dataclass(frozen=True)
+class PartStats:
+    """All per-partition statistics for a fixed modulus r.
+
+    ell_mod[t]        number of parts congruent to t (mod r), 0 <= t < r
+    ell_bar_resid[t]  number of distinct parts whose multiplicity mod r is
+                      >= t; index 0 is vacuous and equals ell_bar
+    per_part          (part, mult, mult mod r, mult - mult mod r) per
+                      distinct part, decreasing part order
+    t_window_count    distinct parts with multiplicity in [r+1, 2r-1]
+    """
+
+    r: int
+    ell: int
+    ell_mod: tuple[int, ...]
+    ell_bar_resid: tuple[int, ...]
+    ell_bar: int
+    per_part: tuple[tuple[int, int, int, int], ...]
+    t_window_count: int
+
+    @property
+    def nonresidual_total(self) -> int:
+        """Sum of nonresidual multiplicities over distinct parts."""
+        return sum(nr for _, _, _, nr in self.per_part)
+
+
+def stats(lam: Partition, r: int) -> PartStats:
+    """Compute every modulus-r statistic of ``lam`` in one pass."""
+    if r < 2:
+        raise ValueError(f"modulus r must be >= 2, got {r}")
+    ell = 0
+    ell_mod = [0] * r
+    resid_hist = [0] * r  # resid_hist[d] = #distinct parts with mult % r == d
+    per_part = []
+    window = 0
+    for part, mult in lam.pairs:
+        ell += mult
+        ell_mod[part % r] += mult
+        d = mult % r
+        resid_hist[d] += 1
+        per_part.append((part, mult, d, mult - d))
+        if r + 1 <= mult <= 2 * r - 1:
+            window += 1
+    # suffix sums: parts with residual multiplicity >= t
+    ell_bar_resid = [0] * r
+    running = 0
+    for t in range(r - 1, -1, -1):
+        running += resid_hist[t]
+        ell_bar_resid[t] = running
+    return PartStats(r, ell, tuple(ell_mod), tuple(ell_bar_resid),
+                     len(lam.pairs), tuple(per_part), window)
+
+
+@dataclass(frozen=True)
+class ClassSpec:
+    """Names one constrained class: family O or D, modulus r, index j.
+
+    Family O counts distinct part values divisible by r; family D counts
+    distinct part values with multiplicity >= r.  ``mode`` selects exactly-j
+    or at-most-j.
+    """
+
+    family: str
+    r: int
+    j: int
+    mode: str = "exact"
+
+    def __post_init__(self):
+        if self.family not in ("O", "D"):
+            raise ValueError(f"family must be 'O' or 'D', got {self.family!r}")
+        if self.r < 2:
+            raise ValueError(f"modulus r must be >= 2, got {self.r}")
+        if self.j < 0:
+            raise ValueError(f"class index j must be >= 0, got {self.j}")
+        if self.mode not in ("exact", "at_most"):
+            raise ValueError(f"mode must be 'exact' or 'at_most', got {self.mode!r}")
+
+    def matches(self, lam: Partition) -> bool:
+        idx = classify(lam, self.r)
+        got = idx.j_div if self.family == "O" else idx.j_rep
+        return got == self.j if self.mode == "exact" else got <= self.j
+
+
+def enumerate_class(n: int, spec: ClassSpec, *, method: str = "direct"):
+    """Yield the members of the class named by ``spec``, each exactly once.
+
+    ``method='filter'`` scans all partitions of n; ``method='direct'``
+    generates with branch pruning.  The two are independent routes, and
+    both yield in decreasing lexicographic order.
+    """
+    if method == "filter":
+        yield from filter(spec.matches, partitions_of(n))
+    elif method == "direct":
+        yield from _gen_class(n, n, 0, spec, ())
+    else:
+        raise ValueError(f"unknown method {method!r}")
+
+
+def _exact_reachable(need: int, remaining: int, max_part: int,
+                     spec: ClassSpec) -> bool:
+    # Can `need` more marked distinct values still fit below max_part?  An
+    # O value needs a multiple of r; a D value a multiplicity of r or more.
+    if need <= 0:
+        return True
+    if (max_part // spec.r if spec.family == "O" else max_part) < need:
+        return False
+    return spec.r * need * (need + 1) // 2 <= remaining
+
+
+def _gen_class(remaining, max_part, count, spec, acc):
+    if remaining == 0:
+        if spec.mode == "at_most" or count == spec.j:
+            yield Partition._from_canonical(acc)
+        return
+    if spec.mode == "exact" and not _exact_reachable(
+            spec.j - count, remaining, max_part, spec):
+        return
+    r, j = spec.r, spec.j
+    for part in range(min(max_part, remaining), 1, -1):
+        for mult in range(remaining // part, 0, -1):
+            marked = (part % r == 0 if spec.family == "O" else mult >= r)
+            if marked and count >= j:
+                continue
+            yield from _gen_class(remaining - part * mult, part - 1,
+                                  count + marked, spec, acc + ((part, mult),))
+    if max_part >= 1:
+        # part 1 forces multiplicity == remaining; 1 is never divisible by r
+        final = count + (spec.family == "D" and remaining >= r)
+        if final == j or (spec.mode == "at_most" and final < j):
+            yield Partition._from_canonical(acc + ((1, remaining),))
+
+
+def count_class(n: int, spec: ClassSpec, *, method: str = "direct") -> int:
+    """Size of the class: length of the ``enumerate_class`` stream."""
+    return sum(1 for _ in enumerate_class(n, spec, method=method))
+
+
+def _mk_pairs(m_vec, k_vec) -> list[tuple[int, int]]:
+    m_vec, k_vec = tuple(m_vec), tuple(k_vec)
+    if len(m_vec) != len(k_vec):
+        raise ValueError("m and k tuples must have equal length")
+    if any(m <= 0 for m in m_vec) or any(k <= 0 for k in k_vec):
+        raise ValueError("m and k components must be positive")
+    if len(set(m_vec)) != len(m_vec):
+        raise ValueError(f"m components must be distinct, got {m_vec}")
+    return list(zip(m_vec, k_vec))
+
+
+def _fiber(n: int, base: ClassSpec, fixed: Partition):
+    # every member of the j=0 class of n - |fixed|, with ``fixed`` adjoined
+    if fixed.size <= n:
+        for lam in enumerate_class(n - fixed.size, base):
+            yield lam.union(fixed)
+
+
+def enumerate_fixed_divisible(n: int, r: int, m_vec, k_vec):
+    """Partitions of n whose parts divisible by r are exactly (m_i*r)^(k_i).
+
+    Over all admissible (m, k) of length j these streams partition the
+    exactly-j O-class disjointly.
+    """
+    base = ClassSpec("O", r, 0)
+    return _fiber(n, base, Partition((m * r, k)
+                                     for m, k in _mk_pairs(m_vec, k_vec)))
+
+
+def enumerate_fixed_repeats(n: int, r: int, m_vec, k_vec):
+    """Partitions of n whose parts repeated >= r times are exactly the m_i,
+    each with nonresidual multiplicity r*k_i (the D-side fiber): each
+    partition with no part repeated r times, with m_i^(r*k_i) adjoined."""
+    base = ClassSpec("D", r, 0)
+    return _fiber(n, base, Partition((m, r * k)
+                                     for m, k in _mk_pairs(m_vec, k_vec)))
+
+
+def fiber_ragged_repeat_count(n: int, r: int, m_vec, k_vec) -> int:
+    """In the D-side fiber where the over-repeated parts are exactly the
+    m_i with nonresidual multiplicity r*k_i: count distinct parts that
+    appear with multiplicity >= r but not divisible by r, over the whole
+    fiber."""
+    return sum(sum(1 for _, mult in mu.pairs if mult >= r and mult % r)
+               for mu in enumerate_fixed_repeats(n, r, m_vec, k_vec))
+
+
+def index_weight_tuples(j: int, budget: int):
+    """Yield all (m, k) j-tuples: m strictly increasing, k positive,
+    dot(m, k) <= budget.  Deterministic lexicographic order."""
+    if j < 0:
+        raise ValueError(f"tuple length j must be >= 0, got {j}")
+    if j == 0:
+        if budget >= 0:
+            yield ((), ())
+        return
+    yield from _gen_mk(j, budget, 1, (), ())
+
+
+def _tail_min(m: int, slots: int) -> int:
+    # cheapest completion: slots values m+1, ..., m+slots each with k=1
+    return slots * m + slots * (slots + 1) // 2
+
+
+def _gen_mk(j, left, m_min, m_acc, k_acc):
+    slots_after = j - len(m_acc) - 1
+    m = m_min
+    while m + _tail_min(m, slots_after) <= left:
+        k = 1
+        while m * k + _tail_min(m, slots_after) <= left:
+            if slots_after == 0:
+                yield (m_acc + (m,), k_acc + (k,))
+            else:
+                yield from _gen_mk(j, left - m * k, m + 1,
+                                   m_acc + (m,), k_acc + (k,))
+            k += 1
+        m += 1
+
+
+def total_of(n: int, r: int, field: str, j: int, t: int = 0) -> int:
+    """Class j's entry of one ``class_totals(n, r)`` field, column t of a
+    per-residue field; 0 when the class is empty."""
+    value = getattr(class_totals(n, r), field).get(j, 0)
+    return value[t] if isinstance(value, list) else value
 
 
 def assert_same_totals(got, want, label) -> None:

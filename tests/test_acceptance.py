@@ -10,13 +10,13 @@ from beckpart import identities as ids
 from beckpart import qseries as qs
 from beckpart.bijections import (franklin_inverse, franklin_map,
                                  glaisher_inverse, glaisher_map)
-from beckpart.enumeration import ClassSpec, enumerate_class, partitions_of
+from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import (make_euler_pair, subbarao_counterexample,
                                   verify_tilde)
 from beckpart.identities import verify, verify_instance
 from beckpart.oeis import crosscheck
 from beckpart.partition import classify
-from helpers import pentagonal_counts
+from helpers import ClassSpec, enumerate_class, pentagonal_counts, total_of
 
 GRID_N = 40
 GRID_R = (2, 3, 4, 5)
@@ -115,7 +115,7 @@ def test_criterion_06_adjoin_double_count():
     assert rec.lhs == 1 and rec.rhs[0][1] == 1
     assert 2 * ids.class_count("O", 4, 2, 2) == 0
     assert -1 * ids.class_count("O", 4, 2, 1) == -3
-    assert ids.divisible_parts_total(4, 2, 1) == 4
+    assert total_of(4, 2, "o_parts_mod", 1) == 4
     _announce(6, f"fiber-sum double count matches on {len(records)} "
                  f"instances (n<=30, r in 2..3, j<=2); spot 1 = -3+0+4", t0)
 
@@ -138,21 +138,21 @@ def test_criterion_08_series_match_enumeration():
                  (qs.count_series("D", r, N, J),
                   lambda n, j, r=r: ids.class_count("D", n, r, j)),
                  (qs.divisible_parts_series(r, N, J),
-                  lambda n, j, r=r: ids.divisible_parts_total(n, r, j)),
+                  lambda n, j, r=r: total_of(n, r, "o_parts_mod", j)),
                  (qs.nonresidual_sum_series(r, N, J),
-                  lambda n, j, r=r: ids.nonresidual_sum_total(n, r, j)),
+                  lambda n, j, r=r: total_of(n, r, "d_nonresid", j)),
                  (qs.distinct_parts_series("O", r, N, J),
-                  lambda n, j, r=r: ids.distinct_parts_total("O", n, r, j)),
+                  lambda n, j, r=r: total_of(n, r, "o_distinct", j)),
                  (qs.distinct_parts_series("D", r, N, J),
-                  lambda n, j, r=r: ids.distinct_parts_total("D", n, r, j)),
+                  lambda n, j, r=r: total_of(n, r, "d_distinct", j)),
                  (qs.repeat_window_series(r, N, J),
                   lambda n, j, r=r: ids.repeat_window_total(n, r, j + 1))]
         for t in range(1, r):
             pairs += [
                 (qs.congruent_parts_series(r, t, N, J),
-                 lambda n, j, r=r, t=t: ids.congruent_parts_total(n, r, j, t)),
+                 lambda n, j, r=r, t=t: total_of(n, r, "o_parts_mod", j, t)),
                 (qs.residual_depth_series(r, t, N, J),
-                 lambda n, j, r=r, t=t: ids.residual_depth_total(n, r, j, t)),
+                 lambda n, j, r=r, t=t: total_of(n, r, "d_depth", j, t)),
                 (qs.beck_delta_series(r, t, N, J),
                  lambda n, j, r=r, t=t: ids.modular_part_gap(n, r, j, t))]
         for series, expected in pairs:

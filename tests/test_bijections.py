@@ -7,35 +7,35 @@ from hypothesis import strategies as st
 from beckpart.bijections import (ZetaCase, adjoin_and_classify,
                                  franklin_inverse, franklin_map,
                                  glaisher_inverse, glaisher_map)
-from beckpart.enumeration import (ClassSpec, enumerate_class,
-                                  enumerate_fixed_divisible,
-                                  index_weight_tuples, partitions_of)
-from beckpart.partition import Partition, classify, parse_partition, stats
-from helpers import (assert_canonical, composed_franklin_inverse,
-                     composed_franklin_map, partitions_avoiding_multiples,
+from beckpart.enumeration import partitions_of
+from beckpart.partition import Partition, classify
+from helpers import (ClassSpec, assert_canonical, composed_franklin_inverse,
+                     composed_franklin_map, enumerate_class,
+                     enumerate_fixed_divisible, index_weight_tuples,
+                     partitions_avoiding_multiples,
                      partitions_with_high_multiplicity,
-                     partitions_with_low_multiplicity)
+                     partitions_with_low_multiplicity, stats)
 
 
 def test_glaisher_examples():
-    assert glaisher_map(parse_partition("3,1,1"), 2) == parse_partition("3,2")
-    assert glaisher_map(parse_partition("2^4,1"), 3) == parse_partition("6,2,1")
+    assert glaisher_map(Partition.parse("3,1,1"), 2) == Partition.parse("3,2")
+    assert glaisher_map(Partition.parse("2^4,1"), 3) == Partition.parse("6,2,1")
     assert glaisher_map(Partition(), 4) == Partition()
 
 
 def test_glaisher_inverse_examples():
-    assert glaisher_inverse(parse_partition("3,2"), 2) == \
-        parse_partition("3,1,1")
-    assert glaisher_inverse(parse_partition("6,2,1"), 3) == \
-        parse_partition("2^4,1")
+    assert glaisher_inverse(Partition.parse("3,2"), 2) == \
+        Partition.parse("3,1,1")
+    assert glaisher_inverse(Partition.parse("6,2,1"), 3) == \
+        Partition.parse("2^4,1")
     assert glaisher_inverse(Partition(), 2) == Partition()
 
 
 def test_glaisher_precondition_errors():
     with pytest.raises(ValueError, match="part 4 is divisible by 2"):
-        glaisher_map(parse_partition("4,1"), 2)
+        glaisher_map(Partition.parse("4,1"), 2)
     with pytest.raises(ValueError, match="repeated 3 >= 3"):
-        glaisher_inverse(parse_partition("2^3"), 3)
+        glaisher_inverse(Partition.parse("2^3"), 3)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
@@ -67,20 +67,20 @@ def test_glaisher_image_is_whole_class(r):
 
 
 def test_franklin_examples():
-    assert franklin_map(parse_partition("2^2,1"), 2) == parse_partition("1^5")
+    assert franklin_map(Partition.parse("2^2,1"), 2) == Partition.parse("1^5")
     # j=0 reduces to the base rewrite
-    assert franklin_map(parse_partition("3,1^2"), 2) == parse_partition("3,2")
-    image = franklin_map(parse_partition("4,2^2,1"), 2)
-    assert image == parse_partition("2^2,1^5")
+    assert franklin_map(Partition.parse("3,1^2"), 2) == Partition.parse("3,2")
+    image = franklin_map(Partition.parse("4,2^2,1"), 2)
+    assert image == Partition.parse("2^2,1^5")
     assert image.size == 9
     assert classify(image, 2).j_rep == 2
 
 
 def test_franklin_inverse_examples():
-    assert franklin_inverse(parse_partition("1^5"), 2) == \
-        parse_partition("2^2,1")
-    assert franklin_inverse(parse_partition("3,2"), 2) == \
-        parse_partition("3,1^2")
+    assert franklin_inverse(Partition.parse("1^5"), 2) == \
+        Partition.parse("2^2,1")
+    assert franklin_inverse(Partition.parse("3,2"), 2) == \
+        Partition.parse("3,1^2")
     assert franklin_inverse(Partition(), 3) == Partition()
 
 
@@ -158,51 +158,51 @@ def test_one_pass_maps_equal_the_composition_multi_digit(data):
 
 
 def test_zeta_divisible_spec_examples():
-    out = adjoin_and_classify(parse_partition("2"), 2, (1,), (1,))
-    assert out.image == parse_partition("2^2")
+    out = adjoin_and_classify(Partition.parse("2"), 2, (1,), (1,))
+    assert out.image == Partition.parse("2^2")
     assert out.case is ZetaCase.COLLIDES_EXISTING
     assert out.collided_index == 0
     assert classify(out.image, 2).j_div == 1
 
-    out = adjoin_and_classify(parse_partition("2,1"), 2, (2,), (1,))
-    assert out.image == parse_partition("4,2,1")
+    out = adjoin_and_classify(Partition.parse("2,1"), 2, (2,), (1,))
+    assert out.image == Partition.parse("4,2,1")
     assert out.case is ZetaCase.FRESH_PART
     assert out.collided_index is None
     assert classify(out.image, 2).j_div == 2
 
 
 def test_zeta_repeated_spec_example():
-    out = adjoin_and_classify(parse_partition("1^3"), 2, (2,), (1,),
+    out = adjoin_and_classify(Partition.parse("1^3"), 2, (2,), (1,),
                               variant="repeated_mults")
-    assert out.image == parse_partition("2^2,1^3")
+    assert out.image == Partition.parse("2^2,1^3")
     assert out.case is ZetaCase.FRESH_PART
     assert classify(out.image, 2).j_rep == 2
 
 
 def test_zeta_repeated_collision_case():
     # distinguished part 1 (multiplicity 3) collides with m=1
-    out = adjoin_and_classify(parse_partition("1^3"), 2, (1,), (2,),
+    out = adjoin_and_classify(Partition.parse("1^3"), 2, (1,), (2,),
                               variant="repeated_mults")
     assert out.case is ZetaCase.COLLIDES_EXISTING
     assert out.collided_index == 0
-    assert out.image == parse_partition("1^7")
+    assert out.image == Partition.parse("1^7")
     assert classify(out.image, 2).j_rep == 1
 
 
 def test_zeta_validation():
     with pytest.raises(ValueError, match="exactly one distinct part divisible"):
-        adjoin_and_classify(parse_partition("3,1"), 2, (1,), (1,))
+        adjoin_and_classify(Partition.parse("3,1"), 2, (1,), (1,))
     with pytest.raises(ValueError, match="exactly one distinct part divisible"):
-        adjoin_and_classify(parse_partition("4,2"), 2, (1,), (1,))
+        adjoin_and_classify(Partition.parse("4,2"), 2, (1,), (1,))
     with pytest.raises(ValueError, match="strictly increasing"):
-        adjoin_and_classify(parse_partition("2"), 2, (3, 1), (1, 1))
+        adjoin_and_classify(Partition.parse("2"), 2, (3, 1), (1, 1))
     with pytest.raises(ValueError, match="equal length"):
-        adjoin_and_classify(parse_partition("2"), 2, (1, 2), (1,))
+        adjoin_and_classify(Partition.parse("2"), 2, (1, 2), (1,))
     with pytest.raises(ValueError, match="multiplicity in \\[3, 3\\]"):
-        adjoin_and_classify(parse_partition("1^4"), 2, (2,), (1,),
+        adjoin_and_classify(Partition.parse("1^4"), 2, (2,), (1,),
                             variant="repeated_mults")
     with pytest.raises(ValueError, match="unknown variant"):
-        adjoin_and_classify(parse_partition("2"), 2, (1,), (1,), "sideways")
+        adjoin_and_classify(Partition.parse("2"), 2, (1,), (1,), "sideways")
 
 
 @pytest.mark.parametrize("r,j", [(2, 1), (2, 2), (3, 1)])

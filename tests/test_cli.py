@@ -257,6 +257,14 @@ def test_stats_rows_keep_n_then_given_r_order(capsys):
                     for j in "01" for stat in ("count_O", "count_D")]
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_stats_repeated_r_lists_each_row_once(capsys, fmt):
+    argv = ["stats", "--stat", "parts-gap", "--n-max", "6", "--j-max", "1",
+            "--format", fmt, "--r"]
+    assert run_capture(capsys, argv + ["2,2"]) == \
+        run_capture(capsys, argv + ["2"])
+
+
 @pytest.mark.parametrize("argv,builds", [
     (["verify", "--theorem", "all", "--n-max", "12", "--r", "2,3",
       "--j-max", "1"], 2),
@@ -325,6 +333,16 @@ def test_euler_s1_file(capsys, tmp_path):
     assert code == 0
     assert all(row["ok"] == "true"
                for row in csv.DictReader(io.StringIO(out)))
+
+
+def test_euler_s1_file_error_names_the_file_and_line(capsys, tmp_path):
+    path = tmp_path / "s1.txt"
+    path.write_text("1\n\n2\nx\n", encoding="utf-8")
+    code, out, err = run_capture(capsys, [
+        "euler", "--r", "2", "--s1-file", str(path), "--n-max", "8"])
+    assert (code, out) == (2, "")
+    assert err == f"error: --s1-file {path} line 4: expected an integer, " \
+                  f"got 'x'\n"
 
 
 def test_euler_requires_exactly_one_s1_source(capsys):

@@ -1,11 +1,12 @@
 import pytest
 
-from beckpart.enumeration import (ClassSpec, count_class, enumerate_class,
-                                  enumerate_fixed_divisible,
-                                  enumerate_fixed_repeats,
-                                  index_weight_tuples, partitions_of)
-from beckpart.partition import Partition, classify, parse_partition
-from helpers import pentagonal_counts
+import beckpart
+from beckpart import enumeration, identities, partition
+from beckpart.enumeration import partitions_of
+from beckpart.partition import Partition, classify
+from helpers import (ClassSpec, count_class, enumerate_class,
+                     enumerate_fixed_divisible, enumerate_fixed_repeats,
+                     index_weight_tuples, pentagonal_counts)
 
 
 def test_partitions_of_4_in_order():
@@ -38,9 +39,6 @@ def test_bounds():
         list(partitions_of(-1))
     with pytest.raises(ValueError, match="exceeds enumeration bound"):
         list(partitions_of(121))
-    # the cap is configurable
-    with pytest.raises(ValueError, match="exceeds enumeration bound"):
-        list(partitions_of(11, max_n=10))
 
 
 def test_class_spec_validation():
@@ -183,4 +181,20 @@ def test_o_class_members_really_have_j_divisible_values():
         assert classify(lam, 2).j_div == 2
     # sanity spot: two distinct even values require at least 2+4
     assert count_class(5, spec) == 0
-    assert parse_partition("4,2") in set(enumerate_class(6, spec))
+    assert Partition.parse("4,2") in set(enumerate_class(6, spec))
+
+
+def test_public_names_resolve_and_test_oracles_are_not_exported():
+    assert all(hasattr(beckpart, name) for name in beckpart.__all__)
+    gone = {"ClassSpec", "EMPTY", "PartStats", "congruent_parts_total",
+            "count_class", "difference", "distinct_parts_total",
+            "divisible_parts_total", "enumerate_class",
+            "enumerate_fixed_divisible", "enumerate_fixed_repeats",
+            "fiber_ragged_repeat_count", "index_weight_tuples",
+            "nonresidual_sum_total", "parse_partition",
+            "residual_depth_total", "stats", "union"}
+    assert not gone & set(beckpart.__all__)
+    assert not any(hasattr(module, name) for name in gone
+                   for module in (enumeration, identities, partition))
+    assert not any(hasattr(Partition, name) for name in
+                   ("difference", "num_distinct", "num_parts"))

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from beckpart.identities import class_count
@@ -76,3 +79,18 @@ def test_invalid_sequence_id():
         crosscheck("090867", [0])
     with pytest.raises(ValueError, match="'A' followed by digits"):
         crosscheck("A90 867", [0])
+
+
+def test_fixture_script_reproduces_the_bundled_prefix():
+    # the generator's three routes (two enumeration oracles and the
+    # series) still give the first 31 bundled values
+    path = (Path(__file__).resolve().parent.parent / "scripts"
+            / "make_oeis_fixtures.py")
+    spec = importlib.util.spec_from_file_location("make_oeis_fixtures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for sid, values in (("A090867", script.one_even_part_counts(30)),
+                        ("A265251", script.part_count_gap_values(30))):
+        ref, source = load_reference(sid)
+        assert source == "fixture"
+        assert values == [ref[n] for n in range(31)], sid

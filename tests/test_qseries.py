@@ -8,7 +8,7 @@ from beckpart import cli
 from beckpart import identities as ids
 from beckpart import qseries as qs
 from beckpart.qseries import Series
-from helpers import EXPECTED, pentagonal_counts
+from helpers import EXPECTED, pentagonal_counts, total_of
 
 small_series = st.builds(
     lambda rows: Series(4, 2, rows),
@@ -124,20 +124,20 @@ def test_all_series_match_enumeration(r):
               (qs.count_series("D", r, N, J),
                lambda n, j: ids.class_count("D", n, r, j)),
               (qs.divisible_parts_series(r, N, J),
-               lambda n, j: ids.divisible_parts_total(n, r, j)),
+               lambda n, j: total_of(n, r, "o_parts_mod", j)),
               (qs.nonresidual_sum_series(r, N, J),
-               lambda n, j: ids.nonresidual_sum_total(n, r, j)),
+               lambda n, j: total_of(n, r, "d_nonresid", j)),
               (qs.distinct_parts_series("O", r, N, J),
-               lambda n, j: ids.distinct_parts_total("O", n, r, j)),
+               lambda n, j: total_of(n, r, "o_distinct", j)),
               (qs.distinct_parts_series("D", r, N, J),
-               lambda n, j: ids.distinct_parts_total("D", n, r, j)),
+               lambda n, j: total_of(n, r, "d_distinct", j)),
               (qs.repeat_window_series(r, N, J),
                lambda n, j: ids.repeat_window_total(n, r, j + 1))]
     for t in range(1, r):
         checks += [(qs.congruent_parts_series(r, t, N, J),
-                    lambda n, j, t=t: ids.congruent_parts_total(n, r, j, t)),
+                    lambda n, j, t=t: total_of(n, r, "o_parts_mod", j, t)),
                    (qs.residual_depth_series(r, t, N, J),
-                    lambda n, j, t=t: ids.residual_depth_total(n, r, j, t)),
+                    lambda n, j, t=t: total_of(n, r, "d_depth", j, t)),
                    (qs.beck_delta_series(r, t, N, J),
                     lambda n, j, t=t: ids.modular_part_gap(n, r, j, t))]
     for series, expected in checks:
