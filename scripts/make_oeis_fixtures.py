@@ -38,7 +38,7 @@ HEADER = """\
 
 def one_even_part_counts(n_max: int) -> list[int]:
     spec = ClassSpec("O", 2, 1)
-    series = qseries.count_series("O", 2, n_max, 1)
+    series = qseries.series("count-O", 2, None, n_max, 1)
     values = []
     for n in range(n_max + 1):
         direct = count_class(n, spec, method="direct")

@@ -14,24 +14,13 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from . import bijections, euler_pairs, identities, oeis, qseries
 from .identities import MAX_N, THEOREM_IDS, VerificationRecord
 from .partition import Partition
 
-SERIES_KINDS = {
-    "count-O": lambda r, t, N, J: qseries.count_series("O", r, N, J),
-    "count-D": lambda r, t, N, J: qseries.count_series("D", r, N, J),
-    "congruent-parts": lambda r, t, N, J: qseries.congruent_parts_series(r, t, N, J),
-    "residual-depth": lambda r, t, N, J: qseries.residual_depth_series(r, t, N, J),
-    "divisible-parts": lambda r, t, N, J: qseries.divisible_parts_series(r, N, J),
-    "nonresidual-sum": lambda r, t, N, J: qseries.nonresidual_sum_series(r, N, J),
-    "distinct-O": lambda r, t, N, J: qseries.distinct_parts_series("O", r, N, J),
-    "distinct-D": lambda r, t, N, J: qseries.distinct_parts_series("D", r, N, J),
-    "beck-delta": lambda r, t, N, J: qseries.beck_delta_series(r, t, N, J),
-    "repeat-window": lambda r, t, N, J: qseries.repeat_window_series(r, N, J),
-}
-_NEEDS_T = ("congruent-parts", "residual-depth", "beck-delta")
+SERIES_KINDS = {kind: partial(qseries.series, kind) for kind in qseries.KINDS}
 
 
 @dataclass(frozen=True)
@@ -228,7 +217,7 @@ def _cmd_map(args) -> int:
 def _cmd_series(args) -> int:
     if args.r < 2:
         raise ValueError(f"r must be >= 2, got {args.r}")
-    if args.which in _NEEDS_T:
+    if qseries.KINDS[args.which][1]:
         if args.t is None:
             raise ValueError(f"--which {args.which} requires --t")
     elif args.t is not None:
@@ -310,6 +299,7 @@ def _cmd_oeis(args) -> int:
         raise ValueError(f"r must be >= 2, got {args.r}")
     if not 0 <= args.n_max <= MAX_N:
         raise ValueError(f"n-max must be in 0..{MAX_N}, got {args.n_max}")
+    oeis.check_id(args.sequence)  # before the table is built
     identities.class_totals(args.n_max, args.r)  # one table build, at n-max
     values = [identities.class_count(args.family, n, args.r, args.j)
               for n in range(args.n_max + 1)]
@@ -323,6 +313,11 @@ def _cmd_oeis(args) -> int:
         return 0
     print(f"sequence={report.sequence_id} status=ok source={report.source} "
           f"matched={report.matched}/{report.total} offset={report.offset}")
+    if report.mismatch:
+        n, computed, reference = report.mismatch
+        print(f"FAIL {report.sequence_id} n={n}: computed={computed} "
+              f"reference={reference}", file=sys.stderr)
+        return 1
     return 0
 
 

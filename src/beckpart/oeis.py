@@ -39,7 +39,7 @@ def parse_b_file(text: str) -> dict[int, int]:
     return table
 
 
-def _check_id(sequence_id: str) -> None:
+def check_id(sequence_id: str) -> None:
     if not _ID_RE.fullmatch(sequence_id):
         raise ValueError(
             f"sequence id must be 'A' followed by digits, got {sequence_id!r}")
@@ -76,7 +76,7 @@ def load_reference(sequence_id: str, *, cache_dir: str | None = None,
                    online: bool = False, timeout: float = 10.0
                    ) -> tuple[dict[int, int] | None, str]:
     """Return (index -> value table, source name) or (None, "")."""
-    _check_id(sequence_id)
+    check_id(sequence_id)
     text = _fixture_text(sequence_id)
     if text is not None:
         return parse_b_file(text), "fixture"
@@ -100,6 +100,9 @@ class MatchReport:
     offset: int            # shift added to computed indices
     total: int             # number of computed values
     source: str            # fixture / cache / online / ""
+    # (n, computed, reference) at the first unmatched value when the
+    # reference has that index; None when the prefix only runs past it
+    mismatch: tuple[int, int, int] | None = None
 
     @property
     def full_match(self) -> bool:
@@ -139,4 +142,9 @@ def crosscheck(sequence_id: str, values: Iterable[int], *,
     if reference is None:
         return MatchReport(sequence_id, "unavailable", 0, 0, len(values), "")
     matched, offset = best_prefix_match(reference, values, start_index)
-    return MatchReport(sequence_id, "ok", matched, offset, len(values), source)
+    idx = start_index + matched + offset
+    mismatch = None
+    if matched < len(values) and idx in reference:
+        mismatch = (start_index + matched, values[matched], reference[idx])
+    return MatchReport(sequence_id, "ok", matched, offset, len(values), source,
+                       mismatch)

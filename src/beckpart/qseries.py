@@ -2,18 +2,18 @@
 
 Coefficients are integers; q-degree is truncated at N and w-degree at J.
 Truncation is closed under ring operations (degrees only ever add), so
-every kept coefficient is exact.  The builders at the bottom realize the
-generating functions whose [q^n w^j] coefficients reproduce the class
-totals of the identities module (its part-value dynamic program);
-cross-checking the two routes coefficientwise is the point of this module.
+every kept coefficient is exact.  ``series`` realizes the generating
+functions whose [q^n w^j] coefficients reproduce the class totals of the
+identities module (its part-value dynamic program); cross-checking the
+two routes coefficientwise is the point of this module.
 
-Each builder's table is one dense product: a count prefactor times a
-sparse multiplier.  The prefactor is the product form of the class's
-generating function, applied to one table factor by factor in place; the
-multiplier's sum over part values is written straight into a second
-table.  The public factor helpers (``geometric_factor``,
-``repeat_marker``, ``finite_run``, ``marked_geometric``) spell out the
-same product forms one general product at a time.
+As in the paper's analytic proof, every table is the class's count
+product C(q, w) times a per-part multiplier.  ``KINDS`` names the family
+whose count product each kind uses; ``multiplier`` writes the kind's
+sparse sum over part values straight into a table; ``series`` is their
+one dense product.  The count product is applied to one table factor by
+factor in place.  The tests build the same product forms one general
+product at a time, as the reference.
 """
 
 from __future__ import annotations
@@ -25,9 +25,24 @@ from math import comb
 # beyond it the dense tables stop being desk scale.
 MAX_Q_ORDER = 120
 
-# Builders cached per (family, r, N, J) or (r, N, J); one CLI run needs a
-# handful of keys.
+# Count products cached per (family, r, N, J); one CLI run needs a handful
+# of keys.
 SERIES_CACHE_SIZE = 32
+
+# kind -> (family of its count product, whether it takes a residue t), in
+# the order `beckpart series --which` lists them.
+KINDS = {
+    "count-O": ("O", False),
+    "count-D": ("D", False),
+    "congruent-parts": ("O", True),
+    "residual-depth": ("D", True),
+    "divisible-parts": ("O", False),
+    "nonresidual-sum": ("D", False),
+    "distinct-O": ("O", False),
+    "distinct-D": ("D", False),
+    "beck-delta": ("O", True),
+    "repeat-window": ("D", False),
+}
 
 
 class Series:
@@ -53,9 +68,6 @@ class Series:
                 f"mismatched truncation bounds: ({self.N},{self.J}) vs "
                 f"({other.N},{other.J})")
 
-    def copy(self) -> "Series":
-        return Series(self.N, self.J, [row[:] for row in self.c])
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         n, j = key
         return self.c[n][j]
@@ -70,25 +82,7 @@ class Series:
     def nnz(self) -> int:
         return sum(1 for row in self.c for v in row if v)
 
-    def __add__(self, other: "Series") -> "Series":
-        self._check_compatible(other)
-        return Series(self.N, self.J,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.c, other.c)])
-
-    def __sub__(self, other: "Series") -> "Series":
-        self._check_compatible(other)
-        return Series(self.N, self.J,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.c, other.c)])
-
-    def scale(self, factor: int) -> "Series":
-        return Series(self.N, self.J,
-                      [[factor * v for v in row] for row in self.c])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+    def __mul__(self, other: "Series") -> "Series":
         self._check_compatible(other)
         # iterate the sparser operand's nonzeros against the other's table
         a, b = (self, other) if self.nnz() >= other.nnz() else (other, self)
@@ -105,16 +99,6 @@ class Series:
                         orow[j1 + j2] += v1 * v2
         return Series(N, J, out)
 
-    __rmul__ = __mul__
-
-    def shift(self, dn: int, dj: int = 0) -> "Series":
-        """Multiply by q^dn w^dj; coefficients past the bounds are dropped."""
-        out = Series(self.N, self.J)
-        for n, j, v in self.items():
-            if n + dn <= self.N and j + dj <= self.J:
-                out.c[n + dn][j + dj] = v
-        return out
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Series) and self.N == other.N
                 and self.J == other.J and self.c == other.c)
@@ -127,118 +111,22 @@ class Series:
         return f"Series(N={self.N}, J={self.J}, {head or '0'})"
 
 
-def zero(N: int, J: int) -> Series:
-    return Series(N, J)
-
-
 def one(N: int, J: int) -> Series:
     s = Series(N, J)
     s.c[0][0] = 1
     return s
 
 
-def monomial(N: int, J: int, n: int, j: int = 0, coeff: int = 1) -> Series:
-    s = Series(N, J)
-    if n <= N and j <= J:
-        s.c[n][j] = coeff
-    return s
-
-
-def geometric_factor(k: int, N: int, J: int) -> Series:
-    """1/(1 - q^k) = 1 + q^k + q^(2k) + ..."""
-    if k < 1:
-        raise ValueError(f"exponent k must be >= 1, got {k}")
-    s = Series(N, J)
-    for i in range(0, N // k + 1):
-        s.c[i * k][0] = 1
-    return s
-
-
-def repeat_marker(p: int, N: int, J: int) -> Series:
-    """1 + w*q^p/(1 - q^p): one distinct part value p, marked by w."""
-    if p < 1:
-        raise ValueError(f"part value p must be >= 1, got {p}")
-    s = one(N, J)
-    if J >= 1:
-        for i in range(1, N // p + 1):
-            s.c[i * p][1] = 1
-    return s
-
-
-def finite_run(p: int, r: int, N: int, J: int) -> Series:
-    """1 + q^p + ... + q^((r-1)p): part p with multiplicity below r."""
-    s = Series(N, J)
-    for d in range(r):
-        if d * p > N:
-            break
-        s.c[d * p][0] = 1
-    return s
-
-
-def one_minus_w(N: int, J: int) -> Series:
-    s = one(N, J)
-    if J >= 1:
-        s.c[0][1] = -1
-    return s
-
-
-def marked_geometric(p: int, N: int, J: int) -> Series:
-    """1/(1 - (1-w)*q^p) = sum_i (1-w)^i q^(p*i), with (1-w)^i expanded
-    to a w-polynomial and truncated at degree J."""
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
-    s = Series(N, J)
-    for i in range(0, N // p + 1):
-        row = s.c[i * p]
-        for sgn in range(min(i, J) + 1):
-            row[sgn] = -comb(i, sgn) if sgn % 2 else comb(i, sgn)
-    return s
-
-
 def _add_marked_run(c: list[list[int]], p: int, first: int, sign: int = 1,
                     i_min: int = 0, dj: int = 0) -> None:
     """Add sign * w^dj * sum_{i >= i_min} (1-w)^i q^(first + p*i) into the
-    table c, truncated to its bounds.  ``marked_geometric`` keeps its own
-    loop because the tests build the builders' reference from it."""
+    table c, truncated to its bounds."""
     top = len(c[0]) - 1 - dj
     for i, n in enumerate(range(first + p * i_min, len(c), p), i_min):
         row = c[n]
         for k in range(min(i, top) + 1):
             v = comb(i, k)
             row[k + dj] += -sign * v if k % 2 else sign * v
-
-
-def lambert_by_parts(r: int, t: int, N: int, J: int) -> Series:
-    """sum over parts p = t, t+r, t+2r, ... of q^p/(1 - q^p)."""
-    s = Series(N, J)
-    for p in range(t, N + 1, r):
-        for i in range(1, N // p + 1):
-            s.c[i * p][0] += 1
-    return s
-
-
-def lambert_by_mult(r: int, t: int, N: int, J: int) -> Series:
-    """sum over m >= 1 of q^(t*m)/(1 - q^(r*m)); equals
-    ``lambert_by_parts(r, t, ...)`` as a truncated series."""
-    s = Series(N, J)
-    m = 1
-    while t * m <= N:
-        e = t * m
-        while e <= N:
-            s.c[e][0] += 1
-            e += r * m
-        m += 1
-    return s
-
-
-def _check_r(r: int) -> None:
-    if r < 2:
-        raise ValueError(f"modulus r must be >= 2, got {r}")
-
-
-def _check_t(r: int, t: int) -> None:
-    if not 1 <= t <= r - 1:
-        raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t}")
 
 
 def _divide_by_one_minus(c: list[list[int]], k: int) -> None:
@@ -263,10 +151,11 @@ def _times_marked_step(c: list[list[int]], p: int) -> None:
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _count_series(family: str, r: int, N: int, J: int) -> Series:
+    """C(q, w): [q^n w^j] = size of the exactly-j class of the family."""
     s = one(N, J)
     c = s.c
     for m in range(1, N // r + 1):
-        # repeat_marker(rm) = (1 - (1-w)q^(rm)) / (1 - q^(rm))
+        # 1 + w*q^(rm)/(1 - q^(rm)) = (1 - (1-w)q^(rm)) / (1 - q^(rm))
         _times_marked_step(c, r * m)
         _divide_by_one_minus(c, r * m)
     if family == "O":
@@ -275,124 +164,77 @@ def _count_series(family: str, r: int, N: int, J: int) -> Series:
                 _divide_by_one_minus(c, k)
     else:
         for k in range(1, N + 1):
-            # finite_run(k, r) = (1 - q^(rk)) / (1 - q^k)
+            # 1 + q^k + ... + q^((r-1)k) = (1 - q^(rk)) / (1 - q^k)
             _times_one_minus(c, r * k)
             _divide_by_one_minus(c, k)
     return s
 
 
-def count_series(family: str, r: int, N: int, J: int) -> Series:
-    """[q^n w^j] = size of the exactly-j class of the family at size n."""
-    _check_r(r)
-    if family not in ("O", "D"):
-        raise ValueError(f"family must be 'O' or 'D', got {family!r}")
-    return _count_series(family, r, N, J).copy()
-
-
-def congruent_parts_series(r: int, t: int, N: int, J: int) -> Series:
-    """[q^n w^j] = total parts congruent to t mod r over the exactly-j
-    O-class."""
-    _check_r(r)
-    _check_t(r, t)
-    return _count_series("O", r, N, J) * lambert_by_mult(r, t, N, J)
-
-
-def residual_depth_series(r: int, t: int, N: int, J: int) -> Series:
-    """[q^n w^j] = total distinct parts with residual multiplicity >= t
-    over the exactly-j D-class."""
-    _check_r(r)
-    _check_t(r, t)
+def multiplier(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
+    """The sparse sum over part values that turns the count product of
+    ``KINDS[kind]``'s family into the kind's table; takes the arguments
+    ``series`` accepts."""
+    if kind in ("count-O", "count-D"):
+        return one(N, J)
     s = Series(N, J)
-    m = 1
-    while t * m <= N:  # sum_m (q^(t*m) - q^(r*m)) / (1 - q^(r*m))
-        e = t * m
-        while e <= N:
-            s.c[e][0] += 1
-            e += r * m
-        e = r * m
-        while e <= N:
-            s.c[e][0] -= 1
-            e += r * m
-        m += 1
-    return _count_series("D", r, N, J) * s
-
-
-@lru_cache(maxsize=SERIES_CACHE_SIZE)
-def _marked_block_sum(r: int, N: int, J: int) -> Series:
-    """sum_m w*q^(r*m) / ((1 - (1-w)q^(r*m)) (1 - q^(r*m)))."""
-    s = Series(N, J)
-    for m in range(1, N // r + 1):
-        p = r * m
-        # [q^(p*i) w^k] of 1/((1 - q^p)(1 - (1-w)q^p)) is
-        # (-1)^k C(i+1, k+1); the term is shifted by w*q^p
-        for i, n in enumerate(range(p, N + 1, p)):
-            row = s.c[n]
-            for k in range(min(i, J - 1) + 1):
-                v = comb(i + 1, k + 1)
-                row[k + 1] += -v if k % 2 else v
+    c = s.c
+    if kind in ("congruent-parts", "residual-depth"):
+        # sum_m q^(tm)/(1 - q^(rm)), less sum_m q^(rm)/(1 - q^(rm)) for
+        # the depth
+        for m in range(1, N // t + 1):
+            for n in range(t * m, N + 1, r * m):
+                c[n][0] += 1
+            if kind == "residual-depth":
+                for n in range(r * m, N + 1, r * m):
+                    c[n][0] -= 1
+    elif kind in ("divisible-parts", "nonresidual-sum"):
+        # sum_m w*q^p / ((1 - (1-w)q^p) (1 - q^p)) with p = rm, times r
+        # for the nonresidual sum: [q^(p*i) w^k] of the quotient is
+        # (-1)^k C(i+1, k+1), shifted by w*q^p
+        factor = 1 if kind == "divisible-parts" else r
+        for p in range(r, N + 1, r):
+            for i, n in enumerate(range(p, N + 1, p)):
+                row = c[n]
+                for k in range(min(i, J - 1) + 1):
+                    v = factor * comb(i + 1, k + 1)
+                    row[k + 1] += -v if k % 2 else v
+    elif kind == "distinct-O":
+        for m in range(1, N + 1):
+            if m % r:
+                c[m][0] += 1
+        for p in range(r, N + 1, r):
+            _add_marked_run(c, p, p, dj=1)  # w*q^p / (1 - (1-w)q^p)
+    elif kind == "distinct-D":
+        for m in range(1, N + 1):
+            # 1 - (1 - q^m) / (1 - (1-w)q^(rm))
+            _add_marked_run(c, r * m, m)
+            _add_marked_run(c, r * m, 0, sign=-1, i_min=1)
+    elif kind == "beck-delta":
+        # the same sum for every admissible t, which the tests assert
+        for p in range(r, N + 1, r):
+            _add_marked_run(c, p, 0, i_min=1)  # (1-w)q^p / (1 - (1-w)q^p)
+    else:  # repeat-window
+        # The D product's factor for part m is
+        # F_m = (1 - (1-w)q^(rm)) / (1 - q^m), so the product over k != m
+        # is C * (1 - q^m) / (1 - (1-w)q^(rm)); the window
+        # q^((r+1)m) + ... + q^((2r-1)m) times (1 - q^m) is
+        # q^((r+1)m) - q^(2rm).
+        for m in range(1, N // (r + 1) + 1):
+            _add_marked_run(c, r * m, (r + 1) * m)
+            _add_marked_run(c, r * m, 2 * r * m, sign=-1)
     return s
 
 
-def divisible_parts_series(r: int, N: int, J: int) -> Series:
-    """[q^n w^j] = total parts divisible by r over the exactly-j O-class."""
-    _check_r(r)
-    return _count_series("O", r, N, J) * _marked_block_sum(r, N, J)
-
-
-def nonresidual_sum_series(r: int, N: int, J: int) -> Series:
-    """[q^n w^j] = total nonresidual multiplicity over the exactly-j
-    D-class."""
-    _check_r(r)
-    return _count_series("D", r, N, J) * _marked_block_sum(r, N, J).scale(r)
-
-
-def distinct_parts_series(family: str, r: int, N: int, J: int) -> Series:
-    """[q^n w^j] = total distinct parts over the exactly-j class."""
-    _check_r(r)
-    if family not in ("O", "D"):
-        raise ValueError(f"family must be 'O' or 'D', got {family!r}")
-    s = Series(N, J)
-    if family == "O":
-        for m in range(1, N + 1):
-            if m % r:
-                s.c[m][0] += 1
-        for m in range(1, N // r + 1):
-            # w*q^(rm) / (1 - (1-w)q^(rm))
-            _add_marked_run(s.c, r * m, r * m, dj=1)
-    else:
-        for m in range(1, N + 1):
-            # 1 - (1 - q^m) / (1 - (1-w)q^(rm))
-            #   = q^m * marked_geometric(rm) - (marked_geometric(rm) - 1)
-            _add_marked_run(s.c, r * m, m)
-            _add_marked_run(s.c, r * m, 0, sign=-1, i_min=1)
-    return _count_series(family, r, N, J) * s
-
-
-def beck_delta_series(r: int, t: int, N: int, J: int) -> Series:
-    """[q^n w^j] = the modular part-count gap at (n, j); the closed form is
-    the same for every admissible t, which is asserted in tests."""
-    _check_r(r)
-    _check_t(r, t)
-    s = Series(N, J)
-    for m in range(1, N // r + 1):
-        # (1-w)q^(rm)/(1 - (1-w)q^(rm)) = marked_geometric - 1
-        _add_marked_run(s.c, r * m, 0, i_min=1)
-    return _count_series("O", r, N, J) * s
-
-
-def repeat_window_series(r: int, N: int, J: int) -> Series:
-    """[q^n w^j] = repeat-window total over the exactly-(j+1) D-class.
-
-    The D product's factor for part m is
-    F_m = repeat_marker(rm) * finite_run(m, r) = (1 - (1-w)q^(rm))/(1 - q^m),
-    so the product over k != m is count-D * (1 - q^m) * marked_geometric(rm).
-    The window q^((r+1)m) + ... + q^((2r-1)m) times (1 - q^m) is
-    q^((r+1)m) - q^(2rm), so the total is count-D times
-    sum_m (q^((r+1)m) - q^(2rm)) * marked_geometric(rm).
-    """
-    _check_r(r)
-    s = Series(N, J)
-    for m in range(1, N // (r + 1) + 1):
-        _add_marked_run(s.c, r * m, (r + 1) * m)
-        _add_marked_run(s.c, r * m, 2 * r * m, sign=-1)
-    return _count_series("D", r, N, J) * s
+def series(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
+    """[q^n w^j] = the kind's total over the exactly-j class of its family
+    at size n (the exactly-(j+1) class for repeat-window)."""
+    if r < 2:
+        raise ValueError(f"modulus r must be >= 2, got {r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown series kind {kind!r}")
+    family, needs_t = KINDS[kind]
+    if needs_t and (t is None or not 1 <= t <= r - 1):
+        raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t}")
+    if not needs_t and t is not None:
+        raise ValueError(f"{kind} takes no t, got {t}")
+    return _count_series(family, r, N, J) * multiplier(kind, r, t, N, J)

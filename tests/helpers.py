@@ -3,6 +3,7 @@
 import json
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from beckpart.bijections import glaisher_inverse, glaisher_map
 from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import EulerPair
-from beckpart.identities import ClassTotals, class_totals
+from beckpart.identities import (ClassTotals, class_count, class_totals,
+                                 modular_part_gap, repeat_window_total)
 from beckpart.partition import Partition, classify
+from beckpart.qseries import KINDS, Series, one
 
 # The benchmark's regression digests; tests only read them.
 EXPECTED = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
@@ -417,6 +420,238 @@ def assert_canonical(lam: Partition) -> None:
     assert all(m >= 1 for _, m in lam.pairs), lam.pairs
     assert lam.size == sum(p * m for p, m in lam.pairs), lam.pairs
 
+
+# -- series product forms ----------------------------------------------------
+# ``qseries.series`` is one in-place count product times one sparse
+# multiplier.  These build the same generating functions one general
+# ``Series`` product per factor: the reference for every kind.
+
+def add(a: Series, b: Series, sign: int = 1) -> Series:
+    """a + sign * b."""
+    a._check_compatible(b)
+    return Series(a.N, a.J, [[x + sign * y for x, y in zip(ra, rb)]
+                             for ra, rb in zip(a.c, b.c)])
+
+
+def sub(a: Series, b: Series) -> Series:
+    return add(a, b, -1)
+
+
+def scale(s: Series, factor: int) -> Series:
+    return Series(s.N, s.J, [[factor * v for v in row] for row in s.c])
+
+
+def shift(s: Series, dn: int, dj: int = 0) -> Series:
+    """Multiply by q^dn w^dj; coefficients past the bounds are dropped."""
+    out = Series(s.N, s.J)
+    for n, j, v in s.items():
+        if n + dn <= s.N and j + dj <= s.J:
+            out.c[n + dn][j + dj] = v
+    return out
+
+
+def monomial(N: int, J: int, n: int, j: int = 0, coeff: int = 1) -> Series:
+    s = Series(N, J)
+    if n <= N and j <= J:
+        s.c[n][j] = coeff
+    return s
+
+
+def geometric_factor(k: int, N: int, J: int) -> Series:
+    """1/(1 - q^k) = 1 + q^k + q^(2k) + ..."""
+    if k < 1:
+        raise ValueError(f"exponent k must be >= 1, got {k}")
+    s = Series(N, J)
+    for i in range(0, N // k + 1):
+        s.c[i * k][0] = 1
+    return s
+
+
+def repeat_marker(p: int, N: int, J: int) -> Series:
+    """1 + w*q^p/(1 - q^p): one distinct part value p, marked by w."""
+    if p < 1:
+        raise ValueError(f"part value p must be >= 1, got {p}")
+    s = one(N, J)
+    if J >= 1:
+        for i in range(1, N // p + 1):
+            s.c[i * p][1] = 1
+    return s
+
+
+def finite_run(p: int, lo: int, hi: int, N: int, J: int) -> Series:
+    """q^(lo*p) + ... + q^((hi-1)*p): part p with multiplicity in [lo, hi)."""
+    s = Series(N, J)
+    for d in range(lo, hi):
+        if d * p <= N:
+            s.c[d * p][0] = 1
+    return s
+
+
+def one_minus_w(N: int, J: int) -> Series:
+    s = one(N, J)
+    if J >= 1:
+        s.c[0][1] = -1
+    return s
+
+
+def marked_geometric(p: int, N: int, J: int) -> Series:
+    """1/(1 - (1-w)*q^p) = sum_i (1-w)^i q^(p*i), with (1-w)^i expanded
+    to a w-polynomial and truncated at degree J."""
+    if p < 1:
+        raise ValueError(f"exponent p must be >= 1, got {p}")
+    s = Series(N, J)
+    for i in range(0, N // p + 1):
+        row = s.c[i * p]
+        for sgn in range(min(i, J) + 1):
+            row[sgn] = -comb(i, sgn) if sgn % 2 else comb(i, sgn)
+    return s
+
+
+def lambert_by_parts(r: int, t: int, N: int, J: int) -> Series:
+    """sum over parts p = t, t+r, t+2r, ... of q^p/(1 - q^p)."""
+    s = Series(N, J)
+    for p in range(t, N + 1, r):
+        for i in range(1, N // p + 1):
+            s.c[i * p][0] += 1
+    return s
+
+
+def lambert_by_mult(r: int, t: int, N: int, J: int) -> Series:
+    """sum over m >= 1 of q^(t*m)/(1 - q^(r*m)); equals
+    ``lambert_by_parts(r, t, ...)`` as a truncated series."""
+    s = Series(N, J)
+    for m in range(1, N // t + 1):
+        for e in range(t * m, N + 1, r * m):
+            s.c[e][0] += 1
+    return s
+
+
+def product(factors, N: int, J: int) -> Series:
+    s = one(N, J)
+    for f in factors:
+        s = s * f
+    return s
+
+
+def _d_factor(m: int, r: int, N: int, J: int) -> Series:
+    """The D product's factor for part m: repeat_marker(rm) * (1 + q^m +
+    ... + q^((r-1)m))."""
+    return repeat_marker(r * m, N, J) * finite_run(m, 0, r, N, J)
+
+
+@cache
+def count_product(family: str, r: int, N: int, J: int) -> Series:
+    if family == "O":
+        factors = [repeat_marker(r * m, N, J) for m in range(1, N // r + 1)]
+        factors += [geometric_factor(k, N, J)
+                    for k in range(1, N + 1) if k % r]
+    else:
+        factors = [_d_factor(m, r, N, J) for m in range(1, N + 1)]
+    return product(factors, N, J)
+
+
+@cache
+def _d_products_without(r: int, N: int, J: int) -> list[Series | None]:
+    """[m] = the D product over every part k != m, for m = 1..N."""
+    factors = [None] + [_d_factor(m, r, N, J) for m in range(1, N + 1)]
+    prefix = [one(N, J)]
+    for m in range(1, N + 1):
+        prefix.append(prefix[-1] * factors[m])
+    suffix = [one(N, J)] * (N + 2)
+    for m in range(N, 0, -1):
+        suffix[m] = factors[m] * suffix[m + 1]
+    return [None] + [prefix[m - 1] * suffix[m + 1] for m in range(1, N + 1)]
+
+
+def leave_one_out(r: int, N: int, J: int, part_term) -> Series:
+    """sum_m part_term(m) * prod_{k != m} F_k: the D product with part m's
+    factor F_m replaced by the series of the part m being counted."""
+    total = Series(N, J)
+    rest = _d_products_without(r, N, J)
+    for m in range(1, N + 1):
+        term = part_term(m)
+        if term.nnz():
+            total = add(total, term * rest[m])
+    return total
+
+
+def marked_block_product(r: int, N: int, J: int) -> Series:
+    total = Series(N, J)
+    for m in range(1, N // r + 1):
+        p = r * m
+        total = add(total, shift(
+            geometric_factor(p, N, J) * marked_geometric(p, N, J), p, 1))
+    return total
+
+
+def distinct_multiplier(family: str, r: int, N: int, J: int) -> Series:
+    total = Series(N, J)
+    if family == "O":
+        for m in range(1, N + 1):
+            if m % r:
+                total = add(total, monomial(N, J, m))
+        for m in range(1, N // r + 1):
+            total = add(total, shift(marked_geometric(r * m, N, J), r * m, 1))
+    else:
+        for m in range(1, N + 1):
+            total = add(total, sub(one(N, J), sub(
+                one(N, J), monomial(N, J, m)) * marked_geometric(r * m, N, J)))
+    return total
+
+
+def beck_delta_multiplier(r: int, N: int, J: int) -> Series:
+    total = Series(N, J)
+    for m in range(1, N // r + 1):
+        total = add(total, sub(marked_geometric(r * m, N, J), one(N, J)))
+    return total
+
+
+def product_form(kind: str, r: int, t: int | None, N: int,
+                 J: int) -> Series:
+    """``qseries.series(kind, r, t, N, J)`` from its product form."""
+    if kind == "residual-depth":
+        # part m with residual multiplicity t..r-1, any multiple of r more
+        return leave_one_out(r, N, J, lambda m: repeat_marker(
+            r * m, N, J) * finite_run(m, t, r, N, J))
+    if kind == "repeat-window":
+        # multiplicity r+1..2r-1; its one w is dropped (exactly-(j+1))
+        return leave_one_out(r, N, J,
+                             lambda m: finite_run(m, r + 1, 2 * r, N, J))
+    family, multiplier = {
+        "count-O": ("O", lambda: one(N, J)),
+        "count-D": ("D", lambda: one(N, J)),
+        "congruent-parts": ("O", lambda: lambert_by_parts(r, t, N, J)),
+        "divisible-parts": ("O", lambda: marked_block_product(r, N, J)),
+        "nonresidual-sum": ("D", lambda: scale(
+            marked_block_product(r, N, J), r)),
+        "distinct-O": ("O", lambda: distinct_multiplier("O", r, N, J)),
+        "distinct-D": ("D", lambda: distinct_multiplier("D", r, N, J)),
+        "beck-delta": ("O", lambda: beck_delta_multiplier(r, N, J)),
+    }[kind]
+    return count_product(family, r, N, J) * multiplier()
+
+
+def series_tables(r: int):
+    """(kind, t) of every `beckpart series` table at modulus r."""
+    return [(kind, t) for kind, (_, needs_t) in KINDS.items()
+            for t in (range(1, r) if needs_t else (None,))]
+
+
+_TOTALS_FIELD = {"congruent-parts": "o_parts_mod", "residual-depth": "d_depth",
+                 "divisible-parts": "o_parts_mod", "nonresidual-sum":
+                 "d_nonresid", "distinct-O": "o_distinct",
+                 "distinct-D": "d_distinct"}
+
+
+def dp_total(kind: str, n: int, r: int, j: int, t: int | None) -> int:
+    """The class-totals value that [q^n w^j] of kind's series equals."""
+    if kind in ("count-O", "count-D"):
+        return class_count(kind[-1], n, r, j)
+    if kind == "beck-delta":
+        return modular_part_gap(n, r, j, t)
+    if kind == "repeat-window":
+        return repeat_window_total(n, r, j + 1)
+    return total_of(n, r, _TOTALS_FIELD[kind], j, t or 0)
 
 partitions = st.lists(
     st.integers(min_value=1, max_value=12), max_size=10

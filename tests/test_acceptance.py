@@ -16,7 +16,8 @@ from beckpart.euler_pairs import (make_euler_pair, subbarao_counterexample,
 from beckpart.identities import verify, verify_instance
 from beckpart.oeis import crosscheck
 from beckpart.partition import classify
-from helpers import ClassSpec, enumerate_class, pentagonal_counts, total_of
+from helpers import (ClassSpec, dp_total, enumerate_class, geometric_factor,
+                     pentagonal_counts, scale, series_tables, total_of)
 
 GRID_N = 40
 GRID_R = (2, 3, 4, 5)
@@ -133,36 +134,17 @@ def test_criterion_08_series_match_enumeration():
     N, J = 30, 5
     coeffs_checked = 0
     for r in (2, 3, 4):
-        pairs = [(qs.count_series("O", r, N, J),
-                  lambda n, j, r=r: ids.class_count("O", n, r, j)),
-                 (qs.count_series("D", r, N, J),
-                  lambda n, j, r=r: ids.class_count("D", n, r, j)),
-                 (qs.divisible_parts_series(r, N, J),
-                  lambda n, j, r=r: total_of(n, r, "o_parts_mod", j)),
-                 (qs.nonresidual_sum_series(r, N, J),
-                  lambda n, j, r=r: total_of(n, r, "d_nonresid", j)),
-                 (qs.distinct_parts_series("O", r, N, J),
-                  lambda n, j, r=r: total_of(n, r, "o_distinct", j)),
-                 (qs.distinct_parts_series("D", r, N, J),
-                  lambda n, j, r=r: total_of(n, r, "d_distinct", j)),
-                 (qs.repeat_window_series(r, N, J),
-                  lambda n, j, r=r: ids.repeat_window_total(n, r, j + 1))]
-        for t in range(1, r):
-            pairs += [
-                (qs.congruent_parts_series(r, t, N, J),
-                 lambda n, j, r=r, t=t: total_of(n, r, "o_parts_mod", j, t)),
-                (qs.residual_depth_series(r, t, N, J),
-                 lambda n, j, r=r, t=t: total_of(n, r, "d_depth", j, t)),
-                (qs.beck_delta_series(r, t, N, J),
-                 lambda n, j, r=r, t=t: ids.modular_part_gap(n, r, j, t))]
-        for series, expected in pairs:
+        built = {(kind, t): qs.series(kind, r, t, N, J)
+                 for kind, t in series_tables(r)}
+        for (kind, t), series in built.items():
             for n in range(N + 1):
                 for j in range(J + 1):
-                    assert series[n, j] == expected(n, j), (r, n, j)
+                    assert series[n, j] == dp_total(kind, n, r, j, t), \
+                        (kind, t, r, n, j)
                     coeffs_checked += 1
-        assert qs.nonresidual_sum_series(r, N, J) == \
-            qs.divisible_parts_series(r, N, J).scale(r)
-        deltas = [qs.beck_delta_series(r, t, N, J) for t in range(1, r)]
+        assert built["nonresidual-sum", None] == \
+            scale(built["divisible-parts", None], r)
+        deltas = [built["beck-delta", t] for t in range(1, r)]
         assert all(d == deltas[0] for d in deltas)
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"criterion 8 took {elapsed:.1f}s"
@@ -204,7 +186,7 @@ def test_criterion_10_oracle_independence():
     oracle = pentagonal_counts(100)
     series = qs.one(100, 0)
     for k in range(1, 101):
-        series = series * qs.geometric_factor(k, 100, 0)
+        series = series * geometric_factor(k, 100, 0)
     for n in range(101):
         assert series[n, 0] == oracle[n], n
     for n in range(GRID_N + 1):

@@ -424,3 +424,26 @@ def test_oeis_unavailable_warns_but_succeeds(capsys):
     assert code == 0
     assert "status=unavailable" in out
     assert "warning" in err
+
+
+@pytest.mark.parametrize("argv,code,matched,err", [
+    # index 2 is in the reference and disagrees there
+    (["--j", "2", "--n-max", "30"], 1, "matched=2/31",
+     "FAIL A090867 n=2: computed=0 reference=1\n"),
+    # the prefix only runs past the reference's last index, 60
+    (["--n-max", "120"], 0, "matched=61/121", ""),
+], ids=["inside", "past-the-end"])
+def test_oeis_exits_one_on_a_mismatch_inside_the_reference(
+        capsys, argv, code, matched, err):
+    got_code, out, got_err = run_capture(
+        capsys, ["oeis", "--sequence", "A090867", *argv])
+    assert (got_code, got_err) == (code, err) and matched in out
+
+
+def test_oeis_checks_the_sequence_before_building_the_table(capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(identities, "class_totals",
+                        lambda *args: pytest.fail("class table built"))
+    assert run_capture(capsys, [
+        "oeis", "--sequence", "x", "--n-max", "120"]) == (
+        2, "", "error: sequence id must be 'A' followed by digits, got 'x'\n")

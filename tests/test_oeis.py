@@ -45,6 +45,11 @@ def test_bundled_fixture_matches_computed_prefix():
     assert report.offset == 0
 
 
+def test_mismatch_names_the_first_differing_value_in_the_reference():
+    assert crosscheck("A090867", [0, 0, 5]).mismatch == (2, 5, 1)
+    assert crosscheck("A090867", [0, 0, 1]).mismatch is None
+
+
 def test_second_fixture_present():
     table, source = load_reference("A265251")
     assert source == "fixture"

@@ -69,9 +69,9 @@ def coefficients(s: qs.Series) -> dict:
 def test_series_equal_sympy_product_forms(r):
     counts = {f: count_poly(f, r) for f in ("O", "D")}
     for f in ("O", "D"):
-        assert coefficients(qs.count_series(f, r, N, J)) == \
+        assert coefficients(qs.series(f"count-{f}", r, None, N, J)) == \
             counts[f].as_dict(), f
     delta = truncate(counts["O"] * beck_delta_multiplier(r))
     for t in range(1, r):
-        assert coefficients(qs.beck_delta_series(r, t, N, J)) == \
+        assert coefficients(qs.series("beck-delta", r, t, N, J)) == \
             delta.as_dict(), t
