@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from beckpart import qseries
-from beckpart.identities import part_count_gap
+from beckpart.identities import class_totals, stat_value
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
@@ -52,7 +52,7 @@ def one_even_part_counts(n_max: int) -> list[int]:
 
 
 def part_count_gap_values(n_max: int) -> list[int]:
-    return [part_count_gap(n, 2, 0) for n in range(n_max + 1)]
+    return [stat_value(tot, "parts-gap", 0) for tot in class_totals(2, n_max)]
 
 
 def write_fixture(sid: str, what: str, values: list[int]) -> Path:

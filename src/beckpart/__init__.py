@@ -7,21 +7,19 @@ from .bijections import (ZetaCase, ZetaOutcome, adjoin_and_classify,
                          glaisher_map)
 from .enumeration import MAX_ENUM_N, partitions_of
 from .euler_pairs import (EulerPair, make_euler_pair, subbarao_counterexample,
-                          tilde_count, verify_tilde)
-from .identities import (THEOREM_IDS, VerificationRecord, class_count,
-                         distinct_count_gap, modular_part_gap, part_count_gap,
-                         repeat_window_total, verify, verify_instance)
+                          tilde_totals, verify_tilde)
+from .identities import (STATS, THEOREM_IDS, VerificationRecord, class_totals,
+                         stat_value, verify, verify_instance)
 from .partition import ClassIndex, Partition, PartitionParseError, classify
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClassIndex", "EulerPair", "MAX_ENUM_N", "Partition",
-    "PartitionParseError", "THEOREM_IDS", "VerificationRecord", "ZetaCase",
-    "ZetaOutcome", "adjoin_and_classify", "class_count", "classify",
-    "distinct_count_gap", "franklin_inverse", "franklin_map",
-    "glaisher_inverse", "glaisher_map", "make_euler_pair",
-    "modular_part_gap", "part_count_gap", "partitions_of",
-    "repeat_window_total", "subbarao_counterexample", "tilde_count",
-    "verify", "verify_instance", "__version__",
+    "PartitionParseError", "STATS", "THEOREM_IDS", "VerificationRecord",
+    "ZetaCase", "ZetaOutcome", "adjoin_and_classify", "class_totals",
+    "classify", "franklin_inverse", "franklin_map", "glaisher_inverse",
+    "glaisher_map", "make_euler_pair", "partitions_of", "stat_value",
+    "subbarao_counterexample", "tilde_totals", "verify", "verify_instance",
+    "__version__",
 ]

@@ -124,15 +124,6 @@ def _report_failures(records: list[VerificationRecord]) -> int:
     return 1 if failures else 0
 
 
-def _sort_records(records: list[VerificationRecord]) -> list[VerificationRecord]:
-    order = {tid: i for i, tid in enumerate(THEOREM_IDS)}
-    for i, tid in enumerate(euler_pairs.EULER_ITEM_IDS):
-        order[tid] = len(THEOREM_IDS) + i
-    return sorted(records, key=lambda rec: (
-        order.get(rec.theorem, 99), rec.n, rec.r, rec.j,
-        -1 if rec.t is None else rec.t))
-
-
 def _cmd_verify(args) -> int:
     cfg = RunConfig(args.n_max, _int_list(args.r), args.j_max,
                     _t_selector(args.t), args.format, args.output)
@@ -141,49 +132,25 @@ def _cmd_verify(args) -> int:
     for theorem in theorems:
         records.extend(identities.verify(theorem, range(cfg.n_max + 1),
                                          cfg.r_list, cfg.j_max, cfg.t))
-    records = _sort_records(records)
     meta = {"command": "verify", "theorem": args.theorem, "n_max": cfg.n_max,
             "r": list(cfg.r_list), "j_max": cfg.j_max, "t": cfg.t}
     _emit_rows(_record_rows(records, cfg.fmt), cfg.fmt, cfg.output, meta)
     return _report_failures(records)
 
 
-_STAT_FNS = {
-    "parts-gap": lambda n, r, j, t, mode: identities.part_count_gap(n, r, j, mode),
-    "modular-gap": lambda n, r, j, t, mode: identities.modular_part_gap(n, r, j, t),
-    "distinct-gap": lambda n, r, j, t, mode: identities.distinct_count_gap(n, r, j, mode),
-    "repeat-window": lambda n, r, j, t, mode: identities.repeat_window_total(n, r, j),
-}
-
-
 def _cmd_stats(args) -> int:
     cfg = RunConfig(args.n_max, _int_list(args.r), args.j_max,
                     _t_selector(args.t), args.format, args.output)
     mode = args.mode.replace("-", "_")
-    rows = []
-    # r outermost and n downwards, as in identities.verify: one totals
-    # table build per r; the stable sort restores the (n, r, j) order.
-    # Each r once, in first-seen order, so a repeated r adds no rows.
-    for r in dict.fromkeys(cfg.r_list):
-        for n in range(cfg.n_max, -1, -1):
-            for j in range(cfg.j_max + 1):
-                if args.stat == "counts":
-                    for family in ("O", "D"):
-                        rows.append({"stat": f"count_{family}", "n": n, "r": r,
-                                     "j": j, "t": None,
-                                     "value": identities.class_count(
-                                         family, n, r, j, mode)})
-                elif args.stat == "modular-gap":
-                    ts = range(1, r) if cfg.t == "all" else (cfg.t,)
-                    for t in ts:
-                        rows.append({"stat": args.stat, "n": n, "r": r, "j": j,
-                                     "t": t,
-                                     "value": _STAT_FNS[args.stat](n, r, j, t, mode)})
-                else:
-                    rows.append({"stat": args.stat, "n": n, "r": r, "j": j,
-                                 "t": None,
-                                 "value": _STAT_FNS[args.stat](n, r, j, None, mode)})
-    rows.sort(key=lambda row: row["n"])
+    stats = ("count_O", "count_D") if args.stat == "counts" else (args.stat,)
+    # each r once, in first-seen order, so a repeated r adds no rows
+    tables = {r: identities.class_totals(r, cfg.n_max)
+              for r in dict.fromkeys(cfg.r_list)}
+    rows = [{"stat": stat, "n": n, "r": r, "j": j, "t": t,
+             "value": identities.stat_value(table[n], stat, j, mode, t)}
+            for n in range(cfg.n_max + 1) for r, table in tables.items()
+            for j in range(cfg.j_max + 1) for stat in stats
+            for t in identities.t_values(stat, r, cfg.t)]
     meta = {"command": "stats", "stat": args.stat, "n_max": cfg.n_max,
             "r": list(cfg.r_list), "j_max": cfg.j_max, "t": cfg.t,
             "mode": args.mode}
@@ -286,7 +253,6 @@ def _cmd_euler(args) -> int:
     for item in items:
         records.extend(euler_pairs.verify_tilde(item, pair,
                                                 range(cfg.n_max + 1), cfg.j_max))
-    records = _sort_records(records)
     meta = {"command": "euler", "r": args.r, "bound": bound,
             "s1_size": len(pair.s1), "s2_size": len(pair.s2),
             "item": args.item, "n_max": cfg.n_max, "j_max": cfg.j_max}
@@ -300,9 +266,8 @@ def _cmd_oeis(args) -> int:
     if not 0 <= args.n_max <= MAX_N:
         raise ValueError(f"n-max must be in 0..{MAX_N}, got {args.n_max}")
     oeis.check_id(args.sequence)  # before the table is built
-    identities.class_totals(args.n_max, args.r)  # one table build, at n-max
-    values = [identities.class_count(args.family, n, args.r, args.j)
-              for n in range(args.n_max + 1)]
+    values = [identities.stat_value(tot, f"count_{args.family}", args.j)
+              for tot in identities.class_totals(args.r, args.n_max)]
     report = oeis.crosscheck(args.sequence, values, cache_dir=args.cache_dir,
                              online=args.online)
     if report.status == "unavailable":

@@ -9,9 +9,11 @@ those partitions) x (that part's contribution) to every total of n.
 Adding the allowed part values one at a time fills the totals of every
 n <= N in a single pass.  The program works from the class definitions
 alone; the q-series module reproduces the same numbers by a different
-route and is deliberately not used here.  The verifier reads every number
-of an instance from one totals record, and the statements it shares with
-the Euler-pair items read the record of a pair in the same way.
+route and is deliberately not used here.
+
+A command fetches ``class_totals(r, n_max)`` once and indexes it by n.
+``STATS`` reads each statistic from a record and ``STATEMENTS`` states
+each theorem on one, the record of an Euler pair included.
 
 The left side of ``diff3`` sums |O_1(n - r*w)| over index tuples (m, k),
 m strictly increasing in S1 and k positive, of weight w = sum m_i*k_i.
@@ -23,24 +25,16 @@ each weight, and the table stores the sum per j as one more field,
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, NamedTuple
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple
 
 # The largest n of a totals table, and so of every command.
 MAX_N = 120
 
-THEOREM_IDS = (
-    "franklin",
-    "beck_main",
-    "beck_cumulative",
-    "modular_refine",
-    "sum_reduction",
-    "distinct_parts",
-    "distinct_cumulative",
-    "diff3",
-    "nonresidual_balance",
-)
+THEOREM_IDS = ("franklin", "beck_main", "beck_cumulative", "modular_refine",
+               "sum_reduction", "distinct_parts", "distinct_cumulative",
+               "diff3", "nonresidual_balance")
 
 
 class ClassTotals(NamedTuple):
@@ -154,159 +148,82 @@ def totals_table(r: int, n_max: int, s1: Iterable[int],
     return tables
 
 
-def _class_table(r: int, n_max: int) -> list[ClassTotals]:
-    """The unrestricted classes: S1 = 1..n_max, S2 its non-multiples of
-    r."""
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+
+
+@lru_cache(maxsize=8)
+def class_totals(r: int, n_max: int) -> list[ClassTotals]:
+    """ClassTotals of every n <= n_max for the unrestricted classes: S1 =
+    1..n_max, S2 its non-multiples of r."""
+    _check_n(n_max)
+    if r < 2:
+        raise ValueError(f"modulus r must be >= 2, got {r}")
+    if n_max > MAX_N:
+        raise ValueError(f"n={n_max} exceeds the totals bound {MAX_N}")
     return totals_table(r, n_max, range(1, n_max + 1),
                         [p for p in range(1, n_max + 1) if p % r])
 
 
-class CacheInfo(NamedTuple):
-    """The fields of ``functools.lru_cache``'s ``cache_info()``."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
+def _modular_gap(tot: ClassTotals, j: int, t: int) -> int:
+    o_row, d_row = tot.o_parts_mod.get(j), tot.d_depth.get(j)
+    return ((o_row[t] - o_row[0]) if o_row else 0) - (d_row[t] if d_row else 0)
 
 
-def _class_key(n: int, r: int) -> tuple[int, int]:
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if r < 2:
-        raise ValueError(f"modulus r must be >= 2, got {r}")
-    if n > MAX_N:
-        raise ValueError(f"n={n} exceeds the totals bound {MAX_N}")
-    return r, n
+# stat -> value(tot, j, t) over the exactly-j class; only modular-gap reads
+# the residue t.  The gaps are O minus D, except distinct-gap (D minus O).
+STATS: dict[str, Callable[[ClassTotals, int, int | None], int]] = {
+    "count_O": lambda tot, j, t: tot.o_count.get(j, 0),
+    "count_D": lambda tot, j, t: tot.d_count.get(j, 0),
+    "parts-gap": lambda tot, j, t: (tot.o_parts.get(j, 0)
+                                    - tot.d_parts.get(j, 0)),
+    # O: parts congruent to t minus parts divisible by r; D: distinct
+    # parts with residual multiplicity >= t
+    "modular-gap": _modular_gap,
+    "distinct-gap": lambda tot, j, t: (tot.d_distinct.get(j, 0)
+                                       - tot.o_distinct.get(j, 0)),
+    # D: distinct parts with multiplicity in [r+1, 2r-1]
+    "repeat-window": lambda tot, j, t: tot.d_window.get(j, 0),
+}
+READS_T = ("modular_refine", "modular-gap")  # theorem and stat
 
 
-class TotalsCache:
-    """Totals by (key, n), kept as one table per key.
-
-    ``key(*args)`` checks a call's arguments and returns (key, n);
-    ``build(key, n)`` returns the totals of every n' <= n as a list.  A
-    table holds every n up to the largest n asked for; a call beyond it
-    rebuilds the table at the new n, so a caller that will need a range
-    of n asks for the largest first.  At most ``MAXSIZE`` keys are kept,
-    dropping the least recently used.  ``cache_info`` counts table
-    lookups as hits and table builds as misses.
-    """
-
-    MAXSIZE = 8
-
-    def __init__(self, build: Callable[[Hashable, int], list],
-                 key: Callable[..., tuple[Hashable, int]]):
-        self._build, self._key = build, key
-        self._tables: OrderedDict[Hashable, list] = OrderedDict()
-        self._hits = self._misses = 0
-
-    def __call__(self, *args):
-        key, n = self._key(*args)
-        table = self._tables.get(key)
-        if table is not None and n < len(table):
-            self._hits += 1
-        else:
-            self._misses += 1
-            table = self._tables[key] = self._build(key, n)
-        self._tables.move_to_end(key)
-        if len(self._tables) > self.MAXSIZE:
-            self._tables.popitem(last=False)
-        return table[n]
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, self.MAXSIZE,
-                         len(self._tables))
-
-
-# class_totals(n, r) -> ClassTotals, keyed by r, behind every accessor below
-class_totals = TotalsCache(_class_table, _class_key)
-
-
-def _check_j(j: int) -> None:
-    if j < 0:
-        raise ValueError(f"class index j must be >= 0, got {j}")
-
-
-def _totals(n: int, r: int, j: int) -> ClassTotals:
-    """class_totals(n, r), whose key checks n and r, after checking j."""
-    tot = class_totals(n, r)
-    _check_j(j)
-    return tot
-
-
-def _check_t(r: int, t: int) -> None:
+def t_values(name: str, r: int, t: int | str | None):
+    """The residues theorem or stat ``name`` is evaluated at, modulus r:
+    (None,) when it reads no t, every 1..r-1 for t = "all", else t."""
+    if name not in READS_T:
+        return (None,)
+    if t == "all":
+        return range(1, r)
+    if t is None:
+        raise ValueError(f"{name} requires t")
     if not 1 <= t <= r - 1:
         raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t}")
+    return (t,)
 
 
-def _check_family(family: str) -> None:
-    if family not in ("O", "D"):
-        raise ValueError(f"family must be 'O' or 'D', got {family!r}")
+def stat_value(tot: ClassTotals, stat: str, j: int, mode: str = "exact",
+               t: int | None = None) -> int:
+    """``STATS[stat]`` over the exactly-j class of ``tot`` (mode "exact")
+    or summed over the classes j' <= j (mode "at_most")."""
+    if stat not in STATS:
+        raise ValueError(f"unknown stat {stat!r}")
+    if j < 0:
+        raise ValueError(f"class index j must be >= 0, got {j}")
+    if (t is None) == (stat in READS_T):
+        raise ValueError(f"{stat} {'requires' if t is None else 'takes no'} t")
+    if mode not in ("exact", "at_most"):
+        raise ValueError(f"mode must be 'exact' or 'at_most', got {mode!r}")
+    return _read(tot, stat, j, mode, t)
 
 
-def _exact_or_cumulative(table: dict[int, int], j: int, mode: str) -> int:
+def _read(tot, stat, j, mode="exact", t=None):
+    """``stat_value`` on arguments already checked."""
+    value = STATS[stat]
     if mode == "exact":
-        return table.get(j, 0)
-    if mode == "at_most":
-        return sum(v for i, v in table.items() if i <= j)
-    raise ValueError(f"mode must be 'exact' or 'at_most', got {mode!r}")
-
-
-def _gap(plus: dict[int, int], minus: dict[int, int], j: int,
-         mode: str) -> int:
-    return (_exact_or_cumulative(plus, j, mode)
-            - _exact_or_cumulative(minus, j, mode))
-
-
-def _modular_gap(tot: ClassTotals, j: int, t: int) -> int:
-    o_row = tot.o_parts_mod.get(j)
-    d_row = tot.d_depth.get(j)
-    o_term = (o_row[t] - o_row[0]) if o_row else 0
-    return o_term - (d_row[t] if d_row else 0)
-
-
-def _class_size(tot: ClassTotals, family: str, j: int, mode: str) -> int:
-    """Size of the exactly-j (or at-most-j) class of a family in ``tot``;
-    the family is checked by the caller, before it looks ``tot`` up."""
-    return _exact_or_cumulative(tot.o_count if family == "O" else tot.d_count,
-                                j, mode)
-
-
-def class_count(family: str, n: int, r: int, j: int, mode: str = "exact") -> int:
-    """Size of the exactly-j (or at-most-j) class of the given family."""
-    _check_family(family)
-    return _class_size(_totals(n, r, j), family, j, mode)
-
-
-def part_count_gap(n: int, r: int, j: int, mode: str = "exact") -> int:
-    """Total parts over the O-class minus total parts over the D-class.
-
-    May be negative for j >= 1.
-    """
-    tot = _totals(n, r, j)
-    return _gap(tot.o_parts, tot.d_parts, j, mode)
-
-
-def modular_part_gap(n: int, r: int, j: int, t: int) -> int:
-    """Sum over the O-class of (parts congruent to t minus parts divisible
-    by r), minus the sum over the D-class of distinct parts with residual
-    multiplicity >= t."""
-    tot = _totals(n, r, j)
-    _check_t(r, t)
-    return _modular_gap(tot, j, t)
-
-
-def distinct_count_gap(n: int, r: int, j: int, mode: str = "exact") -> int:
-    """Total distinct parts over the D-class minus the same over the
-    O-class (note the D-minus-O orientation)."""
-    tot = _totals(n, r, j)
-    return _gap(tot.d_distinct, tot.o_distinct, j, mode)
-
-
-def repeat_window_total(n: int, r: int, j: int) -> int:
-    """Distinct parts with multiplicity in [r+1, 2r-1], totalled over the
-    exactly-j D-class."""
-    return _totals(n, r, j).d_window.get(j, 0)
+        return value(tot, j, t)
+    return sum(value(tot, i, t) for i in range(j + 1))
 
 
 @dataclass(frozen=True)
@@ -332,107 +249,102 @@ def _record(theorem, n, r, j, t, lhs, rhs, note=""):
     return VerificationRecord(theorem, n, r, j, t, lhs, tuple(rhs), ok, note)
 
 
-# -- the statements shared with the Euler-pair items ----------------------
-# Each reads one totals record, of the unrestricted classes or of an Euler
-# pair, and returns (lhs, labelled right sides, note); ``mark`` tags the class
-# names in the labels ("~" for the restricted classes).
+# -- the statements: each reads one totals record, of the unrestricted classes
+# or of an Euler pair, and returns (lhs, labelled right sides, note); ``mark``
+# tags the class names in the labels ("~" for the restricted classes).
 
-def beck_statement(tot, r: int, j: int, mode: str, mark: str = ""):
-    """Part-count gap over r-1 against (j+1)|O_{j+1}| - j|O_j| and the same
-    for D (exact), or against (j+1)|O_{j+1}| and (j+1)|D_{j+1}| (at_most,
-    the telescoped sum)."""
-    gap = _gap(tot.o_parts, tot.d_parts, j, mode)
+def _counts_rhs(tot, j: int, mode: str, mark: str):
+    """(j+1)|O_{j+1}| - j|O_j| and the same for D (exact), or
+    (j+1)|O_{j+1}| and (j+1)|D_{j+1}| (at_most, the telescoped sum)."""
     rhs = []
-    for family, counts in (("O", tot.o_count), ("D", tot.d_count)):
+    for family in "OD":
         label = f"(j+1)|{family}{mark}_{{j+1}}|"
-        value = (j + 1) * counts.get(j + 1, 0)
+        value = (j + 1) * _read(tot, f"count_{family}", j + 1)
         if mode == "exact":
             label += f"-j|{family}{mark}_j|"
-            value -= j * counts.get(j, 0)
+            value -= j * _read(tot, f"count_{family}", j)
         rhs.append((label, value))
-    if gap % (r - 1):
-        return gap, rhs, f"gap {gap} not divisible by r-1={r - 1}"
-    return gap // (r - 1), rhs, ""
+    return rhs
 
 
-def distinct_statement(tot, r: int, j: int, mode: str, mark: str = ""):
-    """Distinct-count gap (D minus O) against T_{j+1} - T_j (exact) or
+def _beck(mode: str):
+    def statement(tot, r, j, t, mark):
+        gap = _read(tot, "parts-gap", j, mode)
+        rhs = _counts_rhs(tot, j, mode, mark)
+        if gap % (r - 1):
+            return gap, rhs, f"gap {gap} not divisible by r-1={r - 1}"
+        return gap // (r - 1), rhs, ""
+    return statement
+
+
+def _distinct(mode: str):
+    """The distinct-count gap (D minus O) against T_{j+1} - T_j (exact) or
     T_{j+1} (at_most), T being the repeat-window total."""
-    label, value = f"T{mark}_{{j+1}}", tot.d_window.get(j + 1, 0)
-    if mode == "exact":
-        label += f"-T{mark}_j"
-        value -= tot.d_window.get(j, 0)
-    return _gap(tot.d_distinct, tot.o_distinct, j, mode), [(label, value)], ""
+    def statement(tot, r, j, t, mark):
+        label = f"T{mark}_{{j+1}}"
+        value = _read(tot, "repeat-window", j + 1)
+        if mode == "exact":
+            label += f"-T{mark}_j"
+            value -= _read(tot, "repeat-window", j)
+        return _read(tot, "distinct-gap", j, mode), [(label, value)], ""
+    return statement
 
 
-# theorem id -> (statement, mode)
+# theorem id -> statement(tot, r, j, t, mark), in THEOREM_IDS order;
+# o_parts_mod[j][0] totals the parts divisible by r over O_j
 STATEMENTS = {
-    "beck_main": (beck_statement, "exact"),
-    "beck_cumulative": (beck_statement, "at_most"),
-    "distinct_parts": (distinct_statement, "exact"),
-    "distinct_cumulative": (distinct_statement, "at_most"),
+    "franklin": lambda tot, r, j, t, mark: (
+        _read(tot, "count_O", j),
+        [(f"|D{mark}_j|", _read(tot, "count_D", j))], ""),
+    "beck_main": _beck("exact"),
+    "beck_cumulative": _beck("at_most"),
+    "modular_refine": lambda tot, r, j, t, mark: (
+        _read(tot, "modular-gap", j, t=t),
+        _counts_rhs(tot, j, "exact", mark), ""),
+    "sum_reduction": lambda tot, r, j, t, mark: (
+        sum(_read(tot, "modular-gap", j, t=s) for s in range(1, r)),
+        [("b_{j,r}(n)", _read(tot, "parts-gap", j))], ""),
+    "distinct_parts": _distinct("exact"),
+    "distinct_cumulative": _distinct("at_most"),
+    "diff3": lambda tot, r, j, t, mark: (
+        tot.o1_tuples.get(j, 0),
+        [("(j+1)|O_{j+1}|-j|O_j|+sum ell_0",
+          (j + 1) * _read(tot, "count_O", j + 1)
+          - j * _read(tot, "count_O", j)
+          + tot.o_parts_mod.get(j, [0])[0])], ""),
+    "nonresidual_balance": lambda tot, r, j, t, mark: (
+        r * tot.o_parts_mod.get(j, [0])[0],
+        [("sum nonresidual mult over D_j", tot.d_nonresid.get(j, 0))], ""),
 }
+
+
+def _statement(theorem: str):
+    if theorem not in STATEMENTS:
+        raise ValueError(f"unknown theorem {theorem!r}; "
+                         f"choose from {', '.join(THEOREM_IDS)}")
+    return STATEMENTS[theorem]
 
 
 def verify_instance(theorem: str, n: int, r: int, j: int,
                     t: int | None = None) -> VerificationRecord:
     """Evaluate one theorem instance exactly; never rounds."""
-    tot = _totals(n, r, j)
-    if theorem in STATEMENTS:
-        statement, mode = STATEMENTS[theorem]
-        lhs, rhs, note = statement(tot, r, j, mode)
-        return _record(theorem, n, r, j, None, lhs, rhs, note)
-    if theorem == "franklin":
-        return _record(theorem, n, r, j, None, tot.o_count.get(j, 0),
-                       [("|D_j|", tot.d_count.get(j, 0))])
-    if theorem == "modular_refine":
-        if t is None:
-            raise ValueError("modular_refine requires t")
-        _check_t(r, t)
-        return _record(theorem, n, r, j, t, _modular_gap(tot, j, t),
-                       beck_statement(tot, r, j, "exact")[1])
-    if theorem == "sum_reduction":
-        lhs = sum(_modular_gap(tot, j, t_) for t_ in range(1, r))
-        return _record(theorem, n, r, j, None, lhs,
-                       [("b_{j,r}(n)", _gap(tot.o_parts, tot.d_parts, j,
-                                            "exact"))])
-    row = tot.o_parts_mod.get(j)
-    divisible = row[0] if row else 0
-    if theorem == "diff3":
-        rhs_val = ((j + 1) * tot.o_count.get(j + 1, 0)
-                   - j * tot.o_count.get(j, 0) + divisible)
-        return _record(theorem, n, r, j, None, tot.o1_tuples.get(j, 0),
-                       [("(j+1)|O_{j+1}|-j|O_j|+sum ell_0", rhs_val)])
-    if theorem == "nonresidual_balance":
-        return _record(theorem, n, r, j, None, r * divisible,
-                       [("sum nonresidual mult over D_j",
-                         tot.d_nonresid.get(j, 0))])
-    raise ValueError(f"unknown theorem {theorem!r}")
+    statement = _statement(theorem)
+    if j < 0:
+        raise ValueError(f"class index j must be >= 0, got {j}")
+    tot = class_totals(r, n)[n]
+    t = t_values(theorem, r, t)[0]
+    return _record(theorem, n, r, j, t, *statement(tot, r, j, t, ""))
 
 
 def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
            j_max: int, t: int | str = "all") -> list[VerificationRecord]:
     """All instances of one theorem over a parameter grid, in canonical
-    (n, r, j, t) order."""
-    if theorem not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem {theorem!r}; "
-                         f"choose from {', '.join(THEOREM_IDS)}")
+    (n, r, j, t) order; each r's totals table is fetched once."""
+    statement = _statement(theorem)
     ns, rs = sorted(set(n_values)), sorted(set(r_values))
-    records = []
-    # r outermost and n downwards: each r's totals table is built once, at
-    # the largest n, and stays in use while that r's records are made
-    for r in rs:
-        for n in reversed(ns):
-            for j in range(j_max + 1):
-                if theorem == "modular_refine":
-                    if t == "all":
-                        ts = range(1, r)
-                    else:
-                        _check_t(r, int(t))
-                        ts = (int(t),)
-                    for t_ in ts:
-                        records.append(verify_instance(theorem, n, r, j, t_))
-                else:
-                    records.append(verify_instance(theorem, n, r, j))
-    records.sort(key=lambda rec: rec.n)  # stable: (n, r, j, t) order
-    return records
+    _check_n(min(ns, default=0))
+    tables = {r: class_totals(r, ns[-1]) for r in rs} if ns else {}
+    return [_record(theorem, n, r, j, t_,
+                    *statement(tables[r][n], r, j, t_, ""))
+            for n in ns for r in rs for j in range(j_max + 1)
+            for t_ in t_values(theorem, r, t)]

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from beckpart.bijections import glaisher_inverse, glaisher_map
 from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import EulerPair
-from beckpart.identities import (ClassTotals, class_count, class_totals,
-                                 modular_part_gap, repeat_window_total)
+from beckpart.identities import ClassTotals, class_totals, stat_value
 from beckpart.partition import Partition, classify
 from beckpart.qseries import KINDS, Series, one
 
@@ -258,10 +257,15 @@ def _gen_mk(j, left, m_min, m_acc, k_acc):
         m += 1
 
 
-def total_of(n: int, r: int, field: str, j: int, t: int = 0) -> int:
-    """Class j's entry of one ``class_totals(n, r)`` field, column t of a
+def record(n: int, r: int) -> ClassTotals:
+    """The unrestricted totals record of one (n, r)."""
+    return class_totals(r, n)[n]
+
+
+def total_of(tot: ClassTotals, field: str, j: int, t: int = 0) -> int:
+    """Class j's entry of one field of a totals record, column t of a
     per-residue field; 0 when the class is empty."""
-    value = getattr(class_totals(n, r), field).get(j, 0)
+    value = getattr(tot, field).get(j, 0)
     return value[t] if isinstance(value, list) else value
 
 
@@ -643,15 +647,16 @@ _TOTALS_FIELD = {"congruent-parts": "o_parts_mod", "residual-depth": "d_depth",
                  "distinct-D": "d_distinct"}
 
 
-def dp_total(kind: str, n: int, r: int, j: int, t: int | None) -> int:
-    """The class-totals value that [q^n w^j] of kind's series equals."""
+def dp_total(kind: str, tot: ClassTotals, j: int, t: int | None) -> int:
+    """The value of totals record ``tot`` (of n) that [q^n w^j] of kind's
+    series equals."""
     if kind in ("count-O", "count-D"):
-        return class_count(kind[-1], n, r, j)
+        return stat_value(tot, f"count_{kind[-1]}", j)
     if kind == "beck-delta":
-        return modular_part_gap(n, r, j, t)
+        return stat_value(tot, "modular-gap", j, t=t)
     if kind == "repeat-window":
-        return repeat_window_total(n, r, j + 1)
-    return total_of(n, r, _TOTALS_FIELD[kind], j, t or 0)
+        return stat_value(tot, "repeat-window", j + 1)
+    return total_of(tot, _TOTALS_FIELD[kind], j, t or 0)
 
 partitions = st.lists(
     st.integers(min_value=1, max_value=12), max_size=10

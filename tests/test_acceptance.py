@@ -6,18 +6,19 @@ see one PASS line (with timing) per criterion.
 import time
 from collections import Counter, defaultdict
 
-from beckpart import identities as ids
 from beckpart import qseries as qs
 from beckpart.bijections import (franklin_inverse, franklin_map,
                                  glaisher_inverse, glaisher_map)
 from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import (make_euler_pair, subbarao_counterexample,
                                   verify_tilde)
-from beckpart.identities import verify, verify_instance
+from beckpart.identities import (class_totals, stat_value, verify,
+                                 verify_instance)
 from beckpart.oeis import crosscheck
 from beckpart.partition import classify
 from helpers import (ClassSpec, dp_total, enumerate_class, geometric_factor,
-                     pentagonal_counts, scale, series_tables, total_of)
+                     pentagonal_counts, record, scale, series_tables,
+                     total_of)
 
 GRID_N = 40
 GRID_R = (2, 3, 4, 5)
@@ -48,11 +49,11 @@ def test_criterion_02_part_count_gap_identities():
     t0 = time.monotonic()
     _all_ok(verify("beck_main", range(GRID_N + 1), GRID_R, GRID_J))
     _all_ok(verify("beck_cumulative", range(GRID_N + 1), GRID_R, GRID_J))
-    for n in range(GRID_N + 1):
-        for r in GRID_R:
+    for r in GRID_R:
+        for tot in class_totals(r, GRID_N):
             for j in range(GRID_J + 1):
-                assert ids.part_count_gap(n, r, j) % (r - 1) == 0
-                assert ids.part_count_gap(n, r, j, "at_most") % (r - 1) == 0
+                for mode in ("exact", "at_most"):
+                    assert stat_value(tot, "parts-gap", j, mode) % (r - 1) == 0
     _announce(2, "exact and cumulative part-count gaps match both right "
                  "sides; every gap divisible by r-1", t0)
 
@@ -71,8 +72,10 @@ def test_criterion_04_distinct_count_identities():
     t0 = time.monotonic()
     _all_ok(verify("distinct_parts", range(GRID_N + 1), GRID_R, GRID_J))
     _all_ok(verify("distinct_cumulative", range(GRID_N + 1), GRID_R, GRID_J))
-    assert ids.distinct_count_gap(3, 2, 0) == 1 == ids.repeat_window_total(3, 2, 1)
-    assert ids.distinct_count_gap(4, 2, 0) == 0 == ids.repeat_window_total(4, 2, 1)
+    for n, want in ((3, 1), (4, 0)):
+        tot = record(n, 2)
+        assert stat_value(tot, "distinct-gap", 0) == want == \
+            stat_value(tot, "repeat-window", 1)
     _announce(4, "distinct-part gaps equal repeat-window differences, "
                  "spot values included", t0)
 
@@ -114,9 +117,9 @@ def test_criterion_06_adjoin_double_count():
     records = _all_ok(verify("diff3", range(31), (2, 3), 2))
     rec = verify_instance("diff3", 4, 2, 1)
     assert rec.lhs == 1 and rec.rhs[0][1] == 1
-    assert 2 * ids.class_count("O", 4, 2, 2) == 0
-    assert -1 * ids.class_count("O", 4, 2, 1) == -3
-    assert total_of(4, 2, "o_parts_mod", 1) == 4
+    assert 2 * stat_value(record(4, 2), "count_O", 2) == 0
+    assert -1 * stat_value(record(4, 2), "count_O", 1) == -3
+    assert total_of(record(4, 2), "o_parts_mod", 1) == 4
     _announce(6, f"fiber-sum double count matches on {len(records)} "
                  f"instances (n<=30, r in 2..3, j<=2); spot 1 = -3+0+4", t0)
 
@@ -134,12 +137,13 @@ def test_criterion_08_series_match_enumeration():
     N, J = 30, 5
     coeffs_checked = 0
     for r in (2, 3, 4):
+        table = class_totals(r, N)
         built = {(kind, t): qs.series(kind, r, t, N, J)
                  for kind, t in series_tables(r)}
         for (kind, t), series in built.items():
             for n in range(N + 1):
                 for j in range(J + 1):
-                    assert series[n, j] == dp_total(kind, n, r, j, t), \
+                    assert series[n, j] == dp_total(kind, table[n], j, t), \
                         (kind, t, r, n, j)
                     coeffs_checked += 1
         assert built["nonresidual-sum", None] == \
@@ -189,8 +193,8 @@ def test_criterion_10_oracle_independence():
         series = series * geometric_factor(k, 100, 0)
     for n in range(101):
         assert series[n, 0] == oracle[n], n
-    for n in range(GRID_N + 1):
-        assert sum(ids.class_totals(n, 2).o_count.values()) == oracle[n]
+    for n, tot in enumerate(class_totals(2, GRID_N)):
+        assert sum(tot.o_count.values()) == oracle[n]
     _announce(10, f"direct generation equals filtered enumeration on "
                   f"{streams} class streams (n<=25); partition counts match "
                   f"the pentagonal recurrence to n=100", t0)
@@ -198,11 +202,12 @@ def test_criterion_10_oracle_independence():
 
 def test_criterion_11_oeis_fixture_prefix():
     t0 = time.monotonic()
-    values = [ids.class_count("O", n, 2, 1) for n in range(31)]
+    table = class_totals(2, 30)
+    values = [stat_value(tot, "count_O", 1) for tot in table]
     report = crosscheck("A090867", values)
     assert report.status == "ok"
     assert report.matched >= 20, report
-    gaps = [ids.part_count_gap(n, 2, 0) for n in range(31)]
+    gaps = [stat_value(tot, "parts-gap", 0) for tot in table]
     gap_report = crosscheck("A265251", gaps)
     assert gap_report.status == "ok" and gap_report.matched >= 20
     _announce(11, f"one-even-part counts match the self-generated "

@@ -135,19 +135,19 @@ def test_exit_one_on_failing_record(capsys, monkeypatch):
 
 
 def test_fail_lines_label_the_classes_of_each_route(capsys, monkeypatch):
-    # one partition too many in O_1 at n=4, in both routes' totals
-    def tampered(lookup, n_arg):
+    # one partition too many in O_1 at n=4, in both routes' tables
+    def tampered(lookup):
         def tampered_lookup(*args):
-            tot = lookup(*args)
-            if args[n_arg] != 4:
-                return tot
-            return tot._replace(o_count={**tot.o_count,
-                                         1: tot.o_count[1] + 1})
+            table = list(lookup(*args))
+            tot = table[4]
+            table[4] = tot._replace(o_count={**tot.o_count,
+                                             1: tot.o_count[1] + 1})
+            return table
         return tampered_lookup
     monkeypatch.setattr(identities, "class_totals",
-                        tampered(identities.class_totals, 0))
+                        tampered(identities.class_totals))
     monkeypatch.setattr(euler_pairs, "tilde_totals",
-                        tampered(euler_pairs.tilde_totals, 1))
+                        tampered(euler_pairs.tilde_totals))
     code, _, err = run_capture(capsys, [
         "verify", "--theorem", "beck_main", "--n-max", "4", "--r", "2",
         "--j-max", "0"])
@@ -257,6 +257,24 @@ def test_stats_rows_keep_n_then_given_r_order(capsys):
                     for j in "01" for stat in ("count_O", "count_D")]
 
 
+@pytest.mark.parametrize("stat", ["counts", "parts-gap", "modular-gap",
+                                  "distinct-gap", "repeat-window"])
+def test_stats_at_most_sums_the_exact_rows(capsys, stat):
+    tables = {}
+    for mode in ("exact", "at-most"):
+        code, out, _ = run_capture(capsys, [
+            "stats", "--stat", stat, "--mode", mode, "--n-max", "30",
+            "--r", "2,3,4,5", "--j-max", "3", "--format", "csv"])
+        assert code == 0
+        tables[mode] = {(row["stat"], row["n"], row["r"], row["t"],
+                         int(row["j"])): int(row["value"])
+                        for row in csv.DictReader(io.StringIO(out))}
+    assert len(tables["at-most"]) == len(tables["exact"]) > 0
+    for (*key, j), value in tables["at-most"].items():
+        assert value == sum(tables["exact"][(*key, i)]
+                            for i in range(j + 1)), (*key, j)
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv"])
 def test_stats_repeated_r_lists_each_row_once(capsys, fmt):
     argv = ["stats", "--stat", "parts-gap", "--n-max", "6", "--j-max", "1",
@@ -272,14 +290,11 @@ def test_stats_repeated_r_lists_each_row_once(capsys, fmt):
       "--j-max", "1"], 2),
     (["oeis", "--sequence", "A090867", "--n-max", "20"], 1),
 ])
-def test_one_totals_table_build_per_modulus(capsys, monkeypatch, argv,
-                                            builds):
-    cache = identities.TotalsCache(identities._class_table,
-                                   identities._class_key)
-    monkeypatch.setattr(identities, "class_totals", cache)
+def test_one_totals_table_build_per_modulus(capsys, argv, builds):
+    identities.class_totals.cache_clear()
     assert run(argv) == 0
     capsys.readouterr()
-    assert cache.cache_info().misses == builds
+    assert identities.class_totals.cache_info().misses == builds
 
 
 def test_series_csv_spot_value(capsys):
@@ -382,16 +397,14 @@ def test_euler_accepts_the_largest_bound(capsys):
                for row in csv.DictReader(io.StringIO(out)))
 
 
-def test_euler_builds_one_table_per_run(capsys, monkeypatch):
-    cache = identities.TotalsCache(euler_pairs._pair_table,
-                                   euler_pairs._tilde_key)
-    monkeypatch.setattr(euler_pairs, "tilde_totals", cache)
+def test_euler_builds_one_table_per_run(capsys):
+    euler_pairs.tilde_totals.cache_clear()
     assert run(["euler", "--r", "2", "--s1-multiples-of", "1",
                 "--n-max", "30", "--j-max", "2"]) == 0
     assert run(["euler", "--r", "2", "--s1", "1", "--s2", "1",
                 "--bound", "30", "--n-max", "30"]) == 2
     capsys.readouterr()
-    assert cache.cache_info().misses == 2
+    assert euler_pairs.tilde_totals.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("module", ["beckpart", "beckpart.cli"])

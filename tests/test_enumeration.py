@@ -1,7 +1,7 @@
 import pytest
 
 import beckpart
-from beckpart import enumeration, identities, partition
+from beckpart import cli, enumeration, euler_pairs, identities, partition
 from beckpart.enumeration import partitions_of
 from beckpart.partition import Partition, classify
 from helpers import (ClassSpec, count_class, enumerate_class,
@@ -192,9 +192,18 @@ def test_public_names_resolve_and_test_oracles_are_not_exported():
             "enumerate_fixed_divisible", "enumerate_fixed_repeats",
             "fiber_ragged_repeat_count", "index_weight_tuples",
             "nonresidual_sum_total", "parse_partition",
-            "residual_depth_total", "stats", "union"}
+            "residual_depth_total", "stats", "union",
+            # one totals table per command, one stat and statement table
+            "TotalsCache", "CacheInfo", "_class_key", "_tilde_key",
+            "_class_table", "_pair_table", "class_count", "part_count_gap",
+            "modular_part_gap", "distinct_count_gap", "repeat_window_total",
+            "tilde_count", "verify_tilde_instance", "beck_statement",
+            "distinct_statement", "_totals", "_check_j", "_check_t",
+            "_check_family", "_class_size", "_gap", "_exact_or_cumulative",
+            "_STAT_FNS", "_sort_records"}
     assert not gone & set(beckpart.__all__)
     assert not any(hasattr(module, name) for name in gone
-                   for module in (enumeration, identities, partition))
+                   for module in (enumeration, identities, partition,
+                                  euler_pairs, cli))
     assert not any(hasattr(Partition, name) for name in
                    ("difference", "num_distinct", "num_parts"))

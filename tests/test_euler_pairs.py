@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from beckpart import euler_pairs
 from beckpart.euler_pairs import (EULER_ITEM_IDS, make_euler_pair,
-                                  subbarao_counterexample, tilde_count,
-                                  tilde_totals, verify_tilde,
-                                  verify_tilde_instance)
-from beckpart.identities import (ClassTotals, TotalsCache, class_count,
-                                 class_totals, verify_instance)
+                                  subbarao_counterexample, tilde_totals,
+                                  verify_tilde)
+from beckpart.identities import (ClassTotals, class_totals, stat_value,
+                                 verify)
 from helpers import assert_same_totals, enumerated_tilde_totals
 
 BOUND = 24
@@ -54,55 +53,63 @@ def test_make_euler_pair_validation():
         make_euler_pair(1, [1], 10)
 
 
+def tilde_count(tot, j, family):
+    return stat_value(tot, f"count_{family}", j)
+
+
 def test_tilde_counts_triples_example(triples):
-    assert tilde_count(9, triples, 0, "O") == 2  # 9 and 3+3+3
-    assert tilde_count(9, triples, 0, "D") == 2  # 9 and 6+3
+    tot = tilde_totals(triples, 9)[9]
+    assert tilde_count(tot, 0, "O") == 2  # 9 and 3+3+3
+    assert tilde_count(tot, 0, "D") == 2  # 9 and 6+3
 
 
 def test_tilde_counts_broken_example(broken):
-    assert tilde_count(2, broken, 0, "O") == 1
-    assert tilde_count(2, broken, 0, "D") == 0
+    tot = tilde_totals(broken, 2)[2]
+    assert tilde_count(tot, 0, "O") == 1
+    assert tilde_count(tot, 0, "D") == 0
 
 
 def test_tilde_counts_trivial_rows(classical, triples):
     for pair in (classical, triples):
-        assert tilde_count(0, pair, 0, "O") == 1
-        assert tilde_count(0, pair, 0, "D") == 1
-        assert tilde_count(0, pair, 1, "O") == 0
-        assert tilde_count(0, pair, 2, "D") == 0
+        tot = tilde_totals(pair, 0)[0]
+        assert tilde_count(tot, 0, "O") == 1
+        assert tilde_count(tot, 0, "D") == 1
+        assert tilde_count(tot, 1, "O") == 0
+        assert tilde_count(tot, 2, "D") == 0
 
 
 def test_tilde_count_window_guard(classical):
     with pytest.raises(ValueError, match="exceeds the realized window"):
-        tilde_count(BOUND + 1, classical, 0, "O")
+        tilde_totals(classical, BOUND + 1)
 
 
 def test_classical_pair_reduces_to_unrestricted_statistics():
     for r in (2, 3, 4, 5):
         pair = make_euler_pair(r, range(1, BOUND + 1), BOUND)
-        for n in range(BOUND + 1):
-            tot = tilde_totals(pair, n)
+        table = class_totals(r, BOUND)
+        for n, tot in enumerate(tilde_totals(pair, BOUND)):
             assert type(tot) is ClassTotals
             # every field, residue columns and diff3's tuples included
-            assert_same_totals(tot, class_totals(n, r), (r, n))
+            assert_same_totals(tot, table[n], (r, n))
 
 
 def test_scaling_embedding(triples):
     # parts are all multiples of 3: statistics at n are the unrestricted
     # ones at n/3, and zero when 3 does not divide n
-    for n in range(BOUND + 1):
+    base = class_totals(2, BOUND // 3)
+    for n, tot in enumerate(tilde_totals(triples, BOUND)):
         for j in range(3):
             for family in ("O", "D"):
-                expected = class_count(family, n // 3, 2, j) if n % 3 == 0 else 0
-                assert tilde_count(n, triples, j, family) == expected
+                expected = (tilde_count(base[n // 3], j, family)
+                            if n % 3 == 0 else 0)
+                assert tilde_count(tot, j, family) == expected
 
 
 def test_good_pairs_have_equinumerous_classes(classical, triples):
     for pair in (classical, triples):
-        for n in range(BOUND + 1):
+        for tot in tilde_totals(pair, BOUND):
             for j in range(3):
-                assert tilde_count(n, pair, j, "O") == \
-                    tilde_count(n, pair, j, "D")
+                assert tilde_count(tot, j, "O") == tilde_count(tot, j, "D")
 
 
 def test_items_reduce_to_unrestricted_theorems():
@@ -112,16 +119,17 @@ def test_items_reduce_to_unrestricted_theorems():
     for r in (2, 3):
         pair = make_euler_pair(r, range(1, BOUND + 1), BOUND)
         for item, theorem in theorems.items():
-            for n in range(BOUND + 1):
-                for j in range(3):
-                    rec = verify_tilde_instance(item, pair, n, j)
-                    want = verify_instance(theorem, n, r, j)
-                    assert rec.ok and want.ok
-                    assert (rec.lhs, rec.note) == (want.lhs, want.note)
-                    # the same values, with the restricted classes marked
-                    assert rec.rhs == tuple(
-                        (re.sub(r"([ODT])_", r"\1~_", label), value)
-                        for label, value in want.rhs)
+            got = verify_tilde(item, pair, range(BOUND + 1), 2)
+            wanted = verify(theorem, range(BOUND + 1), [r], 2)
+            assert len(got) == len(wanted) == 3 * (BOUND + 1)
+            for rec, want in zip(got, wanted):
+                assert rec.ok and want.ok
+                assert (rec.n, rec.j, rec.lhs, rec.note) == \
+                    (want.n, want.j, want.lhs, want.note)
+                # the same values, with the restricted classes marked
+                assert rec.rhs == tuple(
+                    (re.sub(r"([ODT])_", r"\1~_", label), value)
+                    for label, value in want.rhs)
 
 
 @pytest.mark.parametrize("item", [1, 2, 3, 4])
@@ -134,7 +142,7 @@ def test_items_verify_on_good_pairs(classical, triples, item):
 
 def test_verify_refuses_broken_pair(broken):
     with pytest.raises(ValueError, match="closure condition"):
-        verify_tilde_instance(1, broken, 2, 0)
+        verify_tilde(1, broken, [2], 0)
 
 
 def test_counterexample_search(broken):
@@ -150,11 +158,12 @@ def test_counterexample_search_can_be_inconclusive():
 
 def test_item_validation(classical):
     with pytest.raises(ValueError, match="item must be in 1..4"):
-        verify_tilde_instance(5, classical, 3, 0)
-    with pytest.raises(ValueError, match="class index j"):
-        verify_tilde_instance(1, classical, 3, -1)
-    with pytest.raises(ValueError, match="family"):
-        tilde_count(BOUND + 1, classical, 0, "X")
+        verify_tilde(5, classical, [3], 0)
+    # a negative n must not index a table from its end
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_tilde(1, classical, [3, -1], 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        tilde_totals(classical, -1)
 
 
 def test_r3_pair_items(classical):
@@ -186,9 +195,10 @@ ORACLE_PAIRS = {
 @pytest.mark.parametrize("name", list(ORACLE_PAIRS))
 def test_tilde_dp_equals_enumeration(name):
     pair = ORACLE_PAIRS[name]
+    table = tilde_totals(pair, BOUND)
     for n in range(BOUND, -1, -1):
-        assert_same_totals(tilde_totals(pair, n),
-                           enumerated_tilde_totals(pair, n), (name, n))
+        assert_same_totals(table[n], enumerated_tilde_totals(pair, n),
+                           (name, n))
 
 
 @st.composite
@@ -207,48 +217,37 @@ def small_pairs(draw):
 @given(small_pairs(), st.integers(min_value=0, max_value=20))
 def test_tilde_dp_equals_enumeration_random(pair, n):
     n = min(n, pair.bound)
-    assert_same_totals(tilde_totals(pair, n),
+    assert_same_totals(tilde_totals(pair, n)[n],
                        enumerated_tilde_totals(pair, n), n)
 
 
-def _fresh_tilde_cache(monkeypatch):
-    cache = TotalsCache(euler_pairs._pair_table, euler_pairs._tilde_key)
-    monkeypatch.setattr(euler_pairs, "tilde_totals", cache)
-    return cache
-
-
 @pytest.mark.parametrize("item", [1, 2, 3, 4])
-def test_verify_tilde_builds_each_table_once(monkeypatch, classical, triples,
-                                             item):
-    cache = _fresh_tilde_cache(monkeypatch)
+def test_verify_tilde_builds_each_table_once(classical, triples, item):
+    tilde_totals.cache_clear()
     for pair in (classical, triples):
         assert all(rec.ok for rec in verify_tilde(item, pair,
                                                   range(BOUND + 1), 2))
-    assert cache.cache_info().misses == 2
+    assert tilde_totals.cache_info().misses == 2
 
 
-def test_counterexample_search_builds_each_table_once(monkeypatch, broken):
-    cache = _fresh_tilde_cache(monkeypatch)
+def test_counterexample_search_builds_each_table_once(broken):
+    tilde_totals.cache_clear()
     assert subbarao_counterexample(broken, 10) == (2, 1, 0)
     pair = make_euler_pair(2, [1, 2], 4)
     assert subbarao_counterexample(pair, 4) == (4, 1, 0)
-    assert cache.cache_info().misses == 2
+    assert tilde_totals.cache_info().misses == 2
 
 
 def test_tilde_cache_stays_bounded():
     pairs = [make_euler_pair(2, range(1, b + 1), b) for b in range(1, 13)]
-    cache = TotalsCache(euler_pairs._pair_table, euler_pairs._tilde_key)
+    tilde_totals.cache_clear()
     for pair in pairs:
-        cache(pair, pair.bound)
-        assert cache.cache_info().currsize <= TotalsCache.MAXSIZE
-    info = cache.cache_info()
-    assert (info.misses, info.currsize) == (12, TotalsCache.MAXSIZE)
-    cache(pairs[-1], 5)
-    assert cache.cache_info().hits == 1
-    # the module-wide cache has the same bound
-    for pair in pairs:
-        tilde_totals(pair, 0)
-    assert tilde_totals.cache_info().currsize == TotalsCache.MAXSIZE
+        tilde_totals(pair, pair.bound)
+        assert tilde_totals.cache_info().currsize <= 8
+    info = tilde_totals.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (12, 8, 8)
+    tilde_totals(pairs[-1], pairs[-1].bound)
+    assert tilde_totals.cache_info().hits == 1
 
 
 def test_euler_pairs_is_independent_of_the_series_route():

@@ -3,35 +3,30 @@ from hypothesis import given, strategies as st
 
 from beckpart import identities
 from beckpart.euler_pairs import make_euler_pair, tilde_totals
-from beckpart.identities import (THEOREM_IDS, TotalsCache, _class_key,
-                                 _class_table, _record, class_count,
-                                 class_totals, distinct_count_gap,
-                                 modular_part_gap, part_count_gap,
-                                 repeat_window_total, verify, verify_instance)
+from beckpart.identities import (STATS, THEOREM_IDS, _record, class_totals,
+                                 stat_value, verify, verify_instance)
 from helpers import (ClassSpec, assert_same_totals, enumerate_class,
                      enumerated_class_totals, fiber_ragged_repeat_count,
-                     index_weight_tuples, pentagonal_counts)
+                     index_weight_tuples, pentagonal_counts, record)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_totals_dp_equals_enumeration(r):
+    table = class_totals(r, 30)
     for n in range(30, -1, -1):
-        assert_same_totals(class_totals(n, r), enumerated_class_totals(n, r),
-                           (n, r))
+        assert_same_totals(table[n], enumerated_class_totals(n, r), (n, r))
 
 
 @given(st.integers(min_value=0, max_value=24),
        st.integers(min_value=2, max_value=7))
 def test_totals_dp_equals_enumeration_random(n, r):
-    assert_same_totals(class_totals(n, r), enumerated_class_totals(n, r),
-                       (n, r))
+    assert_same_totals(record(n, r), enumerated_class_totals(n, r), (n, r))
 
 
 def test_class_sizes_sum_to_partition_counts_up_to_120():
     oracle = pentagonal_counts(120)
     for r in (2, 3, 4, 5):
-        for n in range(120, -1, -1):
-            tot = class_totals(n, r)
+        for n, tot in enumerate(class_totals(r, 120)):
             assert (sum(tot.o_count.values()) == sum(tot.d_count.values())
                     == oracle[n]), (n, r)
 
@@ -47,74 +42,72 @@ def test_widest_totals_at_120_match_classical_sums(r):
     parts = sum(tau[k] * p[n - k] for k in range(1, n + 1))
     distinct = sum(p[n - k] for k in range(1, n + 1))
     pair = make_euler_pair(r, range(1, n + 1), n)
-    for tot in (class_totals(n, r), tilde_totals(pair, n)):
+    for tot in (record(n, r), tilde_totals(pair, n)[n]):
         assert sum(tot.o_parts.values()) == sum(tot.d_parts.values()) == parts
         assert (sum(tot.o_distinct.values()) == sum(tot.d_distinct.values())
                 == distinct)
 
 
 def test_totals_cache_stays_bounded():
-    cache = TotalsCache(_class_table, _class_key)
+    class_totals.cache_clear()
     for r in range(2, 51):
-        assert sum(cache(12, r).o_count.values()) == 77
-        assert cache.cache_info().currsize <= TotalsCache.MAXSIZE
-    info = cache.cache_info()
-    assert (info.misses, info.currsize) == (49, TotalsCache.MAXSIZE)
-    cache(12, 50)
-    cache(6, 49)
-    assert cache.cache_info().hits == 2
-    # the module-wide cache has the same bound
-    for r in range(2, 51):
-        class_totals(3, r)
-    assert class_totals.cache_info().currsize == TotalsCache.MAXSIZE
+        assert sum(class_totals(r, 12)[12].o_count.values()) == 77
+        assert class_totals.cache_info().currsize <= 8
+    info = class_totals.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (49, 8, 8)
+    class_totals(50, 12)
+    class_totals(49, 12)
+    assert class_totals.cache_info().hits == 2
 
 
 def test_totals_table_is_built_once_for_a_range_of_n():
-    cache = TotalsCache(_class_table, _class_key)
-    cache(20, 3)
-    for n in range(21):
-        cache(n, 3)
-    assert cache.cache_info().misses == 1
-    cache(21, 3)  # beyond the table: rebuilt at the new n
-    assert cache.cache_info().misses == 2
+    class_totals.cache_clear()
+    table = class_totals(3, 20)
+    assert len(table) == 21
+    assert all(rec.ok for rec in verify("beck_main", range(21), [3], 2))
+    assert class_totals.cache_info().misses == 1
+    # a table's records do not depend on its n_max
+    assert class_totals(3, 12) == table[:13]
 
 
 def test_totals_reject_out_of_range_n():
     with pytest.raises(ValueError, match="non-negative"):
-        class_totals(-1, 2)
+        class_totals(2, -1)
     with pytest.raises(ValueError, match="exceeds the totals bound"):
-        class_totals(121, 2)
+        class_totals(2, 121)
     with pytest.raises(ValueError, match="r must be >= 2"):
-        class_totals(5, 1)
+        class_totals(1, 5)
 
 
 def test_part_count_gap_examples():
-    assert part_count_gap(4, 2, 0) == 3
-    assert part_count_gap(4, 3, 0) == 2
+    assert stat_value(record(4, 2), "parts-gap", 0) == 3
+    assert stat_value(record(4, 3), "parts-gap", 0) == 2
     for r in (2, 3, 5):
         for j in (0, 1, 2):
-            assert part_count_gap(0, r, j) == 0
+            assert stat_value(record(0, r), "parts-gap", j) == 0
 
 
 def test_modular_part_gap_examples():
-    assert modular_part_gap(4, 2, 0, 1) == 3 == class_count("O", 4, 2, 1)
-    assert modular_part_gap(4, 3, 0, 1) == 1 == class_count("O", 4, 3, 1)
-    assert modular_part_gap(0, 2, 1, 1) == 0
+    for r, want in ((2, 3), (3, 1)):
+        tot = record(4, r)
+        assert stat_value(tot, "modular-gap", 0, t=1) == want == \
+            stat_value(tot, "count_O", 1)
+    assert stat_value(record(0, 2), "modular-gap", 1, t=1) == 0
 
 
 def test_distinct_count_gap_examples():
-    assert distinct_count_gap(3, 2, 0) == 1
-    assert distinct_count_gap(4, 2, 0) == 0
-    assert distinct_count_gap(0, 4, 2) == 0
+    assert stat_value(record(3, 2), "distinct-gap", 0) == 1
+    assert stat_value(record(4, 2), "distinct-gap", 0) == 0
+    assert stat_value(record(0, 4), "distinct-gap", 2) == 0
 
 
 def test_repeat_window_examples():
-    assert repeat_window_total(3, 2, 1) == 1
-    assert repeat_window_total(4, 2, 1) == 0
+    assert stat_value(record(3, 2), "repeat-window", 1) == 1
+    assert stat_value(record(4, 2), "repeat-window", 1) == 0
     # the j=0 class forbids multiplicities >= r, so the window is empty
-    for n in range(12):
-        for r in (2, 3):
-            assert repeat_window_total(n, r, 0) == 0
+    for r in (2, 3):
+        for tot in class_totals(r, 11):
+            assert stat_value(tot, "repeat-window", 0) == 0
 
 
 def test_fiber_ragged_repeat_examples():
@@ -162,26 +155,21 @@ def test_statement_labels():
 
 
 def test_one_totals_lookup_per_call(monkeypatch):
-    # n and r are checked by the cache's key alone, once per call, and
-    # verify_instance reads every number from one totals record
-    keys = []
+    # verify_instance reads every number from one record of one table, and
+    # verify fetches one table per r, at the largest n
+    calls = []
 
-    def key(n, r):
-        keys.append((n, r))
-        return _class_key(n, r)
-    monkeypatch.setattr(identities, "class_totals", TotalsCache(_class_table, key))
-    calls = [lambda: class_count("O", 9, 3, 1),
-             lambda: class_count("D", 9, 3, 1, "at_most"),
-             lambda: part_count_gap(9, 3, 1),
-             lambda: modular_part_gap(9, 3, 1, 2),
-             lambda: distinct_count_gap(9, 3, 1, "at_most"),
-             lambda: repeat_window_total(9, 3, 1)]
-    calls += [lambda theorem=theorem: verify_instance(theorem, 9, 3, 1, t=1)
-              for theorem in THEOREM_IDS]
-    for call in calls:
-        keys.clear()
-        call()
-        assert keys == [(9, 3)]
+    def lookup(r, n_max):
+        calls.append((r, n_max))
+        return class_totals(r, n_max)
+    monkeypatch.setattr(identities, "class_totals", lookup)
+    for theorem in THEOREM_IDS:
+        calls.clear()
+        verify_instance(theorem, 9, 3, 1, t=1)
+        assert calls == [(3, 9)]
+    calls.clear()
+    verify("modular_refine", range(10), [3, 2], 2)
+    assert calls == [(2, 9), (3, 9)]
 
 
 def test_franklin_instance():
@@ -190,37 +178,40 @@ def test_franklin_instance():
 
 
 def test_telescoping():
-    for n in (7, 12):
-        for r in (2, 3):
-            for j in range(3):
-                assert part_count_gap(n, r, j, "at_most") == sum(
-                    part_count_gap(n, r, i) for i in range(j + 1))
-                assert distinct_count_gap(n, r, j, "at_most") == sum(
-                    distinct_count_gap(n, r, i) for i in range(j + 1))
-                assert class_count("O", n, r, j, "at_most") == sum(
-                    class_count("O", n, r, i) for i in range(j + 1))
+    for r in (2, 3):
+        table = class_totals(r, 12)
+        for tot in (table[7], table[12]):
+            for stat in STATS:
+                for t in (range(1, r) if stat == "modular-gap" else (None,)):
+                    for j in range(3):
+                        assert stat_value(tot, stat, j, "at_most", t) == sum(
+                            stat_value(tot, stat, i, t=t)
+                            for i in range(j + 1))
 
 
 def test_gap_divisible_by_r_minus_one():
-    for n in range(15):
-        for r in (2, 3, 4):
+    for r in (2, 3, 4):
+        for tot in class_totals(r, 14):
             for j in range(3):
-                assert part_count_gap(n, r, j) % (r - 1) == 0
-                assert part_count_gap(n, r, j, "at_most") % (r - 1) == 0
+                for mode in ("exact", "at_most"):
+                    assert stat_value(tot, "parts-gap", j, mode) % (r - 1) == 0
 
 
 def test_sum_of_modular_gaps_is_part_count_gap():
-    for n in (6, 11, 14):
-        for r in (2, 3, 4):
+    for r in (2, 3, 4):
+        table = class_totals(r, 14)
+        for n in (6, 11, 14):
             for j in range(3):
-                assert sum(modular_part_gap(n, r, j, t)
-                           for t in range(1, r)) == part_count_gap(n, r, j)
+                assert sum(stat_value(table[n], "modular-gap", j, t=t)
+                           for t in range(1, r)) == \
+                    stat_value(table[n], "parts-gap", j)
 
 
 def test_modular_gap_value_is_t_independent():
     for n in (8, 13):
         for j in (0, 1):
-            values = {modular_part_gap(n, 4, j, t) for t in (1, 2, 3)}
+            values = {stat_value(record(n, 4), "modular-gap", j, t=t)
+                      for t in (1, 2, 3)}
             assert len(values) == 1
 
 
@@ -289,24 +280,31 @@ def test_record_flags_non_divisible_gap():
 
 
 def test_parameter_errors():
+    tot = record(4, 2)
     with pytest.raises(ValueError, match="unknown theorem"):
         verify("fermat", [4], [2], 1)
     with pytest.raises(ValueError, match="t must satisfy"):
-        modular_part_gap(5, 2, 0, 2)
+        verify_instance("modular_refine", 5, 2, 0, t=2)
     with pytest.raises(ValueError, match="t must satisfy"):
         verify("modular_refine", [4], [2], 0, t=5)
     with pytest.raises(ValueError, match="r must be >= 2"):
-        part_count_gap(4, 1, 0)
+        verify("franklin", [4], [1], 0)
+    # a negative n must not index a table from its end
     with pytest.raises(ValueError, match="non-negative"):
-        class_count("O", -1, 2, 0)
-    with pytest.raises(ValueError, match="family"):
-        class_count("Q", 4, 2, 0)
-    # the family is checked before the totals are looked up
-    with pytest.raises(ValueError, match="family"):
-        class_count("X", 200, 2, 0)
+        verify_instance("franklin", -1, 2, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        verify("franklin", [5, -1], [2], 0)
+    with pytest.raises(ValueError, match="unknown stat"):
+        stat_value(tot, "count_Q", 0)
     with pytest.raises(ValueError, match="class index j"):
-        part_count_gap(4, 2, -1)
+        stat_value(tot, "parts-gap", -1)
     with pytest.raises(ValueError, match="class index j"):
         verify_instance("franklin", 4, 2, -1)
+    with pytest.raises(ValueError, match="mode must be"):
+        stat_value(tot, "count_O", 0, "below")
     with pytest.raises(ValueError, match="modular_refine requires t"):
         verify_instance("modular_refine", 4, 2, 0)
+    with pytest.raises(ValueError, match="modular-gap requires t"):
+        stat_value(tot, "modular-gap", 0)
+    with pytest.raises(ValueError, match="parts-gap takes no t"):
+        stat_value(tot, "parts-gap", 0, t=1)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from beckpart.identities import class_count
+from beckpart.identities import class_totals, stat_value
 from beckpart.oeis import (CACHE_ENV_VAR, best_prefix_match, crosscheck,
                            load_reference, parse_b_file)
 
@@ -37,7 +37,7 @@ def test_best_prefix_match_empty_values():
 
 
 def test_bundled_fixture_matches_computed_prefix():
-    values = [class_count("O", n, 2, 1) for n in range(31)]
+    values = [stat_value(tot, "count_O", 1) for tot in class_totals(2, 30)]
     report = crosscheck("A090867", values)
     assert report.status == "ok"
     assert report.source == "fixture"

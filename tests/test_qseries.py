@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beckpart import identities as ids
 from beckpart import qseries as qs
+from beckpart.identities import class_totals, stat_value
 from beckpart.qseries import Series
 from helpers import (EXPECTED, add, dp_total, geometric_factor,
                      lambert_by_mult, lambert_by_parts, marked_geometric,
@@ -124,11 +124,13 @@ def test_repeat_window_spot_values():
 @pytest.mark.parametrize("r", [2, 3])
 def test_all_series_match_enumeration(r):
     N, J = 14, 3
+    table = class_totals(r, N)
     for kind, t in series_tables(r):
         s = qs.series(kind, r, t, N, J)
         for n in range(N + 1):
             for j in range(J + 1):
-                assert s[n, j] == dp_total(kind, n, r, j, t), (kind, t, n, j)
+                assert s[n, j] == dp_total(kind, table[n], j, t), \
+                    (kind, t, n, j)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -155,9 +157,9 @@ def test_one_minus_w_times_window_series_gives_distinct_gap():
     N, J = 12, 2
     for r in (2, 3):
         gap = one_minus_w(N, J) * qs.series("repeat-window", r, None, N, J)
-        for n in range(N + 1):
+        for n, tot in enumerate(class_totals(r, N)):
             for j in range(J + 1):
-                assert gap[n, j] == ids.distinct_count_gap(n, r, j)
+                assert gap[n, j] == stat_value(tot, "distinct-gap", j)
 
 
 def test_builder_validation():
