@@ -114,6 +114,8 @@ def totals_table(r: int, n_max: int, s1: Iterable[int],
                  s2: Iterable[int]) -> list[ClassTotals]:
     """ClassTotals of every n <= n_max for the part sets S1 and S2 of an
     Euler pair of order r; members above n_max are never used."""
+    if n_max > MAX_N:
+        raise ValueError(f"n={n_max} exceeds the totals bound {MAX_N}")
     s1 = [s for s in s1 if s <= n_max]
     marked = {r * s for s in s1}
 
@@ -160,8 +162,6 @@ def class_totals(r: int, n_max: int) -> list[ClassTotals]:
     _check_n(n_max)
     if r < 2:
         raise ValueError(f"modulus r must be >= 2, got {r}")
-    if n_max > MAX_N:
-        raise ValueError(f"n={n_max} exceeds the totals bound {MAX_N}")
     return totals_table(r, n_max, range(1, n_max + 1),
                         [p for p in range(1, n_max + 1) if p % r])
 

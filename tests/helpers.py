@@ -426,13 +426,25 @@ def assert_canonical(lam: Partition) -> None:
 
 
 # -- series product forms ----------------------------------------------------
-# ``qseries.series`` is one in-place count product times one sparse
-# multiplier.  These build the same generating functions one general
-# ``Series`` product per factor: the reference for every kind.
+# ``qseries.series`` writes one sparse multiplier into a table and applies
+# the count product's factors to it in place; it has no general product.
+# These build the same generating functions with ``mul``, one general
+# product per factor, so the reference shares no product code with the
+# route it checks.
+
+def _check_compatible(a: Series, b: Series) -> None:
+    if a.N != b.N or a.J != b.J:
+        raise ValueError(f"mismatched truncation bounds: ({a.N},{a.J}) vs "
+                         f"({b.N},{b.J})")
+
+
+def nnz(s: Series) -> int:
+    return sum(1 for _ in s.items())
+
 
 def add(a: Series, b: Series, sign: int = 1) -> Series:
     """a + sign * b."""
-    a._check_compatible(b)
+    _check_compatible(a, b)
     return Series(a.N, a.J, [[x + sign * y for x, y in zip(ra, rb)]
                              for ra, rb in zip(a.c, b.c)])
 
@@ -451,6 +463,24 @@ def shift(s: Series, dn: int, dj: int = 0) -> Series:
     for n, j, v in s.items():
         if n + dn <= s.N and j + dj <= s.J:
             out.c[n + dn][j + dj] = v
+    return out
+
+
+def mul(a: Series, b: Series) -> Series:
+    """a * b, truncated to the common bounds."""
+    _check_compatible(a, b)
+    # iterate the sparser operand's nonzeros against the other's table
+    if nnz(a) < nnz(b):
+        a, b = b, a
+    N, J = a.N, a.J
+    out = Series(N, J)
+    for n2, j2, v2 in b.items():
+        for n1 in range(N - n2 + 1):
+            row, orow = a.c[n1], out.c[n1 + n2]
+            for j1 in range(J - j2 + 1):
+                v1 = row[j1]
+                if v1:
+                    orow[j1 + j2] += v1 * v2
     return out
 
 
@@ -533,14 +563,14 @@ def lambert_by_mult(r: int, t: int, N: int, J: int) -> Series:
 def product(factors, N: int, J: int) -> Series:
     s = one(N, J)
     for f in factors:
-        s = s * f
+        s = mul(s, f)
     return s
 
 
 def _d_factor(m: int, r: int, N: int, J: int) -> Series:
     """The D product's factor for part m: repeat_marker(rm) * (1 + q^m +
     ... + q^((r-1)m))."""
-    return repeat_marker(r * m, N, J) * finite_run(m, 0, r, N, J)
+    return mul(repeat_marker(r * m, N, J), finite_run(m, 0, r, N, J))
 
 
 @cache
@@ -560,11 +590,12 @@ def _d_products_without(r: int, N: int, J: int) -> list[Series | None]:
     factors = [None] + [_d_factor(m, r, N, J) for m in range(1, N + 1)]
     prefix = [one(N, J)]
     for m in range(1, N + 1):
-        prefix.append(prefix[-1] * factors[m])
+        prefix.append(mul(prefix[-1], factors[m]))
     suffix = [one(N, J)] * (N + 2)
     for m in range(N, 0, -1):
-        suffix[m] = factors[m] * suffix[m + 1]
-    return [None] + [prefix[m - 1] * suffix[m + 1] for m in range(1, N + 1)]
+        suffix[m] = mul(factors[m], suffix[m + 1])
+    return [None] + [mul(prefix[m - 1], suffix[m + 1])
+                     for m in range(1, N + 1)]
 
 
 def leave_one_out(r: int, N: int, J: int, part_term) -> Series:
@@ -574,8 +605,8 @@ def leave_one_out(r: int, N: int, J: int, part_term) -> Series:
     rest = _d_products_without(r, N, J)
     for m in range(1, N + 1):
         term = part_term(m)
-        if term.nnz():
-            total = add(total, term * rest[m])
+        if nnz(term):
+            total = add(total, mul(term, rest[m]))
     return total
 
 
@@ -584,7 +615,7 @@ def marked_block_product(r: int, N: int, J: int) -> Series:
     for m in range(1, N // r + 1):
         p = r * m
         total = add(total, shift(
-            geometric_factor(p, N, J) * marked_geometric(p, N, J), p, 1))
+            mul(geometric_factor(p, N, J), marked_geometric(p, N, J)), p, 1))
     return total
 
 
@@ -598,8 +629,9 @@ def distinct_multiplier(family: str, r: int, N: int, J: int) -> Series:
             total = add(total, shift(marked_geometric(r * m, N, J), r * m, 1))
     else:
         for m in range(1, N + 1):
-            total = add(total, sub(one(N, J), sub(
-                one(N, J), monomial(N, J, m)) * marked_geometric(r * m, N, J)))
+            total = add(total, sub(one(N, J), mul(
+                sub(one(N, J), monomial(N, J, m)),
+                marked_geometric(r * m, N, J))))
     return total
 
 
@@ -615,8 +647,8 @@ def product_form(kind: str, r: int, t: int | None, N: int,
     """``qseries.series(kind, r, t, N, J)`` from its product form."""
     if kind == "residual-depth":
         # part m with residual multiplicity t..r-1, any multiple of r more
-        return leave_one_out(r, N, J, lambda m: repeat_marker(
-            r * m, N, J) * finite_run(m, t, r, N, J))
+        return leave_one_out(r, N, J, lambda m: mul(repeat_marker(
+            r * m, N, J), finite_run(m, t, r, N, J)))
     if kind == "repeat-window":
         # multiplicity r+1..2r-1; its one w is dropped (exactly-(j+1))
         return leave_one_out(r, N, J,
@@ -632,7 +664,7 @@ def product_form(kind: str, r: int, t: int | None, N: int,
         "distinct-D": ("D", lambda: distinct_multiplier("D", r, N, J)),
         "beck-delta": ("O", lambda: beck_delta_multiplier(r, N, J)),
     }[kind]
-    return count_product(family, r, N, J) * multiplier()
+    return mul(count_product(family, r, N, J), multiplier())
 
 
 def series_tables(r: int):

@@ -17,7 +17,7 @@ from beckpart.identities import (class_totals, stat_value, verify,
 from beckpart.oeis import crosscheck
 from beckpart.partition import classify
 from helpers import (ClassSpec, dp_total, enumerate_class, geometric_factor,
-                     pentagonal_counts, record, scale, series_tables,
+                     mul, pentagonal_counts, record, scale, series_tables,
                      total_of)
 
 GRID_N = 40
@@ -190,7 +190,7 @@ def test_criterion_10_oracle_independence():
     oracle = pentagonal_counts(100)
     series = qs.one(100, 0)
     for k in range(1, 101):
-        series = series * geometric_factor(k, 100, 0)
+        series = mul(series, geometric_factor(k, 100, 0))
     for n in range(101):
         assert series[n, 0] == oracle[n], n
     for n, tot in enumerate(class_totals(2, GRID_N)):

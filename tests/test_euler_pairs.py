@@ -164,6 +164,10 @@ def test_item_validation(classical):
         verify_tilde(1, classical, [3, -1], 0)
     with pytest.raises(ValueError, match="non-negative"):
         tilde_totals(classical, -1)
+    # a pair's window may reach past the totals bound; its table may not
+    wide = make_euler_pair(2, range(1, 122), 121)
+    with pytest.raises(ValueError, match="n=121 exceeds the totals bound 120"):
+        tilde_totals(wide, 121)
 
 
 def test_r3_pair_items(classical):

@@ -11,8 +11,9 @@ from beckpart.identities import class_totals, stat_value
 from beckpart.qseries import Series
 from helpers import (EXPECTED, add, dp_total, geometric_factor,
                      lambert_by_mult, lambert_by_parts, marked_geometric,
-                     monomial, one_minus_w, pentagonal_counts, product_form,
-                     repeat_marker, scale, series_tables, shift)
+                     monomial, mul, nnz, one_minus_w, pentagonal_counts,
+                     product_form, repeat_marker, scale, series_tables,
+                     shift)
 
 small_series = st.builds(
     lambda rows: Series(4, 2, rows),
@@ -22,23 +23,23 @@ small_series = st.builds(
 
 def test_one_is_multiplicative_identity():
     s = geometric_factor(2, 10, 3)
-    assert s * qs.one(10, 3) == s
-    assert qs.one(10, 3) * s == s
-    assert (s * Series(10, 3)).nnz() == 0
+    assert mul(s, qs.one(10, 3)) == s
+    assert mul(qs.one(10, 3), s) == s
+    assert nnz(mul(s, Series(10, 3))) == 0
 
 
 @settings(max_examples=60)
 @given(small_series, small_series, small_series)
 def test_ring_laws_under_truncation(a, b, c):
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * add(b, c) == add(a * b, a * c)
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     assert add(a, b) == add(b, a)
 
 
 def test_mismatched_bounds_raise():
     with pytest.raises(ValueError, match="mismatched truncation"):
-        qs.one(5, 2) * qs.one(6, 2)
+        mul(qs.one(5, 2), qs.one(6, 2))
     with pytest.raises(ValueError, match="mismatched truncation"):
         add(qs.one(5, 2), qs.one(5, 3))
 
@@ -53,7 +54,7 @@ def test_scaling_and_shift():
     assert scale(s, 2)[2, 1] == 6
     assert scale(s, -1)[2, 1] == -3
     assert shift(s, 3, 1)[5, 2] == 3
-    assert shift(s, 5, 0).nnz() == 0  # dropped past the q bound
+    assert nnz(shift(s, 5, 0)) == 0  # dropped past the q bound
 
 
 def test_repeat_marker_leading_term():
@@ -67,14 +68,14 @@ def test_marked_geometric_inverts_its_denominator():
         denom = qs.one(12, 4)
         denom.c[p][0] -= 1  # subtract (1-w) q^p
         denom.c[p][1] += 1
-        assert denom * marked_geometric(p, 12, 4) == qs.one(12, 4)
+        assert mul(denom, marked_geometric(p, 12, 4)) == qs.one(12, 4)
 
 
 def test_geometric_product_counts_partitions():
     N = 60
     s = qs.one(N, 0)
     for k in range(1, N + 1):
-        s = s * geometric_factor(k, N, 0)
+        s = mul(s, geometric_factor(k, N, 0))
     oracle = pentagonal_counts(N)
     assert [s[n, 0] for n in range(N + 1)] == oracle
     assert s[9, 0] == 30
@@ -156,7 +157,8 @@ def test_beck_delta_matches_weighted_count_difference():
 def test_one_minus_w_times_window_series_gives_distinct_gap():
     N, J = 12, 2
     for r in (2, 3):
-        gap = one_minus_w(N, J) * qs.series("repeat-window", r, None, N, J)
+        gap = mul(one_minus_w(N, J),
+                  qs.series("repeat-window", r, None, N, J))
         for n, tot in enumerate(class_totals(r, N)):
             for j in range(J + 1):
                 assert gap[n, j] == stat_value(tot, "distinct-gap", j)
@@ -179,14 +181,6 @@ def test_builder_validation():
         geometric_factor(0, 5, 1)
 
 
-def test_series_caches_are_bounded():
-    maxsize = qs._count_series.cache_info().maxsize
-    assert maxsize is not None and maxsize >= 16
-    for N in range(maxsize + 5):
-        qs.series("count-O", 2, None, N, 1)
-    assert qs._count_series.cache_info().currsize == maxsize
-
-
 def test_series_route_is_independent_and_has_one_builder():
     # the q-series witness must not lean on the definition witness: it
     # imports no module of the package, relatively or by name
@@ -198,11 +192,13 @@ def test_series_route_is_independent_and_has_one_builder():
         elif isinstance(node, ast.Import):
             assert not any(alias.name.split(".")[0] == "beckpart"
                            for alias in node.names)
-    # one builder: the count product is the only cached function, and
-    # the per-kind builders are gone
-    cached = [node.name for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.decorator_list]
-    assert cached == ["_count_series"]
+    # one builder: nothing is cached, the general product is gone, and
+    # so are the per-kind builders
+    decorated = [node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.decorator_list]
+    assert decorated == []
+    assert not any(hasattr(Series, name)
+                   for name in ("__mul__", "nnz", "_check_compatible"))
     assert not any(hasattr(qs, f"{name}_series") for name in (
         "count", "congruent_parts", "residual_depth", "divisible_parts",
         "nonresidual_sum", "distinct_parts", "beck_delta", "repeat_window"))
@@ -227,8 +223,8 @@ def test_series_tables_match_the_recorded_digests():
 @pytest.mark.parametrize("J", range(5))
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_builders_equal_their_product_forms(r, J):
-    # one general product per factor (tests/helpers.py) against the
-    # in-place count product and sparse multiplier, for every kind and t;
+    # one general product per factor (helpers.mul) against the sparse
+    # multiplier times the count factors in place, for every kind and t;
     # J = 0 and J = 1 reach the top-row edge of the in-place w-step
     N = 40
     for kind, t in series_tables(r):
