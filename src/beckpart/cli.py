@@ -265,6 +265,8 @@ def _cmd_oeis(args) -> int:
         raise ValueError(f"r must be >= 2, got {args.r}")
     if not 0 <= args.n_max <= MAX_N:
         raise ValueError(f"n-max must be in 0..{MAX_N}, got {args.n_max}")
+    if args.j > MAX_N:
+        raise ValueError(f"j must be at most {MAX_N}, got {args.j}")
     oeis.check_id(args.sequence)  # before the table is built
     values = [identities.stat_value(tot, f"count_{args.family}", args.j)
               for tot in identities.class_totals(args.r, args.n_max)]

@@ -11,15 +11,15 @@ As in the paper's analytic proof, every table is the class's count
 product C(q, w) times a per-part multiplier.  ``KINDS`` names the family
 whose count product each kind uses; ``multiplier`` writes the kind's
 sparse sum over part values straight into a table, and ``series`` then
-multiplies that table by C's factors one at a time, in place, with row
-operations.  There is no general product here: the tests build the same
+multiplies that table by C's factors one at a time, in place, with each
+row packed into one integer, so a factor is one big-int operation per
+row.  There is no general product here: the tests build the same
 product forms one general product at a time, as the reference.
 """
 
 from __future__ import annotations
 
 from math import comb
-from operator import add, sub
 
 # Caps both truncation orders, N and J; matches the enumeration bound, and
 # beyond it the dense tables stop being desk scale.
@@ -99,47 +99,61 @@ def _add_marked_run(c: list[list[int]], p: int, first: int, sign: int = 1,
             row[k + dj] += -sign * v if k % 2 else sign * v
 
 
-# The row operations below take most of the route's time; list(map(add,
-# ...)) runs them in about three quarters of a comprehension's time.
+# A row c[n] is packed as X[n] = sum_j c[n][j] 2^(jB) mod 2^((J+1)B):
+# w is 2^B, so multiplying a row by a polynomial in w is big-int
+# arithmetic, and the modulus drops only w^(J+1) and up.  Intermediate
+# rows may therefore be any size; only the final coefficients must fit a
+# signed B-bit lane.  Each is a class total or a difference of two, so
+# |c| <= max(1, n*p(n)) <= N*2^(N-1) < 2^(B-2) when
+# B = N + N.bit_length() + 2, and B >= 2 at N = 0.
 
 
-def _divide_by_one_minus(c: list[list[int]], k: int) -> None:
-    """c *= 1/(1 - q^k) in place: an ascending running sum with stride k."""
-    for n in range(k, len(c)):
-        c[n] = list(map(add, c[n], c[n - k]))
+def _pack(c: list[list[int]], B: int) -> list[int]:
+    M = (1 << len(c[0]) * B) - 1
+    return [sum(v << j * B for j, v in enumerate(row) if v) & M for row in c]
 
 
-def _times_one_minus(c: list[list[int]], k: int) -> None:
-    """c *= (1 - q^k) in place, descending so each row reads the old one."""
-    for n in range(len(c) - 1, k - 1, -1):
-        c[n] = list(map(sub, c[n], c[n - k]))
-
-
-def _times_marked_step(c: list[list[int]], p: int) -> None:
-    """c *= (1 - (1-w)q^p) in place: descending, and the w*q^p term moves
-    row n - p one unit up in w (its top entry falls past J)."""
-    for n in range(len(c) - 1, p - 1, -1):
-        below = c[n - p]
-        c[n] = list(map(add, map(sub, c[n], below), [0] + below[:-1]))
+def _unpack(X: list[int], c: list[list[int]], B: int) -> None:
+    """Write each X[n] back into row c[n] as signed B-bit digits."""
+    lane, half = (1 << B) - 1, 1 << (B - 1)
+    for row, x in zip(c, X):
+        for j in range(len(row)):
+            v = x & lane
+            if v >= half:
+                v -= 1 << B
+            row[j] = v
+            x = (x - v) >> B  # borrow from the next lane
 
 
 def _times_count_product(c: list[list[int]], family: str, r: int) -> None:
     """c *= C(q, w) in place, where [q^n w^j] of C is the size of the
-    family's exactly-j class."""
-    N = len(c) - 1
-    for m in range(1, N // r + 1):
-        # 1 + w*q^(rm)/(1 - q^(rm)) = (1 - (1-w)q^(rm)) / (1 - q^(rm))
-        _times_marked_step(c, r * m)
-        _divide_by_one_minus(c, r * m)
-    if family == "O":
-        for k in range(1, N + 1):
-            if k % r:
-                _divide_by_one_minus(c, k)
-    else:
-        for k in range(1, N + 1):
+    family's exactly-j class: one masked big-int operation per packed row
+    and factor."""
+    N, J = len(c) - 1, len(c[0]) - 1
+    B = N + N.bit_length() + 2
+    M = (1 << (J + 1) * B) - 1
+    X = _pack(c, B)
+
+    def divide(k):  # 1/(1 - q^k): an ascending running sum, stride k
+        for n in range(k, N + 1):
+            X[n] = (X[n] + X[n - k]) & M
+
+    for p in range(r, N + 1, r):
+        # 1 + w*q^p/(1 - q^p) = (1 - (1-w)q^p) / (1 - q^p): descending,
+        # and b << B is w*b
+        for n in range(N, p - 1, -1):
+            b = X[n - p]
+            X[n] = (X[n] - b + (b << B)) & M
+        divide(p)
+    for k in range(1, N + 1):
+        if family == "D":
             # 1 + q^k + ... + q^((r-1)k) = (1 - q^(rk)) / (1 - q^k)
-            _times_one_minus(c, r * k)
-            _divide_by_one_minus(c, k)
+            for n in range(N, r * k - 1, -1):
+                X[n] = (X[n] - X[n - r * k]) & M
+            divide(k)
+        elif k % r:
+            divide(k)
+    _unpack(X, c, B)
 
 
 def multiplier(kind: str, r: int, t: int | None, N: int, J: int) -> Series:

@@ -193,18 +193,31 @@ def test_verify_at_the_largest_n(capsys):
 
 def test_series_at_the_largest_j(capsys):
     # the largest series workload the command accepts, on a D and an O
-    # count product: J = 120 reaches w-degrees the J = 8 digests never see
-    for kind, digest in (
-        ("repeat-window",
+    # count product at every r: J = 120 reaches w-degrees the J = 8
+    # digests never see, and n*p(n) at n = 120 fills the widest lanes
+    for kind, r, digest in (
+        ("repeat-window", 2,
          "834decc5ce638d9cfd5f45da7c7cff015b7db8fb4796339d53336cc27a8826a7"),
-        ("count-O",
+        ("count-O", 2,
          "5742ea9aebc069bd7b4f5733c177652a0d745ffbb04aec2feeab4df45f40d93e"),
+        ("repeat-window", 3,
+         "8c99d47fe8afcac27337856d4936a82a6e72326c76ac3737816b86d6990abf37"),
+        ("count-O", 3,
+         "522d5c2ac6b52fd9c5b2845d15b383a1f1c0d0e74d9e6e58c6281c4f20998eae"),
+        ("repeat-window", 4,
+         "ef1b955b669c4aae6ecf3ded573e3a54b3d43d6476fd5e669d1fe330b7f59096"),
+        ("count-O", 4,
+         "98e92921a22881d16cf5c03090b8f016e380dc09ec75bfb4cf92beb818b9cf45"),
+        ("repeat-window", 5,
+         "563bb3fd1cf1c53b9e154dc7141febdf3011d76d4cdf9ec4422f4409a50d7f39"),
+        ("count-O", 5,
+         "5cfbb25f45e74b90a8395b88a3d58e4101f7d0cab10b66cb37f6db6a63b2c4af"),
     ):
         code, out, err = run_capture(capsys, [
-            "series", "--which", kind, "--r", "2", "--n-max", "120",
+            "series", "--which", kind, "--r", str(r), "--n-max", "120",
             "--j-max", "120", "--format", "csv"])
         assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, kind
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (kind, r)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -215,6 +228,10 @@ def test_series_at_the_largest_j(capsys):
      "error: j-max must be at most 120, got 121"),
     (["series", "--which", "repeat-window", "--r", "2", "--n-max", "5",
       "--j-max", "121"], "error: w-truncation 121 exceeds cap 120"),
+    (["oeis", "--sequence", "A090867", "--j", "121"],
+     "error: j must be at most 120, got 121"),
+    (["oeis", "--sequence", "A090867", "--j", "-1"],
+     "error: class index j must be >= 0, got -1"),
 ])
 def test_class_index_is_capped(capsys, argv, message):
     code, out, err = run_capture(capsys, argv)
@@ -466,3 +483,6 @@ def test_oeis_checks_the_sequence_before_building_the_table(capsys,
     assert run_capture(capsys, [
         "oeis", "--sequence", "x", "--n-max", "120"]) == (
         2, "", "error: sequence id must be 'A' followed by digits, got 'x'\n")
+    assert run_capture(capsys, [
+        "oeis", "--sequence", "A090867", "--j", "200"]) == (
+        2, "", "error: j must be at most 120, got 200\n")

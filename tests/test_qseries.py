@@ -202,6 +202,9 @@ def test_series_route_is_independent_and_has_one_builder():
     assert not any(hasattr(qs, f"{name}_series") for name in (
         "count", "congruent_parts", "residual_depth", "divisible_parts",
         "nonresidual_sum", "distinct_parts", "beck_delta", "repeat_window"))
+    # no fork: the list row helpers gave way to the packed rows
+    assert not any(hasattr(qs, name) for name in (
+        "_divide_by_one_minus", "_times_one_minus", "_times_marked_step"))
 
 
 def test_series_tables_match_the_recorded_digests():
@@ -230,3 +233,44 @@ def test_builders_equal_their_product_forms(r, J):
     for kind, t in series_tables(r):
         assert qs.series(kind, r, t, N, J) == \
             product_form(kind, r, t, N, J), (kind, t)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_small_tables_equal_their_product_forms(r):
+    # N = 0 packs the narrowest lanes (B = 2), and N < r applies no marked
+    # step at all
+    for N in range(8):
+        for J in range(4):
+            for kind, t in series_tables(r):
+                assert qs.series(kind, r, t, N, J) == \
+                    product_form(kind, r, t, N, J), (kind, t, N, J)
+
+
+@pytest.mark.parametrize("N,J", [(0, 0), (0, 3), (7, 0), (7, 3), (120, 8)])
+def test_packed_rows_round_trip_signed_lanes(N, J):
+    B = N + N.bit_length() + 2
+    top = (1 << (B - 1)) - 1
+    for v in (-1, 0, top, -top):
+        rows = [[0] * (J + 1) for _ in range(3)]
+        rows[0][0] = v  # lane 0
+        rows[1][J] = v  # lane J
+        rows[2][0] = rows[2][J] = v  # both ends
+        back = [[9] * (J + 1) for _ in range(3)]
+        qs._unpack(qs._pack(rows, B), back, B)
+        assert back == rows, v
+    # one past the top does not fit: it reads back as the bottom
+    back = [[0] * (J + 1)]
+    qs._unpack(qs._pack([[top + 1] + [0] * J], B), back, B)
+    assert back[0][0] == -top - 1
+
+
+def test_widest_coefficients_fit_the_lane_bound():
+    # the bound the packed lanes are sized from: every coefficient of the
+    # N = 120 tables is at most max(1, n*p(n)) in absolute value
+    N, J = 120, 8
+    p = pentagonal_counts(N)
+    for r in range(2, 6):
+        for kind, t in series_tables(r):
+            s = qs.series(kind, r, t, N, J)
+            for n, j, v in s.items():
+                assert abs(v) <= max(1, n * p[n]), (kind, r, t, n, j)
