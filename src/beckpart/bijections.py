@@ -1,13 +1,15 @@
 """Constructive maps between the constrained partition classes.
 
-``glaisher_map`` rewrites multiplicities in base r and realizes the
-size-preserving bijection from partitions with no part divisible by r onto
-partitions with no part repeated r times.  ``franklin_map`` extends it
-levelwise: strip the divisible parts, map the remainder, re-adjoin the
-stripped material as repeats.  Each map writes its image into one
-part -> multiplicity dict in a single pass and sorts it once.
-``adjoin_and_classify`` is the two-case adjoin map used for the
-double-counting arguments.
+``franklin_map`` sends a partition with j distinct parts divisible by r to
+one with j distinct parts repeated >= r times, preserving size: it strips
+each divisible part and re-adjoins it as a repeat, and rewrites every
+other multiplicity in base r.  ``franklin_inverse`` undoes it.  Each
+direction is one loop over the pairs into one part -> multiplicity dict,
+sorted once.  On partitions with no part divisible by r (no part
+repeated r times) nothing is stripped, so Glaisher's bijection
+``glaisher_map`` (``glaisher_inverse``) is the Franklin map restricted to
+that domain, after its precondition check.  ``adjoin_and_classify`` is
+the two-case adjoin map used for the double-counting arguments.
 """
 
 from __future__ import annotations
@@ -30,27 +32,6 @@ def _from_counts(counts: dict[int, int]) -> Partition:
                                                   reverse=True)))
 
 
-def _add_base_digits(counts: dict[int, int], part: int, mult: int,
-                     r: int) -> None:
-    """Glaisher's rewrite of one part: mult = sum(a_v * r^v) adds a_v
-    copies of part*r^v to ``counts``."""
-    while mult:
-        mult, digit = divmod(mult, r)
-        if digit:
-            counts[part] = counts.get(part, 0) + digit
-        part *= r
-
-
-def _add_r_free(counts: dict[int, int], part: int, mult: int,
-                r: int) -> None:
-    """The inverse rewrite of one part: part s*r^v (s not divisible by r)
-    with multiplicity a adds a*r^v copies of s to ``counts``."""
-    while part % r == 0:
-        part //= r
-        mult *= r
-    counts[part] = counts.get(part, 0) + mult
-
-
 def glaisher_map(lam: Partition, r: int) -> Partition:
     """Base-r multiplicity rewrite.
 
@@ -59,24 +40,20 @@ def glaisher_map(lam: Partition, r: int) -> Partition:
     the image has no part repeated r or more times.
     """
     _check_modulus(r)
-    counts: dict[int, int] = {}
-    for part, mult in lam.pairs:
+    for part, _ in lam.pairs:
         if part % r == 0:
             raise ValueError(f"part {part} is divisible by {r}")
-        _add_base_digits(counts, part, mult, r)
-    return _from_counts(counts)
+    return franklin_map(lam, r)
 
 
 def glaisher_inverse(mu: Partition, r: int) -> Partition:
     """Inverse rewrite: part s*r^v (s not divisible by r) with multiplicity
     a contributes a*r^v copies of s.  Requires no part repeated >= r times."""
     _check_modulus(r)
-    counts: dict[int, int] = {}
     for part, mult in mu.pairs:
         if mult >= r:
             raise ValueError(f"part {part} is repeated {mult} >= {r} times")
-        _add_r_free(counts, part, mult, r)
-    return _from_counts(counts)
+    return franklin_inverse(mu, r)
 
 
 def franklin_map(lam: Partition, r: int) -> Partition:
@@ -84,34 +61,45 @@ def franklin_map(lam: Partition, r: int) -> Partition:
     distinct parts repeated >= r times, preserving size.
 
     Each part (m*r)^k is stripped and adjoined as m^(k*r); every other
-    part goes through Glaisher's rewrite.  The image is the multiset
-    union of the two, written into one dict.
+    part i^s goes through Glaisher's rewrite, s = sum(a_v * r^v) giving
+    (i*r^v)^(a_v).  The image is the multiset union of the two.
     """
     _check_modulus(r)
     counts: dict[int, int] = {}
     for part, mult in lam.pairs:
-        if part % r:
-            _add_base_digits(counts, part, mult, r)
+        if part % r == 0:
+            part //= r
+            mult *= r
         else:
-            base = part // r
-            counts[base] = counts.get(base, 0) + mult * r
+            # emit the low base-r digits; the top digit is added below
+            while mult >= r:
+                digit = mult % r
+                if digit:
+                    counts[part] = counts.get(part, 0) + digit
+                mult //= r
+                part *= r
+        counts[part] = counts.get(part, 0) + mult
     return _from_counts(counts)
 
 
 def franklin_inverse(mu: Partition, r: int) -> Partition:
     """Inverse of ``franklin_map``: each part with multiplicity
-    a = k*r + d gives (part*r)^k, and its remainder d goes through the
-    inverse rewrite."""
+    a = k*r + d gives (part*r)^k, and its remainder d, written as
+    part = s*r^v with s not divisible by r, gives s^(d*r^v)."""
     _check_modulus(r)
     counts: dict[int, int] = {}
     for part, mult in mu.pairs:
-        k, d = divmod(mult, r)
-        if k:
-            # part*r is divisible by r and every rewritten part is not,
-            # and distinct parts give distinct part*r: no collision
-            counts[part * r] = k
-        if d:
-            _add_r_free(counts, part, d, r)
+        if mult >= r:
+            # part*r is divisible by r and every folded part is not, and
+            # distinct parts give distinct part*r: no collision
+            counts[part * r] = mult // r
+            mult %= r
+            if not mult:
+                continue
+        while part % r == 0:
+            part //= r
+            mult *= r
+        counts[part] = counts.get(part, 0) + mult
     return _from_counts(counts)
 
 

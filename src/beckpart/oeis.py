@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -64,6 +62,11 @@ def _cache_text(sequence_id: str, cache_dir: str | None) -> str | None:
 
 
 def _online_text(sequence_id: str, timeout: float) -> str | None:
+    # imported here, the only place that fetches: at module level
+    # urllib.request would load http.client and email on every CLI start
+    import urllib.error
+    import urllib.request
+
     url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:

@@ -32,14 +32,17 @@ class Partition:
     all multiplicities >= 1.  The empty tuple is the unique partition of 0.
     """
 
-    __slots__ = ("pairs", "size")
+    __slots__ = ("pairs",)
 
     pairs: tuple[tuple[int, int], ...]
-    size: int
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
         object.__setattr__(self, "pairs", _canonical_pairs(pairs))
-        object.__setattr__(self, "size", sum(p * m for p, m in self.pairs))
+
+    @property
+    def size(self) -> int:
+        """The integer partitioned: the sum of all parts."""
+        return sum(p * m for p, m in self.pairs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -54,7 +57,6 @@ class Partition:
         # trusted fast path for generators that already produce canonical pairs
         self = cls.__new__(cls)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "size", sum(p * m for p, m in pairs))
         return self
 
     @classmethod

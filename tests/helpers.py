@@ -8,7 +8,6 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from beckpart.bijections import glaisher_inverse, glaisher_map
 from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import EulerPair
 from beckpart.identities import ClassTotals, class_totals, stat_value
@@ -395,34 +394,58 @@ def enumerated_tilde_totals(pair: EulerPair, n: int) -> ClassTotals:
     return tot
 
 
+def glaisher_reference(lam: Partition, r: int) -> Partition:
+    """Glaisher's map from its definition, with no precondition check:
+    each part p^m with m = sum(a_v * r^v) becomes the union of the
+    (p*r^v)^(a_v).  Shares no code with ``bijections``."""
+    image = Partition()
+    for p, m in lam.pairs:
+        for v in range(m.bit_length()):  # r^v > m once v >= log2(m) + 1
+            a = m // r ** v % r
+            if a:
+                image = image.union(Partition([(p * r ** v, a)]))
+    return image
+
+
+def glaisher_inverse_reference(mu: Partition, r: int) -> Partition:
+    """The inverse from its definition: each part (s*r^v)^a, with s not
+    divisible by r, becomes s^(a*r^v), and the images are united."""
+    image = Partition()
+    for q, a in mu.pairs:
+        v = max(v for v in range(q.bit_length()) if q % r ** v == 0)
+        image = image.union(Partition([(q // r ** v, a * r ** v)]))
+    return image
+
+
 def composed_franklin_map(lam: Partition, r: int) -> Partition:
     """Franklin's map as the paper builds it: strip each divisible part
-    (m*r)^k, apply ``glaisher_map`` to the rest, then take the union with
+    (m*r)^k, apply Glaisher's map to the rest, then take the union with
     the adjoined m^(k*r).  The oracle for the one-pass ``franklin_map``."""
     rest = Partition((p, m) for p, m in lam.pairs if p % r)
     stripped = Partition((p // r, m * r) for p, m in lam.pairs
                          if p % r == 0)
-    return glaisher_map(rest, r).union(stripped)
+    return glaisher_reference(rest, r).union(stripped)
 
 
 def composed_franklin_inverse(mu: Partition, r: int) -> Partition:
     """The paper's inverse: split each multiplicity a = k*r + d, apply
-    ``glaisher_inverse`` to the parts with their remainders d, then take
+    Glaisher's inverse to the parts with their remainders d, then take
     the union with the adjoined (part*r)^k."""
     rest = Partition((p, m % r) for p, m in mu.pairs if m % r)
     stripped = Partition((p * r, m // r) for p, m in mu.pairs if m >= r)
-    return glaisher_inverse(rest, r).union(stripped)
+    return glaisher_inverse_reference(rest, r).union(stripped)
 
 
-def assert_canonical(lam: Partition) -> None:
+def assert_canonical(lam: Partition, size: int) -> None:
     """``lam`` is in the form ``Partition`` would build: positive parts,
-    strictly decreasing, every multiplicity >= 1, and ``size`` equal to
-    the sum of its own parts.  Guards maps that skip validation."""
+    strictly decreasing, every multiplicity >= 1, and its parts summing
+    to ``size``, the size the caller knows it must have.  Guards maps
+    that skip validation."""
     parts = [p for p, _ in lam.pairs]
     assert all(p >= 1 for p in parts), lam.pairs
     assert all(a > b for a, b in zip(parts, parts[1:])), lam.pairs
     assert all(m >= 1 for _, m in lam.pairs), lam.pairs
-    assert lam.size == sum(p * m for p, m in lam.pairs), lam.pairs
+    assert sum(p * m for p, m in lam.pairs) == size, (lam.pairs, size)
 
 
 # -- series product forms ----------------------------------------------------

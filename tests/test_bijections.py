@@ -11,7 +11,8 @@ from beckpart.enumeration import partitions_of
 from beckpart.partition import Partition, classify
 from helpers import (ClassSpec, assert_canonical, composed_franklin_inverse,
                      composed_franklin_map, enumerate_class,
-                     enumerate_fixed_divisible, index_weight_tuples,
+                     enumerate_fixed_divisible, glaisher_inverse_reference,
+                     glaisher_reference, index_weight_tuples,
                      partitions_avoiding_multiples,
                      partitions_with_high_multiplicity,
                      partitions_with_low_multiplicity, stats)
@@ -119,22 +120,46 @@ def test_nonresidual_balance_is_pointwise_under_franklin():
 def test_one_pass_maps_equal_the_composition(r):
     """The one-pass maps equal the paper's strip / rewrite / union
     construction on every partition of n <= 20, and every image they
-    build without validation is canonical with its own size."""
+    build without validation is canonical and of size n."""
     for n in range(21):
         for lam in partitions_of(n):
             mu = franklin_map(lam, r)
             assert mu == composed_franklin_map(lam, r), (lam, r)
-            assert_canonical(mu)
-            assert mu.size == n
+            assert_canonical(mu, n)
             back = franklin_inverse(lam, r)
             assert back == composed_franklin_inverse(lam, r), (lam, r)
-            assert_canonical(back)
-            assert back.size == n
+            assert_canonical(back, n)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_glaisher_maps_equal_the_definition(r):
+    """On every partition of n <= 20 in their domains, the Glaisher maps
+    equal the digit-by-digit reference built from the definition."""
+    for n in range(21):
+        for lam in partitions_of(n):
             j = classify(lam, r)
             if j.j_div == 0:
-                assert_canonical(glaisher_map(lam, r))
+                mu = glaisher_map(lam, r)
+                assert mu == glaisher_reference(lam, r), (lam, r)
+                assert_canonical(mu, n)
             if j.j_rep == 0:
-                assert_canonical(glaisher_inverse(lam, r))
+                back = glaisher_inverse(lam, r)
+                assert back == glaisher_inverse_reference(lam, r), (lam, r)
+                assert_canonical(back, n)
+
+
+@given(data=st.data())
+def test_glaisher_maps_equal_the_definition_multi_digit(data):
+    """Multiplicities of at least r^2 have several base-r digits: the
+    Glaisher maps still equal the reference, and the references invert
+    each other."""
+    r = data.draw(st.integers(min_value=2, max_value=10), label="r")
+    lam = data.draw(partitions_with_high_multiplicity(r), label="lam")
+    lam = Partition((p, m) for p, m in lam.pairs if p % r)
+    mu = glaisher_map(lam, r)
+    assert mu == glaisher_reference(lam, r)
+    assert glaisher_inverse(mu, r) == glaisher_inverse_reference(mu, r)
+    assert glaisher_inverse_reference(mu, r) == lam
 
 
 @given(data=st.data())
@@ -146,14 +171,12 @@ def test_one_pass_maps_equal_the_composition_multi_digit(data):
     lam = data.draw(partitions_with_high_multiplicity(r), label="lam")
     mu = franklin_map(lam, r)
     assert mu == composed_franklin_map(lam, r)
-    assert_canonical(mu)
-    assert mu.size == lam.size
+    assert_canonical(mu, lam.size)
     assert classify(mu, r).j_rep == classify(lam, r).j_div
     assert franklin_inverse(mu, r) == lam
     back = franklin_inverse(lam, r)
     assert back == composed_franklin_inverse(lam, r)
-    assert_canonical(back)
-    assert back.size == lam.size
+    assert_canonical(back, lam.size)
     assert franklin_map(back, r) == lam
 
 

@@ -12,6 +12,7 @@ import pytest
 import beckpart
 from beckpart import cli, euler_pairs, identities
 from beckpart.cli import run
+from beckpart.enumeration import partitions_of
 from beckpart.identities import VerificationRecord
 from helpers import EXPECTED
 
@@ -39,6 +40,36 @@ def test_map_psi_and_inverses(capsys):
     code, out, _ = run_capture(capsys, ["map", "--bijection", "phi-inv",
                                         "--r", "2", "--partition", "1^5"])
     assert code == 0 and out.strip() == "2^2,1"
+
+
+# SHA-256 of every `beckpart map` call below, recorded before the maps
+# were rewritten as one loop per direction: the rewrite must keep each
+# image, error message and exit code byte for byte.
+MAP_DIGESTS = {
+    "psi": "70d07cb4cf8366aab9707410293a1f0951938445f95013a1ee7d75c1657945da",
+    "psi-inv":
+        "bce91b4e7edb932da881110b0d39b3c0c28f00122c50445bf786cdf27f3e36eb",
+    "phi": "d14f3091e5e93dfedf08538c616ec044588930fba3e9be378c054d63e67aeb36",
+    "phi-inv":
+        "05fb427c3a0fc065d65ac01e33c308a2b7c3369f583569756ab4fc2889d137f3",
+}
+
+
+@pytest.mark.parametrize("bijection", sorted(MAP_DIGESTS))
+def test_map_output_matches_the_recorded_digest(capsys, bijection):
+    # every partition of n <= 8 at r = 2, 3, 5, 10; psi and psi-inv reject
+    # 72 of these 268 inputs with their precondition error and exit 2
+    digest, failures = hashlib.sha256(), 0
+    for r in (2, 3, 5, 10):
+        for n in range(9):
+            for lam in partitions_of(n):
+                code, out, err = run_capture(capsys, [
+                    "map", "--bijection", bijection, "--r", str(r),
+                    "--partition", lam.render()])
+                failures += code != 0
+                digest.update(f"r={r} {lam} code={code}\n{out}{err}".encode())
+    assert failures == (72 if bijection.startswith("psi") else 0)
+    assert digest.hexdigest() == MAP_DIGESTS[bijection]
 
 
 def test_map_zeta_trace(capsys):

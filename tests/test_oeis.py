@@ -1,8 +1,15 @@
 import importlib.util
+import os
+import subprocess
+import sys
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
 
+import beckpart
+from beckpart import oeis
 from beckpart.identities import class_totals, stat_value
 from beckpart.oeis import (CACHE_ENV_VAR, best_prefix_match, crosscheck,
                            load_reference, parse_b_file)
@@ -99,3 +106,26 @@ def test_fixture_script_reproduces_the_bundled_prefix():
         ref, source = load_reference(sid)
         assert source == "fixture"
         assert values == [ref[n] for n in range(31)], sid
+
+
+def test_cli_import_leaves_the_http_stack_unloaded():
+    # only an explicit --online fetch imports urllib.request
+    src = str(Path(beckpart.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, beckpart.cli; print("
+         "sorted({'urllib.request', 'http.client'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_online_text_is_none_when_the_fetch_fails(monkeypatch):
+    def refuse(url, timeout):
+        raise urllib.error.URLError("no route")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    assert oeis._online_text("A090867", timeout=0.1) is None
+    reference, source = load_reference("A999988777", online=True)
+    assert (reference, source) == (None, "")

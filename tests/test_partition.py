@@ -149,6 +149,18 @@ def test_partition_is_immutable_and_hashable():
     assert len({lam, Partition.parse("3,1"), Partition.parse("2,2")}) == 2
 
 
+def test_size_is_derived_from_the_pairs():
+    # a partition stores only its pairs; size is read from them on demand
+    assert Partition.__slots__ == ("pairs",)
+    lam = Partition._from_canonical(((3, 2), (1, 1)))
+    assert lam.size == 7
+    with pytest.raises(AttributeError):
+        lam.size = 8
+    with pytest.raises(AttributeError):
+        lam.pairs = ((8, 1),)
+    assert lam.size == 7 and lam.pairs == ((3, 2), (1, 1))
+
+
 def test_constructor_rejects_bad_pairs():
     with pytest.raises(ValueError, match="part must be positive"):
         Partition([(0, 1)])
