@@ -400,7 +400,7 @@ def glaisher_reference(lam: Partition, r: int) -> Partition:
     (p*r^v)^(a_v).  Shares no code with ``bijections``."""
     image = Partition()
     for p, m in lam.pairs:
-        for v in range(m.bit_length()):  # r^v > m once v >= log2(m) + 1
+        for v in range(m.bit_length()):  # r^v >= 2^v > m beyond this
             a = m // r ** v % r
             if a:
                 image = image.union(Partition([(p * r ** v, a)]))
