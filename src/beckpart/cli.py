@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 from . import bijections, euler_pairs, identities, oeis, qseries
@@ -23,33 +22,20 @@ from .partition import Partition
 SERIES_KINDS = {kind: partial(qseries.series, kind) for kind in qseries.KINDS}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common parameters of a run."""
-
-    n_max: int
-    r_list: tuple[int, ...]
-    j_max: int
-    t: str | int
-    fmt: str
-    output: str | None
-
-    def __post_init__(self):
-        if not 0 <= self.n_max <= MAX_N:
-            raise ValueError(f"n-max must be in 0..{MAX_N}, got {self.n_max}")
-        if not self.r_list:
-            raise ValueError("at least one modulus r is required")
-        for r in self.r_list:
-            if r < 2:
-                raise ValueError(f"every r must be >= 2, got {r}")
-        if self.j_max < 0:
-            raise ValueError(f"j-max must be >= 0, got {self.j_max}")
-        # a class index above n selects an empty class
-        if self.j_max > MAX_N:
-            raise ValueError(f"j-max must be at most {MAX_N}, "
-                             f"got {self.j_max}")
-        if self.fmt not in ("table", "csv", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
+def _check_grid(n_max: int, r_list: tuple[int, ...], j_max: int) -> None:
+    """Refuse a grid that a command cannot run."""
+    if not 0 <= n_max <= MAX_N:
+        raise ValueError(f"n-max must be in 0..{MAX_N}, got {n_max}")
+    if not r_list:
+        raise ValueError("at least one modulus r is required")
+    for r in r_list:
+        if r < 2:
+            raise ValueError(f"every r must be >= 2, got {r}")
+    if j_max < 0:
+        raise ValueError(f"j-max must be >= 0, got {j_max}")
+    # a class index above n selects an empty class
+    if j_max > MAX_N:
+        raise ValueError(f"j-max must be at most {MAX_N}, got {j_max}")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -125,36 +111,38 @@ def _report_failures(records: list[VerificationRecord]) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig(args.n_max, _int_list(args.r), args.j_max,
-                    _t_selector(args.t), args.format, args.output)
+    r_list, t = _int_list(args.r), _t_selector(args.t)
+    _check_grid(args.n_max, r_list, args.j_max)
     theorems = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
     records = []
     for theorem in theorems:
-        records.extend(identities.verify(theorem, range(cfg.n_max + 1),
-                                         cfg.r_list, cfg.j_max, cfg.t))
-    meta = {"command": "verify", "theorem": args.theorem, "n_max": cfg.n_max,
-            "r": list(cfg.r_list), "j_max": cfg.j_max, "t": cfg.t}
-    _emit_rows(_record_rows(records, cfg.fmt), cfg.fmt, cfg.output, meta)
+        records.extend(identities.verify(theorem, range(args.n_max + 1),
+                                         r_list, args.j_max, t))
+    meta = {"command": "verify", "theorem": args.theorem,
+            "n_max": args.n_max, "r": list(r_list), "j_max": args.j_max,
+            "t": t}
+    _emit_rows(_record_rows(records, args.format), args.format, args.output,
+               meta)
     return _report_failures(records)
 
 
 def _cmd_stats(args) -> int:
-    cfg = RunConfig(args.n_max, _int_list(args.r), args.j_max,
-                    _t_selector(args.t), args.format, args.output)
+    r_list, t_sel = _int_list(args.r), _t_selector(args.t)
+    _check_grid(args.n_max, r_list, args.j_max)
     mode = args.mode.replace("-", "_")
     stats = ("count_O", "count_D") if args.stat == "counts" else (args.stat,)
     # each r once, in first-seen order, so a repeated r adds no rows
-    tables = {r: identities.class_totals(r, cfg.n_max)
-              for r in dict.fromkeys(cfg.r_list)}
+    tables = {r: identities.class_totals(r, args.n_max)
+              for r in dict.fromkeys(r_list)}
     rows = [{"stat": stat, "n": n, "r": r, "j": j, "t": t,
              "value": identities.stat_value(table[n], stat, j, mode, t)}
-            for n in range(cfg.n_max + 1) for r, table in tables.items()
-            for j in range(cfg.j_max + 1) for stat in stats
-            for t in identities.t_values(stat, r, cfg.t)]
-    meta = {"command": "stats", "stat": args.stat, "n_max": cfg.n_max,
-            "r": list(cfg.r_list), "j_max": cfg.j_max, "t": cfg.t,
+            for n in range(args.n_max + 1) for r, table in tables.items()
+            for j in range(args.j_max + 1) for stat in stats
+            for t in identities.t_values(stat, r, t_sel)]
+    meta = {"command": "stats", "stat": args.stat, "n_max": args.n_max,
+            "r": list(r_list), "j_max": args.j_max, "t": t_sel,
             "mode": args.mode}
-    _emit_rows(rows, cfg.fmt, cfg.output, meta)
+    _emit_rows(rows, args.format, args.output, meta)
     return 0
 
 
@@ -225,38 +213,39 @@ def _load_s1(args, bound: int) -> list[int]:
 
 
 def _cmd_euler(args) -> int:
-    cfg = RunConfig(args.n_max, (args.r,), args.j_max, "all",
-                    args.format, args.output)
-    bound = args.bound if args.bound is not None else cfg.n_max
+    _check_grid(args.n_max, (args.r,), args.j_max)
+    bound = args.bound if args.bound is not None else args.n_max
     # both checked before S1 is materialized
     if bound > MAX_N:
         raise ValueError(f"bound must be at most {MAX_N}, got {bound}")
-    if bound < cfg.n_max:
-        raise ValueError(f"--bound must be at least --n-max={cfg.n_max}, "
+    if bound < args.n_max:
+        raise ValueError(f"--bound must be at least --n-max={args.n_max}, "
                          f"got {bound}")
     pair = euler_pairs.make_euler_pair(
         args.r, _load_s1(args, bound), bound,
         s2_override=None if args.s2 is None else _int_list(args.s2))
     if not pair.subbarao_ok:
-        witness = euler_pairs.subbarao_counterexample(pair, cfg.n_max)
+        witness = euler_pairs.subbarao_counterexample(pair, args.n_max)
         if witness:
             n, o, d = witness
             print(f"pair fails the closure condition; counterexample at n={n}: "
                   f"restricted O-count {o} != D-count {d}", file=sys.stderr)
         else:
             print("pair fails the closure condition; no counterexample found "
-                  f"on the window n <= {cfg.n_max} (inconclusive)",
+                  f"on the window n <= {args.n_max} (inconclusive)",
                   file=sys.stderr)
         return 2
     items = (1, 2, 3, 4) if args.item == "all" else (int(args.item),)
     records = []
     for item in items:
         records.extend(euler_pairs.verify_tilde(item, pair,
-                                                range(cfg.n_max + 1), cfg.j_max))
+                                                range(args.n_max + 1),
+                                                args.j_max))
     meta = {"command": "euler", "r": args.r, "bound": bound,
             "s1_size": len(pair.s1), "s2_size": len(pair.s2),
-            "item": args.item, "n_max": cfg.n_max, "j_max": cfg.j_max}
-    _emit_rows(_record_rows(records, cfg.fmt), cfg.fmt, cfg.output, meta)
+            "item": args.item, "n_max": args.n_max, "j_max": args.j_max}
+    _emit_rows(_record_rows(records, args.format), args.format, args.output,
+               meta)
     return _report_failures(records)
 
 

@@ -325,17 +325,6 @@ def _statement(theorem: str):
     return STATEMENTS[theorem]
 
 
-def verify_instance(theorem: str, n: int, r: int, j: int,
-                    t: int | None = None) -> VerificationRecord:
-    """Evaluate one theorem instance exactly; never rounds."""
-    statement = _statement(theorem)
-    if j < 0:
-        raise ValueError(f"class index j must be >= 0, got {j}")
-    tot = class_totals(r, n)[n]
-    t = t_values(theorem, r, t)[0]
-    return _record(theorem, n, r, j, t, *statement(tot, r, j, t, ""))
-
-
 def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
            j_max: int, t: int | str = "all") -> list[VerificationRecord]:
     """All instances of one theorem over a parameter grid, in canonical

@@ -76,7 +76,7 @@ def _online_text(sequence_id: str, timeout: float) -> str | None:
 
 
 def load_reference(sequence_id: str, *, cache_dir: str | None = None,
-                   online: bool = False, timeout: float = 10.0
+                   online: bool = False
                    ) -> tuple[dict[int, int] | None, str]:
     """Return (index -> value table, source name) or (None, "")."""
     check_id(sequence_id)
@@ -87,7 +87,7 @@ def load_reference(sequence_id: str, *, cache_dir: str | None = None,
     if text is not None:
         return parse_b_file(text), "cache"
     if online:
-        text = _online_text(sequence_id, timeout)
+        text = _online_text(sequence_id, 10.0)
         if text is not None:
             return parse_b_file(text), "online"
     return None, ""
@@ -107,27 +107,20 @@ class MatchReport:
     # reference has that index; None when the prefix only runs past it
     mismatch: tuple[int, int, int] | None = None
 
-    @property
-    def full_match(self) -> bool:
-        return self.status == "ok" and self.matched == self.total
 
-
-def best_prefix_match(reference: dict[int, int], values: list[int],
-                      start_index: int = 0, max_shift: int = 10
+def best_prefix_match(reference: dict[int, int], values: list[int]
                       ) -> tuple[int, int]:
     """(length, offset) of the longest prefix of ``values`` found in the
-    reference at indices start_index + k + offset.
+    reference at indices k + offset.
 
     Reference sequences may be indexed from a different origin, so shifts
-    in [-max_shift, max_shift] are tried; ties prefer the smallest |offset|.
+    in [-10, 10] are tried; ties prefer the smallest |offset|.
     """
     best = (0, 0)
-    for offset in sorted(range(-max_shift, max_shift + 1),
-                         key=lambda d: (abs(d), d)):
+    for offset in sorted(range(-10, 11), key=lambda d: (abs(d), d)):
         length = 0
         for k, v in enumerate(values):
-            idx = start_index + k + offset
-            if reference.get(idx) != v:
+            if reference.get(k + offset) != v:
                 break
             length += 1
         if length > best[0]:
@@ -136,7 +129,7 @@ def best_prefix_match(reference: dict[int, int], values: list[int],
 
 
 def crosscheck(sequence_id: str, values: Iterable[int], *,
-               start_index: int = 0, cache_dir: str | None = None,
+               cache_dir: str | None = None,
                online: bool = False) -> MatchReport:
     """Compare computed values against the named reference sequence."""
     values = list(values)
@@ -144,10 +137,10 @@ def crosscheck(sequence_id: str, values: Iterable[int], *,
                                        online=online)
     if reference is None:
         return MatchReport(sequence_id, "unavailable", 0, 0, len(values), "")
-    matched, offset = best_prefix_match(reference, values, start_index)
-    idx = start_index + matched + offset
+    matched, offset = best_prefix_match(reference, values)
+    idx = matched + offset
     mismatch = None
     if matched < len(values) and idx in reference:
-        mismatch = (start_index + matched, values[matched], reference[idx])
+        mismatch = (matched, values[matched], reference[idx])
     return MatchReport(sequence_id, "ok", matched, offset, len(values), source,
                        mismatch)

@@ -7,7 +7,7 @@ objects are immutable and hashable; functions here are pure.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class PartitionParseError(ValueError):
@@ -48,11 +48,6 @@ class Partition:
         raise AttributeError("Partition is immutable")
 
     @classmethod
-    def from_parts(cls, parts: Iterable[int]) -> "Partition":
-        """Build from a flat iterable of parts, in any order."""
-        return cls((p, 1) for p in parts)
-
-    @classmethod
     def _from_canonical(cls, pairs: tuple[tuple[int, int], ...]) -> "Partition":
         # trusted fast path for generators that already produce canonical pairs
         self = cls.__new__(cls)
@@ -88,11 +83,6 @@ class Partition:
         return ",".join(
             f"{p}^{m}" if m > 1 else str(p) for p, m in self.pairs
         )
-
-    def parts(self) -> Iterator[int]:
-        """Parts in non-increasing order, with multiplicity."""
-        for p, m in self.pairs:
-            yield from (p,) * m
 
     def union(self, other: "Partition") -> "Partition":
         """Multiset union: all parts of both partitions."""

@@ -10,19 +10,17 @@ two routes coefficientwise is the point of this module.
 As in the paper's analytic proof, every table is the class's count
 product C(q, w) times a per-part multiplier.  ``KINDS`` names the family
 whose count product each kind uses; ``multiplier`` writes the kind's
-sparse sum over part values straight into a table, and ``series`` then
-multiplies that table by C's factors one at a time, in place, with each
-row packed into one integer, so a factor is one big-int operation per
-row.  There is no general product here: the tests build the same
-product forms one general product at a time, as the reference.
+sparse sum over part values as packed rows, one integer per power of q,
+and ``series`` multiplies those rows by C's factors one at a time, in
+place, so a factor is one big-int operation per row, then unpacks them
+into the table once.  There is no general product here: the tests build
+the same product forms one general product at a time, as the reference.
 """
 
 from __future__ import annotations
 
-from math import comb
-
-# Caps both truncation orders, N and J; matches the enumeration bound, and
-# beyond it the dense tables stop being desk scale.
+# Caps both truncation orders, N and J: up to it the dense tables stay at
+# desk scale, and the lane bound below is tested at N = 120.
 MAX_Q_ORDER = 120
 
 # kind -> (family of its count product, whether it takes a residue t), in
@@ -81,36 +79,26 @@ class Series:
         return f"Series(N={self.N}, J={self.J}, {head or '0'})"
 
 
-def one(N: int, J: int) -> Series:
-    s = Series(N, J)
-    s.c[0][0] = 1
-    return s
-
-
-def _add_marked_run(c: list[list[int]], p: int, first: int, sign: int = 1,
-                    i_min: int = 0, dj: int = 0) -> None:
-    """Add sign * w^dj * sum_{i >= i_min} (1-w)^i q^(first + p*i) into the
-    table c, truncated to its bounds."""
-    top = len(c[0]) - 1 - dj
-    for i, n in enumerate(range(first + p * i_min, len(c), p), i_min):
-        row = c[n]
-        for k in range(min(i, top) + 1):
-            v = comb(i, k)
-            row[k + dj] += -sign * v if k % 2 else sign * v
-
-
 # A row c[n] is packed as X[n] = sum_j c[n][j] 2^(jB) mod 2^((J+1)B):
 # w is 2^B, so multiplying a row by a polynomial in w is big-int
 # arithmetic, and the modulus drops only w^(J+1) and up.  Intermediate
 # rows may therefore be any size; only the final coefficients must fit a
 # signed B-bit lane.  Each is a class total or a difference of two, so
 # |c| <= max(1, n*p(n)) <= N*2^(N-1) < 2^(B-2) when
-# B = N + N.bit_length() + 2, and B >= 2 at N = 0.
+# B = N + N.bit_length() + 2, and B >= 2 at N = 0.  M = 2^((J+1)B) - 1
+# masks a row to the modulus.
 
 
-def _pack(c: list[list[int]], B: int) -> list[int]:
-    M = (1 << len(c[0]) * B) - 1
-    return [sum(v << j * B for j, v in enumerate(row) if v) & M for row in c]
+def _add_marked_run(X: list[int], B: int, M: int, p: int, first: int,
+                    sign: int = 1, i_min: int = 0, dj: int = 0) -> None:
+    """Add sign * w^dj * sum_{i >= i_min} (1-w)^i q^(first + p*i) into the
+    packed rows X: one masked add per row, and the term steps by (1-w)."""
+    term = (sign << dj * B) & M
+    for _ in range(i_min):
+        term = (term - (term << B)) & M
+    for n in range(first + p * i_min, len(X), p):
+        X[n] = (X[n] + term) & M
+        term = (term - (term << B)) & M
 
 
 def _unpack(X: list[int], c: list[list[int]], B: int) -> None:
@@ -125,14 +113,12 @@ def _unpack(X: list[int], c: list[list[int]], B: int) -> None:
             x = (x - v) >> B  # borrow from the next lane
 
 
-def _times_count_product(c: list[list[int]], family: str, r: int) -> None:
-    """c *= C(q, w) in place, where [q^n w^j] of C is the size of the
+def _times_count_product(X: list[int], family: str, r: int, B: int,
+                         M: int) -> None:
+    """X *= C(q, w) in place, where [q^n w^j] of C is the size of the
     family's exactly-j class: one masked big-int operation per packed row
     and factor."""
-    N, J = len(c) - 1, len(c[0]) - 1
-    B = N + N.bit_length() + 2
-    M = (1 << (J + 1) * B) - 1
-    X = _pack(c, B)
+    N = len(X) - 1
 
     def divide(k):  # 1/(1 - q^k): an ascending running sum, stride k
         for n in range(k, N + 1):
@@ -153,26 +139,26 @@ def _times_count_product(c: list[list[int]], family: str, r: int) -> None:
             divide(k)
         elif k % r:
             divide(k)
-    _unpack(X, c, B)
 
 
-def multiplier(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
+def multiplier(kind: str, r: int, t: int | None, N: int, B: int,
+               M: int) -> list[int]:
     """The sparse sum over part values that turns the count product of
-    ``KINDS[kind]``'s family into the kind's table; takes the arguments
-    ``series`` accepts."""
+    ``KINDS[kind]``'s family into the kind's table, as the packed rows
+    q^0..q^N with B-bit lanes under the mask M."""
+    X = [0] * (N + 1)
     if kind in ("count-O", "count-D"):
-        return one(N, J)
-    s = Series(N, J)
-    c = s.c
+        X[0] = 1
+        return X
     if kind in ("congruent-parts", "residual-depth"):
         # sum_m q^(tm)/(1 - q^(rm)), less sum_m q^(rm)/(1 - q^(rm)) for
         # the depth
         for m in range(1, N // t + 1):
             for n in range(t * m, N + 1, r * m):
-                c[n][0] += 1
+                X[n] += 1
             if kind == "residual-depth":
                 for n in range(r * m, N + 1, r * m):
-                    c[n][0] -= 1
+                    X[n] -= 1
     elif kind in ("divisible-parts", "nonresidual-sum"):
         # sum_m w*q^p / ((1 - (1-w)q^p) (1 - q^p)) with p = rm, times r
         # for the nonresidual sum; by partial fractions each term is
@@ -180,23 +166,23 @@ def multiplier(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
         factor = 1 if kind == "divisible-parts" else r
         for p in range(r, N + 1, r):
             for n in range(p, N + 1, p):
-                c[n][0] += factor
-            _add_marked_run(c, p, 0, sign=-factor, i_min=1)
+                X[n] += factor
+            _add_marked_run(X, B, M, p, 0, sign=-factor, i_min=1)
     elif kind == "distinct-O":
         for m in range(1, N + 1):
             if m % r:
-                c[m][0] += 1
+                X[m] += 1
         for p in range(r, N + 1, r):
-            _add_marked_run(c, p, p, dj=1)  # w*q^p / (1 - (1-w)q^p)
+            _add_marked_run(X, B, M, p, p, dj=1)  # w*q^p / (1 - (1-w)q^p)
     elif kind == "distinct-D":
         for m in range(1, N + 1):
             # 1 - (1 - q^m) / (1 - (1-w)q^(rm))
-            _add_marked_run(c, r * m, m)
-            _add_marked_run(c, r * m, 0, sign=-1, i_min=1)
+            _add_marked_run(X, B, M, r * m, m)
+            _add_marked_run(X, B, M, r * m, 0, sign=-1, i_min=1)
     elif kind == "beck-delta":
         # the same sum for every admissible t, which the tests assert
         for p in range(r, N + 1, r):
-            _add_marked_run(c, p, 0, i_min=1)  # (1-w)q^p / (1 - (1-w)q^p)
+            _add_marked_run(X, B, M, p, 0, i_min=1)  # (1-w)q^p / (1 - (1-w)q^p)
     else:  # repeat-window
         # The D product's factor for part m is
         # F_m = (1 - (1-w)q^(rm)) / (1 - q^m), so the product over k != m
@@ -204,9 +190,9 @@ def multiplier(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
         # q^((r+1)m) + ... + q^((2r-1)m) times (1 - q^m) is
         # q^((r+1)m) - q^(2rm).
         for m in range(1, N // (r + 1) + 1):
-            _add_marked_run(c, r * m, (r + 1) * m)
-            _add_marked_run(c, r * m, 2 * r * m, sign=-1)
-    return s
+            _add_marked_run(X, B, M, r * m, (r + 1) * m)
+            _add_marked_run(X, B, M, r * m, 2 * r * m, sign=-1)
+    return X
 
 
 def series(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
@@ -221,6 +207,10 @@ def series(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
         raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t}")
     if not needs_t and t is not None:
         raise ValueError(f"{kind} takes no t, got {t}")
-    s = multiplier(kind, r, t, N, J)
-    _times_count_product(s.c, family, r)
+    s = Series(N, J)
+    B = N + N.bit_length() + 2
+    M = (1 << (J + 1) * B) - 1
+    X = multiplier(kind, r, t, N, B, M)
+    _times_count_product(X, family, r, B, M)
+    _unpack(X, s.c, B)
     return s

@@ -12,7 +12,7 @@ from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import EulerPair
 from beckpart.identities import ClassTotals, class_totals, stat_value
 from beckpart.partition import Partition, classify
-from beckpart.qseries import KINDS, Series, one
+from beckpart.qseries import KINDS, Series
 
 # The benchmark's regression digests; tests only read them.
 EXPECTED = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
@@ -449,8 +449,8 @@ def assert_canonical(lam: Partition, size: int) -> None:
 
 
 # -- series product forms ----------------------------------------------------
-# ``qseries.series`` writes one sparse multiplier into a table and applies
-# the count product's factors to it in place; it has no general product.
+# ``qseries.series`` writes one sparse multiplier as packed rows and applies
+# the count product's factors to them in place; it has no general product.
 # These build the same generating functions with ``mul``, one general
 # product per factor, so the reference shares no product code with the
 # route it checks.
@@ -459,6 +459,12 @@ def _check_compatible(a: Series, b: Series) -> None:
     if a.N != b.N or a.J != b.J:
         raise ValueError(f"mismatched truncation bounds: ({a.N},{a.J}) vs "
                          f"({b.N},{b.J})")
+
+
+def one(N: int, J: int) -> Series:
+    s = Series(N, J)
+    s.c[0][0] = 1
+    return s
 
 
 def nnz(s: Series) -> int:
@@ -715,7 +721,7 @@ def dp_total(kind: str, tot: ClassTotals, j: int, t: int | None) -> int:
 
 partitions = st.lists(
     st.integers(min_value=1, max_value=12), max_size=10
-).map(Partition.from_parts)
+).map(lambda parts: Partition((p, 1) for p in parts))
 
 
 def partitions_avoiding_multiples(r: int, max_part: int = 13,
@@ -723,7 +729,7 @@ def partitions_avoiding_multiples(r: int, max_part: int = 13,
     """Partitions with no part divisible by r."""
     values = [v for v in range(1, max_part + 1) if v % r]
     return st.lists(st.sampled_from(values), max_size=max_len).map(
-        Partition.from_parts)
+        lambda parts: Partition((p, 1) for p in parts))
 
 
 def partitions_with_low_multiplicity(r: int, max_part: int = 12,

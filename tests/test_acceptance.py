@@ -12,13 +12,12 @@ from beckpart.bijections import (franklin_inverse, franklin_map,
 from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import (make_euler_pair, subbarao_counterexample,
                                   verify_tilde)
-from beckpart.identities import (class_totals, stat_value, verify,
-                                 verify_instance)
+from beckpart.identities import class_totals, stat_value, verify
 from beckpart.oeis import crosscheck
 from beckpart.partition import classify
 from helpers import (ClassSpec, dp_total, enumerate_class, geometric_factor,
-                     mul, pentagonal_counts, record, scale, series_tables,
-                     total_of)
+                     mul, one, pentagonal_counts, record, scale,
+                     series_tables, total_of)
 
 GRID_N = 40
 GRID_R = (2, 3, 4, 5)
@@ -115,7 +114,7 @@ def test_criterion_05_bijection_suite():
 def test_criterion_06_adjoin_double_count():
     t0 = time.monotonic()
     records = _all_ok(verify("diff3", range(31), (2, 3), 2))
-    rec = verify_instance("diff3", 4, 2, 1)
+    rec = verify("diff3", [4], [2], 1)[1]
     assert rec.lhs == 1 and rec.rhs[0][1] == 1
     assert 2 * stat_value(record(4, 2), "count_O", 2) == 0
     assert -1 * stat_value(record(4, 2), "count_O", 1) == -3
@@ -188,7 +187,7 @@ def test_criterion_10_oracle_independence():
                         assert direct == filtered, (spec, n)
                         streams += 1
     oracle = pentagonal_counts(100)
-    series = qs.one(100, 0)
+    series = one(100, 0)
     for k in range(1, 101):
         series = mul(series, geometric_factor(k, 100, 0))
     for n in range(101):

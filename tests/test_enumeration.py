@@ -1,8 +1,14 @@
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import beckpart
-from beckpart import (cli, enumeration, euler_pairs, identities, partition,
-                      qseries)
+from beckpart import (cli, enumeration, euler_pairs, identities, oeis,
+                      partition, qseries)
 from beckpart.enumeration import partitions_of
 from beckpart.partition import Partition, classify
 from helpers import (ClassSpec, count_class, enumerate_class,
@@ -31,7 +37,8 @@ def test_partitions_are_unique_and_decreasing_lex():
     for n in range(13):
         seen = list(partitions_of(n))
         assert len(set(seen)) == len(seen)
-        flat = [tuple(p.parts()) for p in seen]
+        flat = [tuple(p for p, m in lam.pairs for _ in range(m))
+                for lam in seen]
         assert flat == sorted(flat, reverse=True)
 
 
@@ -203,10 +210,34 @@ def test_public_names_resolve_and_test_oracles_are_not_exported():
             "_check_family", "_class_size", "_gap", "_exact_or_cumulative",
             "_STAT_FNS", "_sort_records",
             # the count factors are applied to the multiplier in place
-            "_count_series", "SERIES_CACHE_SIZE"}
+            "_count_series", "SERIES_CACHE_SIZE",
+            # one path per job: packed multiplier rows, and the entry
+            # points and parameters that only tests used
+            "verify_instance", "RunConfig", "from_parts", "parts",
+            "full_match", "_pack"}
     assert not gone & set(beckpart.__all__)
     assert not any(hasattr(module, name) for name in gone
                    for module in (enumeration, identities, partition,
-                                  euler_pairs, cli, qseries))
+                                  euler_pairs, cli, qseries, oeis))
     assert not any(hasattr(Partition, name) for name in
-                   ("difference", "num_distinct", "num_parts"))
+                   ("difference", "num_distinct", "num_parts", "parts",
+                    "from_parts"))
+    assert not hasattr(oeis.MatchReport, "full_match")
+    for fn in (oeis.crosscheck, oeis.best_prefix_match, oeis.load_reference):
+        params = inspect.signature(fn).parameters
+        assert not {"start_index", "max_shift", "timeout"} & set(params)
+
+
+def test_package_import_leaves_the_partition_stream_unloaded():
+    # no command enumerates: the stream is a test oracle and a benchmark
+    # input, so neither the package nor the CLI loads it
+    src = str(Path(beckpart.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, beckpart; "
+         "a = 'beckpart.enumeration' in sys.modules; import beckpart.cli; "
+         "print(a, 'beckpart.enumeration' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "False False\n", "")

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from beckpart import identities
 from beckpart.euler_pairs import make_euler_pair, tilde_totals
 from beckpart.identities import (STATS, THEOREM_IDS, _record, class_totals,
-                                 stat_value, verify, verify_instance)
+                                 stat_value, verify)
 from helpers import (ClassSpec, assert_same_totals, enumerate_class,
                      enumerated_class_totals, fiber_ragged_repeat_count,
                      index_weight_tuples, pentagonal_counts, record)
@@ -130,14 +130,15 @@ def test_fiber_ragged_counts_sum_to_overlong_parts(r, j):
         assert total == direct
 
 
-def test_verify_instance_spec_examples():
-    rec = verify_instance("beck_main", 4, 2, 0)
+def test_single_instance_spec_examples():
+    # one instance is the record at j of a one-point grid
+    rec = verify("beck_main", [4], [2], 0)[0]
     assert rec.lhs == 3 and [v for _, v in rec.rhs] == [3, 3] and rec.ok
 
-    rec = verify_instance("modular_refine", 4, 3, 0, t=1)
+    rec = verify("modular_refine", [4], [3], 0, t=1)[0]
     assert rec.lhs == 1 and [v for _, v in rec.rhs] == [1, 1] and rec.ok
 
-    rec = verify_instance("diff3", 4, 2, 1)
+    rec = verify("diff3", [4], [2], 1)[1]
     assert rec.lhs == 1 and rec.rhs[0][1] == 1 and rec.ok
 
 
@@ -150,13 +151,13 @@ def test_statement_labels():
         "distinct_parts": ["T_{j+1}-T_j"],
     }
     for theorem, want in labels.items():
-        rec = verify_instance(theorem, 6, 3, 1, t=1)
+        rec = verify(theorem, [6], [3], 1, t=1)[1]
         assert [label for label, _ in rec.rhs] == want, theorem
 
 
 def test_one_totals_lookup_per_call(monkeypatch):
-    # verify_instance reads every number from one record of one table, and
-    # verify fetches one table per r, at the largest n
+    # verify reads every number of a one-point grid from one record of one
+    # table, and on a larger grid fetches one table per r, at the largest n
     calls = []
 
     def lookup(r, n_max):
@@ -165,7 +166,7 @@ def test_one_totals_lookup_per_call(monkeypatch):
     monkeypatch.setattr(identities, "class_totals", lookup)
     for theorem in THEOREM_IDS:
         calls.clear()
-        verify_instance(theorem, 9, 3, 1, t=1)
+        verify(theorem, [9], [3], 1, t=1)
         assert calls == [(3, 9)]
     calls.clear()
     verify("modular_refine", range(10), [3, 2], 2)
@@ -173,7 +174,7 @@ def test_one_totals_lookup_per_call(monkeypatch):
 
 
 def test_franklin_instance():
-    rec = verify_instance("franklin", 9, 2, 1)
+    rec = verify("franklin", [9], [2], 1)[1]
     assert rec.lhs == rec.rhs[0][1] and rec.ok
 
 
@@ -284,26 +285,24 @@ def test_parameter_errors():
     with pytest.raises(ValueError, match="unknown theorem"):
         verify("fermat", [4], [2], 1)
     with pytest.raises(ValueError, match="t must satisfy"):
-        verify_instance("modular_refine", 5, 2, 0, t=2)
+        verify("modular_refine", [5], [2], 0, t=2)
     with pytest.raises(ValueError, match="t must satisfy"):
         verify("modular_refine", [4], [2], 0, t=5)
     with pytest.raises(ValueError, match="r must be >= 2"):
         verify("franklin", [4], [1], 0)
     # a negative n must not index a table from its end
     with pytest.raises(ValueError, match="non-negative"):
-        verify_instance("franklin", -1, 2, 0)
+        verify("franklin", [-1], [2], 0)
     with pytest.raises(ValueError, match="non-negative"):
         verify("franklin", [5, -1], [2], 0)
     with pytest.raises(ValueError, match="unknown stat"):
         stat_value(tot, "count_Q", 0)
     with pytest.raises(ValueError, match="class index j"):
         stat_value(tot, "parts-gap", -1)
-    with pytest.raises(ValueError, match="class index j"):
-        verify_instance("franklin", 4, 2, -1)
     with pytest.raises(ValueError, match="mode must be"):
         stat_value(tot, "count_O", 0, "below")
     with pytest.raises(ValueError, match="modular_refine requires t"):
-        verify_instance("modular_refine", 4, 2, 0)
+        verify("modular_refine", [4], [2], 0, t=None)
     with pytest.raises(ValueError, match="modular-gap requires t"):
         stat_value(tot, "modular-gap", 0)
     with pytest.raises(ValueError, match="parts-gap takes no t"):

@@ -35,7 +35,7 @@ def test_best_prefix_match_plain():
 def test_best_prefix_match_detects_offset():
     # reference indexed from 1 while computed values start at n=0
     ref = {i + 1: v for i, v in enumerate([5, 7, 11, 13])}
-    length, offset = best_prefix_match(ref, [5, 7, 11, 13], start_index=0)
+    length, offset = best_prefix_match(ref, [5, 7, 11, 13])
     assert (length, offset) == (4, 1)
 
 
@@ -48,7 +48,7 @@ def test_bundled_fixture_matches_computed_prefix():
     report = crosscheck("A090867", values)
     assert report.status == "ok"
     assert report.source == "fixture"
-    assert report.matched == 31 and report.full_match
+    assert report.matched == report.total == 31
     assert report.offset == 0
 
 
@@ -67,7 +67,7 @@ def test_unavailable_reference():
     report = crosscheck("A999988777", [1, 2, 3])
     assert report.status == "unavailable"
     assert report.matched == 0
-    assert not report.full_match
+    assert report.total == 3 and report.source == ""
 
 
 def test_empty_values_trivially_match():

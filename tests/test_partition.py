@@ -51,7 +51,7 @@ def test_parse_render_roundtrip(lam):
 
 
 def test_union_examples():
-    a, b = Partition.from_parts([3, 1]), Partition.from_parts([3, 2])
+    a, b = Partition.parse("3,1"), Partition.parse("3,2")
     assert a.union(b).pairs == ((3, 2), (2, 1), (1, 1))
     lam = Partition.parse("4,2")
     assert lam.union(Partition()) == lam

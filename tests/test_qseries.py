@@ -11,7 +11,7 @@ from beckpart.identities import class_totals, stat_value
 from beckpart.qseries import Series
 from helpers import (EXPECTED, add, dp_total, geometric_factor,
                      lambert_by_mult, lambert_by_parts, marked_geometric,
-                     monomial, mul, nnz, one_minus_w, pentagonal_counts,
+                     monomial, mul, nnz, one, one_minus_w, pentagonal_counts,
                      product_form, repeat_marker, scale, series_tables,
                      shift)
 
@@ -23,8 +23,8 @@ small_series = st.builds(
 
 def test_one_is_multiplicative_identity():
     s = geometric_factor(2, 10, 3)
-    assert mul(s, qs.one(10, 3)) == s
-    assert mul(qs.one(10, 3), s) == s
+    assert mul(s, one(10, 3)) == s
+    assert mul(one(10, 3), s) == s
     assert nnz(mul(s, Series(10, 3))) == 0
 
 
@@ -39,14 +39,14 @@ def test_ring_laws_under_truncation(a, b, c):
 
 def test_mismatched_bounds_raise():
     with pytest.raises(ValueError, match="mismatched truncation"):
-        mul(qs.one(5, 2), qs.one(6, 2))
+        mul(one(5, 2), one(6, 2))
     with pytest.raises(ValueError, match="mismatched truncation"):
-        add(qs.one(5, 2), qs.one(5, 3))
+        add(one(5, 2), one(5, 3))
 
 
 def test_truncation_cap():
     with pytest.raises(ValueError, match="exceeds cap"):
-        qs.one(121, 0)
+        one(121, 0)
 
 
 def test_scaling_and_shift():
@@ -65,15 +65,15 @@ def test_repeat_marker_leading_term():
 
 def test_marked_geometric_inverts_its_denominator():
     for p in (1, 3):
-        denom = qs.one(12, 4)
+        denom = one(12, 4)
         denom.c[p][0] -= 1  # subtract (1-w) q^p
         denom.c[p][1] += 1
-        assert mul(denom, marked_geometric(p, 12, 4)) == qs.one(12, 4)
+        assert mul(denom, marked_geometric(p, 12, 4)) == one(12, 4)
 
 
 def test_geometric_product_counts_partitions():
     N = 60
-    s = qs.one(N, 0)
+    s = one(N, 0)
     for k in range(1, N + 1):
         s = mul(s, geometric_factor(k, N, 0))
     oracle = pentagonal_counts(N)
@@ -202,9 +202,11 @@ def test_series_route_is_independent_and_has_one_builder():
     assert not any(hasattr(qs, f"{name}_series") for name in (
         "count", "congruent_parts", "residual_depth", "divisible_parts",
         "nonresidual_sum", "distinct_parts", "beck_delta", "repeat_window"))
-    # no fork: the list row helpers gave way to the packed rows
+    # no fork: the list row helpers and the dense multiplier table gave
+    # way to the packed rows, from the multiplier to the one unpack
     assert not any(hasattr(qs, name) for name in (
-        "_divide_by_one_minus", "_times_one_minus", "_times_marked_step"))
+        "_divide_by_one_minus", "_times_one_minus", "_times_marked_step",
+        "_pack", "one", "comb"))
 
 
 def test_series_tables_match_the_recorded_digests():
@@ -246,6 +248,12 @@ def test_small_tables_equal_their_product_forms(r):
                     product_form(kind, r, t, N, J), (kind, t, N, J)
 
 
+def _pack(rows: list[list[int]], B: int) -> list[int]:
+    # the lanes of qseries' lane comment, packed straight from a table
+    M = (1 << len(rows[0]) * B) - 1
+    return [sum(v << j * B for j, v in enumerate(row)) & M for row in rows]
+
+
 @pytest.mark.parametrize("N,J", [(0, 0), (0, 3), (7, 0), (7, 3), (120, 8)])
 def test_packed_rows_round_trip_signed_lanes(N, J):
     B = N + N.bit_length() + 2
@@ -256,11 +264,11 @@ def test_packed_rows_round_trip_signed_lanes(N, J):
         rows[1][J] = v  # lane J
         rows[2][0] = rows[2][J] = v  # both ends
         back = [[9] * (J + 1) for _ in range(3)]
-        qs._unpack(qs._pack(rows, B), back, B)
+        qs._unpack(_pack(rows, B), back, B)
         assert back == rows, v
     # one past the top does not fit: it reads back as the bottom
     back = [[0] * (J + 1)]
-    qs._unpack(qs._pack([[top + 1] + [0] * J], B), back, B)
+    qs._unpack(_pack([[top + 1] + [0] * J], B), back, B)
     assert back[0][0] == -top - 1
 
 
