@@ -178,8 +178,8 @@ def _cmd_series(args) -> int:
     elif args.t is not None:
         raise ValueError(f"--which {args.which} does not accept --t")
     series = SERIES_KINDS[args.which](args.r, args.t, args.n_max, args.j_max)
-    rows = [{"n": n, "j": j, "coefficient": series[n, j]}
-            for n in range(series.N + 1) for j in range(series.J + 1)]
+    rows = [{"n": n, "j": j, "coefficient": v}
+            for n, row in enumerate(series.c) for j, v in enumerate(row)]
     meta = {"command": "series", "which": args.which, "r": args.r,
             "t": args.t, "N": args.n_max, "J": args.j_max}
     _emit_rows(rows, args.format, args.output, meta)

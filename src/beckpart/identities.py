@@ -25,6 +25,7 @@ each weight, and the table stores the sum per j as one more field,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
@@ -65,6 +66,14 @@ class ClassTotals(NamedTuple):
 _Step = Callable[[int, int], tuple[int, list[int]]]
 
 
+def _lane_bits(n_max: int) -> int:
+    """Unsigned lane width of the DP rows up to n_max: the bit length of
+    the p(n) bound at n_max plus n_max.bit_length() bounds every n*p(n),
+    as p increases, and one more bit holds the size 1 at n = 0."""
+    return (math.ceil(math.pi * math.sqrt(2 * n_max / 3) * math.log2(math.e))
+            + n_max.bit_length() + 1)
+
+
 def _part_value_dp(n_max: int, width: int, step: _Step, parts: Iterable[int]
                    ) -> list[dict[int, list[int]]]:
     """rows[n][j] = [size, *sums] over the partitions of n into the given
@@ -77,11 +86,14 @@ def _part_value_dp(n_max: int, width: int, step: _Step, parts: Iterable[int]
     source row n - p*m still holds the partitions without part p.
 
     Each row vector is packed into one int, lane i in bits [i*bits,
-    (i+1)*bits): every total is at most n*p(n) <= n*2^(n-1), so no lane
-    carries into the next, and adding a part's contribution to every lane
-    is one multiply-add of the packed size.
+    (i+1)*bits), and adding a part's contribution to every lane is one
+    multiply-add of the packed size.  Every total is at most
+    max(1, n*p(n)), and p(n) < exp(pi*sqrt(2n/3)) for n >= 1 (Apostol,
+    Introduction to Analytic Number Theory, Thm 14.5), so ``_lane_bits``
+    bounds every total of n <= n_max and no lane carries into the next:
+    31 bits at n_max = 40, 49 at 120 and 75 at 300.
     """
-    bits = n_max + n_max.bit_length() + 1
+    bits = _lane_bits(n_max)
     mask = (1 << bits) - 1
     rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     rows[0][0] = 1

@@ -19,8 +19,10 @@ the same product forms one general product at a time, as the reference.
 
 from __future__ import annotations
 
+import math
+
 # Caps both truncation orders, N and J: up to it the dense tables stay at
-# desk scale, and the lane bound below is tested at N = 120.
+# desk scale, and the lane bound below is tested to N = 400.
 MAX_Q_ORDER = 120
 
 # kind -> (family of its count product, whether it takes a residue t), in
@@ -84,9 +86,20 @@ class Series:
 # arithmetic, and the modulus drops only w^(J+1) and up.  Intermediate
 # rows may therefore be any size; only the final coefficients must fit a
 # signed B-bit lane.  Each is a class total or a difference of two, so
-# |c| <= max(1, n*p(n)) <= N*2^(N-1) < 2^(B-2) when
-# B = N + N.bit_length() + 2, and B >= 2 at N = 0.  M = 2^((J+1)B) - 1
-# masks a row to the modulus.
+# |c| <= max(1, n*p(n)).  With p(n) < exp(pi*sqrt(2n/3)) for n >= 1
+# (Apostol, Introduction to Analytic Number Theory, Thm 14.5) and p
+# increasing, L(N) = ceil(pi*sqrt(2N/3)*log2(e)) + N.bit_length() bounds
+# the bit length of every n*p(n) with n <= N.  B = L(N) + 2 bits, so
+# |c| < 2^(B-1), the signed-lane fit, with a bit to spare (at N = 0,
+# B = 2 and |c| <= 1): 32 bits at N = 40, 50 at N = 120 and 76 at
+# N = 300.  The tests check each width against the exact p(n) for every
+# N <= 400.  M = 2^((J+1)B) - 1 masks a row to the modulus.
+
+
+def _lane_bits(N: int) -> int:
+    """B, the signed lane width of the rows of a q-truncation N table."""
+    return (math.ceil(math.pi * math.sqrt(2 * N / 3) * math.log2(math.e))
+            + N.bit_length() + 2)
 
 
 def _add_marked_run(X: list[int], B: int, M: int, p: int, first: int,
@@ -208,7 +221,7 @@ def series(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
     if not needs_t and t is not None:
         raise ValueError(f"{kind} takes no t, got {t}")
     s = Series(N, J)
-    B = N + N.bit_length() + 2
+    B = _lane_bits(N)
     M = (1 << (J + 1) * B) - 1
     X = multiplier(kind, r, t, N, B, M)
     _times_count_product(X, family, r, B, M)

@@ -31,6 +31,16 @@ def test_class_sizes_sum_to_partition_counts_up_to_120():
                     == oracle[n]), (n, r)
 
 
+def test_dp_lane_width_fits_every_total_bound_to_400():
+    # every DP lane holds a total of at most max(1, n*p(n)) unsigned
+    p = pentagonal_counts(400)
+    for n_max in range(401):
+        assert max(1, n_max * p[n_max]) < 1 << identities._lane_bits(n_max), \
+            n_max
+    assert [identities._lane_bits(n) for n in (0, 40, 120, 300)] == \
+        [1, 31, 49, 75]
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_widest_totals_at_120_match_classical_sums(r):
     # the largest totals of the packed DP lanes: over all partitions of n,

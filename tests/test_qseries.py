@@ -134,6 +134,19 @@ def test_all_series_match_enumeration(r):
                     (kind, t, n, j)
 
 
+def test_all_series_match_the_dp_at_the_cap():
+    # both routes' packed lanes at their widest, N = MAX_Q_ORDER, for
+    # every kind, r = 2..5 and every t
+    N, J = qs.MAX_Q_ORDER, 5
+    for r in range(2, 6):
+        table = class_totals(r, N)
+        for kind, t in series_tables(r):
+            s = qs.series(kind, r, t, N, J)
+            for n, row in enumerate(s.c):
+                assert row == [dp_total(kind, table[n], j, t)
+                               for j in range(J + 1)], (kind, r, t, n)
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_nonresidual_series_is_r_times_divisible_series(r):
     # the two prefactors are built by different routes, so this still
@@ -254,9 +267,10 @@ def _pack(rows: list[list[int]], B: int) -> list[int]:
     return [sum(v << j * B for j, v in enumerate(row)) & M for row in rows]
 
 
-@pytest.mark.parametrize("N,J", [(0, 0), (0, 3), (7, 0), (7, 3), (120, 8)])
+@pytest.mark.parametrize("N,J", [(0, 0), (0, 3), (7, 0), (7, 3), (120, 8),
+                                 (120, 120)])
 def test_packed_rows_round_trip_signed_lanes(N, J):
-    B = N + N.bit_length() + 2
+    B = qs._lane_bits(N)
     top = (1 << (B - 1)) - 1
     for v in (-1, 0, top, -top):
         rows = [[0] * (J + 1) for _ in range(3)]
@@ -270,6 +284,15 @@ def test_packed_rows_round_trip_signed_lanes(N, J):
     back = [[0] * (J + 1)]
     qs._unpack(_pack([[top + 1] + [0] * J], B), back, B)
     assert back[0][0] == -top - 1
+
+
+def test_lane_width_fits_every_coefficient_bound_to_400():
+    # the signed-lane fit of qseries' lane comment against the exact p(N);
+    # N = 0 is the narrowest lane, B = 2
+    p = pentagonal_counts(400)
+    for N in range(401):
+        assert max(1, N * p[N]) < 1 << qs._lane_bits(N) - 1, N
+    assert [qs._lane_bits(N) for N in (0, 40, 120, 300)] == [2, 32, 50, 76]
 
 
 def test_widest_coefficients_fit_the_lane_bound():
