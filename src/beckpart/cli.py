@@ -170,8 +170,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.r < 2:
-        raise ValueError(f"r must be >= 2, got {args.r}")
+    _check_grid(args.n_max, (args.r,), args.j_max)
     if qseries.KINDS[args.which][1]:
         if args.t is None:
             raise ValueError(f"--which {args.which} requires --t")
@@ -250,10 +249,7 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_oeis(args) -> int:
-    if args.r < 2:
-        raise ValueError(f"r must be >= 2, got {args.r}")
-    if not 0 <= args.n_max <= MAX_N:
-        raise ValueError(f"n-max must be in 0..{MAX_N}, got {args.n_max}")
+    _check_grid(args.n_max, (args.r,), 0)
     if args.j > MAX_N:
         raise ValueError(f"j must be at most {MAX_N}, got {args.j}")
     oeis.check_id(args.sequence)  # before the table is built

@@ -7,14 +7,15 @@ functions whose [q^n w^j] coefficients reproduce the class totals of the
 identities module (its part-value dynamic program); cross-checking the
 two routes coefficientwise is the point of this module.
 
-As in the paper's analytic proof, every table is the class's count
-product C(q, w) times a per-part multiplier.  ``KINDS`` names the family
-whose count product each kind uses; ``multiplier`` writes the kind's
-sparse sum over part values as packed rows, one integer per power of q,
-and ``series`` multiplies those rows by C's factors one at a time, in
-place, so a factor is one big-int operation per row, then unpacks them
-into the table once.  There is no general product here: the tests build
-the same product forms one general product at a time, as the reference.
+As in the paper's analytic proof, every table is the count product
+C(q, w) = prod_m (1 - (1-w)q^(rm)) / prod_k (1 - q^k) times a per-part
+multiplier.  That the O and D families share C is Franklin's identity,
+so ``KINDS`` names only the family whose classes a kind totals over.
+``multiplier`` writes the kind's sparse sum over part values as packed
+rows, one integer per power of q; ``series`` applies C's marked factors
+to them in place, divides by prod_k (1 - q^k) in one recurrence from
+Euler's pentagonal number theorem, and unpacks the rows once.  The tests
+build each family's product from its own per-part factors as reference.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import math
 # desk scale, and the lane bound below is tested to N = 400.
 MAX_Q_ORDER = 120
 
-# kind -> (family of its count product, whether it takes a residue t), in
-# the order `beckpart series --which` lists them.
+# kind -> (family whose classes it totals over, whether it takes a residue
+# t), in the order `beckpart series --which` lists them.
 KINDS = {
     "count-O": ("O", False),
     "count-D": ("D", False),
@@ -126,39 +127,40 @@ def _unpack(X: list[int], c: list[list[int]], B: int) -> None:
             x = (x - v) >> B  # borrow from the next lane
 
 
-def _times_count_product(X: list[int], family: str, r: int, B: int,
-                         M: int) -> None:
-    """X *= C(q, w) in place, where [q^n w^j] of C is the size of the
-    family's exactly-j class: one masked big-int operation per packed row
-    and factor."""
+def _times_count_product(X: list[int], r: int, B: int, M: int) -> None:
+    """X *= C(q, w) in place ([q^n w^j] of C counts either family's
+    exactly-j class): a descending masked step per factor 1 - (1-w)q^p,
+    p = r, 2r, ... (b << B is w*b), then one ascending recurrence divides
+    by prod_k (1 - q^k) = sum_i (-1)^i q^(i(3i-1)/2) over all integers i
+    (Euler's pentagonal theorem; Andrews, The Theory of Partitions, ch. 1),
+    exact as its constant term is 1: X[n] += X[n-1] + X[n-2] - X[n-5] ..."""
     N = len(X) - 1
-
-    def divide(k):  # 1/(1 - q^k): an ascending running sum, stride k
-        for n in range(k, N + 1):
-            X[n] = (X[n] + X[n - k]) & M
-
     for p in range(r, N + 1, r):
-        # 1 + w*q^p/(1 - q^p) = (1 - (1-w)q^p) / (1 - q^p): descending,
-        # and b << B is w*b
         for n in range(N, p - 1, -1):
             b = X[n - p]
             X[n] = (X[n] - b + (b << B)) & M
-        divide(p)
-    for k in range(1, N + 1):
-        if family == "D":
-            # 1 + q^k + ... + q^((r-1)k) = (1 - q^(rk)) / (1 - q^k)
-            for n in range(N, r * k - 1, -1):
-                X[n] = (X[n] - X[n - r * k]) & M
-            divide(k)
-        elif k % r:
-            divide(k)
+    plus, minus = [], []  # the generalized pentagonal numbers by sign
+    for i in range(1, N + 1):
+        (plus if i % 2 else minus).extend((i * (3 * i - 1) // 2,
+                                           i * (3 * i + 1) // 2))
+    for n in range(1, N + 1):
+        x = X[n]
+        for g in plus:
+            if g > n:
+                break
+            x += X[n - g]
+        for g in minus:
+            if g > n:
+                break
+            x -= X[n - g]
+        X[n] = x & M
 
 
 def multiplier(kind: str, r: int, t: int | None, N: int, B: int,
                M: int) -> list[int]:
-    """The sparse sum over part values that turns the count product of
-    ``KINDS[kind]``'s family into the kind's table, as the packed rows
-    q^0..q^N with B-bit lanes under the mask M."""
+    """The sparse sum over part values that turns the count product into
+    the kind's table, as the packed rows q^0..q^N with B-bit lanes under
+    the mask M."""
     X = [0] * (N + 1)
     if kind in ("count-O", "count-D"):
         X[0] = 1
@@ -197,11 +199,9 @@ def multiplier(kind: str, r: int, t: int | None, N: int, B: int,
         for p in range(r, N + 1, r):
             _add_marked_run(X, B, M, p, 0, i_min=1)  # (1-w)q^p / (1 - (1-w)q^p)
     else:  # repeat-window
-        # The D product's factor for part m is
-        # F_m = (1 - (1-w)q^(rm)) / (1 - q^m), so the product over k != m
-        # is C * (1 - q^m) / (1 - (1-w)q^(rm)); the window
-        # q^((r+1)m) + ... + q^((2r-1)m) times (1 - q^m) is
-        # q^((r+1)m) - q^(2rm).
+        # the D product's factor for part m is (1 - (1-w)q^(rm)) / (1 - q^m);
+        # swapping it for the window q^((r+1)m) + ... + q^((2r-1)m)
+        # multiplies C by (q^((r+1)m) - q^(2rm)) / (1 - (1-w)q^(rm))
         for m in range(1, N // (r + 1) + 1):
             _add_marked_run(X, B, M, r * m, (r + 1) * m)
             _add_marked_run(X, B, M, r * m, 2 * r * m, sign=-1)
@@ -215,7 +215,7 @@ def series(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
         raise ValueError(f"modulus r must be >= 2, got {r}")
     if kind not in KINDS:
         raise ValueError(f"unknown series kind {kind!r}")
-    family, needs_t = KINDS[kind]
+    needs_t = KINDS[kind][1]
     if needs_t and (t is None or not 1 <= t <= r - 1):
         raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t}")
     if not needs_t and t is not None:
@@ -224,6 +224,6 @@ def series(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
     B = _lane_bits(N)
     M = (1 << (J + 1) * B) - 1
     X = multiplier(kind, r, t, N, B, M)
-    _times_count_product(X, family, r, B, M)
+    _times_count_product(X, r, B, M)
     _unpack(X, s.c, B)
     return s

@@ -258,11 +258,15 @@ def test_series_at_the_largest_j(capsys):
     (["euler", "--r", "2", "--s1", "1", "--j-max", "121"],
      "error: j-max must be at most 120, got 121"),
     (["series", "--which", "repeat-window", "--r", "2", "--n-max", "5",
-      "--j-max", "121"], "error: w-truncation 121 exceeds cap 120"),
+      "--j-max", "121"], "error: j-max must be at most 120, got 121"),
     (["oeis", "--sequence", "A090867", "--j", "121"],
      "error: j must be at most 120, got 121"),
     (["oeis", "--sequence", "A090867", "--j", "-1"],
      "error: class index j must be >= 0, got -1"),
+    (["series", "--which", "count-O", "--r", "1"],
+     "error: every r must be >= 2, got 1"),
+    (["oeis", "--sequence", "A090867", "--r", "1"],
+     "error: every r must be >= 2, got 1"),
 ])
 def test_class_index_is_capped(capsys, argv, message):
     code, out, err = run_capture(capsys, argv)

@@ -147,6 +147,20 @@ def test_all_series_match_the_dp_at_the_cap():
                                for j in range(J + 1)], (kind, r, t, n)
 
 
+def test_count_and_window_series_match_the_dp_at_full_w_width():
+    # every class index at N = J = MAX_Q_ORDER: both count kinds come
+    # from one shared product, so the DP's own d_count keeps count-D
+    # honest, and every lane of the widest rows is read back
+    N = J = qs.MAX_Q_ORDER
+    for r in range(2, 6):
+        table = class_totals(r, N)
+        for kind in ("count-O", "count-D", "repeat-window"):
+            s = qs.series(kind, r, None, N, J)
+            for n, row in enumerate(s.c):
+                assert row == [dp_total(kind, table[n], j, None)
+                               for j in range(J + 1)], (kind, r, n)
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_nonresidual_series_is_r_times_divisible_series(r):
     # the two prefactors are built by different routes, so this still
@@ -253,8 +267,12 @@ def test_builders_equal_their_product_forms(r, J):
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_small_tables_equal_their_product_forms(r):
     # N = 0 packs the narrowest lanes (B = 2), and N < r applies no marked
-    # step at all
-    for N in range(8):
+    # step at all; N one below and at the generalized pentagonal numbers
+    # 12, 15, 22 and 26 is where the division's recurrence takes on a
+    # term.  Each family's product form is built from its own per-part
+    # factors, so this also checks the Franklin identity that lets both
+    # families share one product
+    for N in (*range(8), 11, 12, 14, 15, 21, 22, 25, 26):
         for J in range(4):
             for kind, t in series_tables(r):
                 assert qs.series(kind, r, t, N, J) == \
