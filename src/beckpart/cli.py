@@ -113,11 +113,8 @@ def _report_failures(records: list[VerificationRecord]) -> int:
 def _cmd_verify(args) -> int:
     r_list, t = _int_list(args.r), _t_selector(args.t)
     _check_grid(args.n_max, r_list, args.j_max)
-    theorems = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
-    records = []
-    for theorem in theorems:
-        records.extend(identities.verify(theorem, range(args.n_max + 1),
-                                         r_list, args.j_max, t))
+    records = identities.verify(args.theorem, range(args.n_max + 1), r_list,
+                                args.j_max, t)
     meta = {"command": "verify", "theorem": args.theorem,
             "n_max": args.n_max, "r": list(r_list), "j_max": args.j_max,
             "t": t}
@@ -171,7 +168,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_series(args) -> int:
     _check_grid(args.n_max, (args.r,), args.j_max)
-    if qseries.KINDS[args.which][1]:
+    if qseries.KINDS[args.which]:
         if args.t is None:
             raise ValueError(f"--which {args.which} requires --t")
     elif args.t is not None:
@@ -234,12 +231,9 @@ def _cmd_euler(args) -> int:
                   f"on the window n <= {args.n_max} (inconclusive)",
                   file=sys.stderr)
         return 2
-    items = (1, 2, 3, 4) if args.item == "all" else (int(args.item),)
-    records = []
-    for item in items:
-        records.extend(euler_pairs.verify_tilde(item, pair,
-                                                range(args.n_max + 1),
-                                                args.j_max))
+    item = args.item if args.item == "all" else int(args.item)
+    records = euler_pairs.verify_tilde(item, pair, range(args.n_max + 1),
+                                       args.j_max)
     meta = {"command": "euler", "r": args.r, "bound": bound,
             "s1_size": len(pair.s1), "s2_size": len(pair.s2),
             "item": args.item, "n_max": args.n_max, "j_max": args.j_max}
@@ -252,6 +246,8 @@ def _cmd_oeis(args) -> int:
     _check_grid(args.n_max, (args.r,), 0)
     if args.j > MAX_N:
         raise ValueError(f"j must be at most {MAX_N}, got {args.j}")
+    if args.j < 0:
+        raise ValueError(f"class index j must be >= 0, got {args.j}")
     oeis.check_id(args.sequence)  # before the table is built
     values = [identities.stat_value(tot, f"count_{args.family}", args.j)
               for tot in identities.class_totals(args.r, args.n_max)]

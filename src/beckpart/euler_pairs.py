@@ -17,7 +17,6 @@ integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .identities import (STATEMENTS, ClassTotals, VerificationRecord,
@@ -74,34 +73,35 @@ def make_euler_pair(r: int, s1_members: Iterable[int], bound: int,
                      subbarao_ok=closure and s2 == derived_s2)
 
 
-@lru_cache(maxsize=8)
 def tilde_totals(pair: EulerPair, n_max: int) -> list[ClassTotals]:
     """The pair's ClassTotals of every n <= n_max: ``totals_table`` on its
-    S1 and S2, fetched once and indexed by n."""
+    S1 and S2, built on each call and indexed by n."""
     _check_n(n_max)
     if n_max > pair.bound:
         raise ValueError(f"n={n_max} exceeds the realized window {pair.bound}")
     return totals_table(pair.r, n_max, pair.s1, pair.s2)
 
 
-def verify_tilde(item: int, pair: EulerPair, n_values: Iterable[int],
+def verify_tilde(item: int | str, pair: EulerPair, n_values: Iterable[int],
                  j_max: int) -> list[VerificationRecord]:
-    """All instances of item k over the grid, in (n, j) order: the
-    statement of theorem ``ITEM_THEOREMS[k - 1]`` evaluated on the pair's
-    totals, with its classes labelled O~, D~ and T~."""
-    if item not in (1, 2, 3, 4):
+    """All instances of item k, or of items 1-4 in turn for "all", over the
+    grid in (n, j) order: the statement of theorem ``ITEM_THEOREMS[k - 1]``
+    on the pair's totals, built once for every item, with its classes
+    labelled O~, D~ and T~."""
+    if item not in ("all", 1, 2, 3, 4):
         raise ValueError(f"item must be in 1..4, got {item}")
     if not pair.subbarao_ok:
         raise ValueError(
             "pair fails the closure condition (r*S1 inside S1 and "
             "S2 = S1 minus r*S1); the identities are not asserted for it")
-    statement = STATEMENTS[ITEM_THEOREMS[item - 1]]
+    items = list(zip(EULER_ITEM_IDS, ITEM_THEOREMS))
     ns = sorted(set(n_values))
     if ns:
         _check_n(ns[0])
     table = tilde_totals(pair, ns[-1]) if ns else []
-    return [_record(EULER_ITEM_IDS[item - 1], n, pair.r, j, None,
-                    *statement(table[n], pair.r, j, None, "~"))
+    return [_record(name, n, pair.r, j, None,
+                    *STATEMENTS[theorem](table[n], pair.r, j, None, "~"))
+            for name, theorem in (items if item == "all" else [items[item - 1]])
             for n in ns for j in range(j_max + 1)]
 
 

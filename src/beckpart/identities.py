@@ -11,9 +11,10 @@ n <= N in a single pass.  The program works from the class definitions
 alone; the q-series module reproduces the same numbers by a different
 route and is deliberately not used here.
 
-A command fetches ``class_totals(r, n_max)`` once and indexes it by n.
-``STATS`` reads each statistic from a record and ``STATEMENTS`` states
-each theorem on one, the record of an Euler pair included.
+A command builds ``class_totals(r, n_max)`` once per r and indexes it
+by n; no table is kept between calls.  ``STATS`` reads each statistic
+from a record and ``STATEMENTS`` states each theorem on one, the record
+of an Euler pair included.
 
 The left side of ``diff3`` sums |O_1(n - r*w)| over index tuples (m, k),
 m strictly increasing in S1 and k positive, of weight w = sum m_i*k_i.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 # The largest n of a totals table, and so of every command.
@@ -167,7 +167,6 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be non-negative, got {n}")
 
 
-@lru_cache(maxsize=8)
 def class_totals(r: int, n_max: int) -> list[ClassTotals]:
     """ClassTotals of every n <= n_max for the unrestricted classes: S1 =
     1..n_max, S2 its non-multiples of r."""
@@ -339,13 +338,16 @@ def _statement(theorem: str):
 
 def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
            j_max: int, t: int | str = "all") -> list[VerificationRecord]:
-    """All instances of one theorem over a parameter grid, in canonical
-    (n, r, j, t) order; each r's totals table is fetched once."""
-    statement = _statement(theorem)
+    """All instances of one theorem, or of each of ``THEOREM_IDS`` in turn
+    for "all", over a parameter grid in canonical (n, r, j, t) order; each
+    r's totals table is built once, at the largest n, for every theorem."""
+    statements = {name: _statement(name) for name in
+                  (THEOREM_IDS if theorem == "all" else (theorem,))}
     ns, rs = sorted(set(n_values)), sorted(set(r_values))
     _check_n(min(ns, default=0))
     tables = {r: class_totals(r, ns[-1]) for r in rs} if ns else {}
-    return [_record(theorem, n, r, j, t_,
+    return [_record(name, n, r, j, t_,
                     *statement(tables[r][n], r, j, t_, ""))
+            for name, statement in statements.items()
             for n in ns for r in rs for j in range(j_max + 1)
-            for t_ in t_values(theorem, r, t)]
+            for t_ in t_values(name, r, t)]

@@ -10,7 +10,7 @@ two routes coefficientwise is the point of this module.
 As in the paper's analytic proof, every table is the count product
 C(q, w) = prod_m (1 - (1-w)q^(rm)) / prod_k (1 - q^k) times a per-part
 multiplier.  That the O and D families share C is Franklin's identity,
-so ``KINDS`` names only the family whose classes a kind totals over.
+so a kind's family changes nothing but its multiplier.
 ``multiplier`` writes the kind's sparse sum over part values as packed
 rows, one integer per power of q; ``series`` applies C's marked factors
 to them in place, divides by prod_k (1 - q^k) in one recurrence from
@@ -26,19 +26,19 @@ import math
 # desk scale, and the lane bound below is tested to N = 400.
 MAX_Q_ORDER = 120
 
-# kind -> (family whose classes it totals over, whether it takes a residue
-# t), in the order `beckpart series --which` lists them.
+# kind -> whether it takes a residue t, in `beckpart series --which` order;
+# the comment names the family whose classes the kind totals over.
 KINDS = {
-    "count-O": ("O", False),
-    "count-D": ("D", False),
-    "congruent-parts": ("O", True),
-    "residual-depth": ("D", True),
-    "divisible-parts": ("O", False),
-    "nonresidual-sum": ("D", False),
-    "distinct-O": ("O", False),
-    "distinct-D": ("D", False),
-    "beck-delta": ("O", True),
-    "repeat-window": ("D", False),
+    "count-O": False,  # O
+    "count-D": False,  # D
+    "congruent-parts": True,  # O
+    "residual-depth": True,  # D
+    "divisible-parts": False,  # O
+    "nonresidual-sum": False,  # D
+    "distinct-O": False,  # O
+    "distinct-D": False,  # D
+    "beck-delta": True,  # O
+    "repeat-window": False,  # D
 }
 
 
@@ -215,7 +215,7 @@ def series(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
         raise ValueError(f"modulus r must be >= 2, got {r}")
     if kind not in KINDS:
         raise ValueError(f"unknown series kind {kind!r}")
-    needs_t = KINDS[kind][1]
+    needs_t = KINDS[kind]
     if needs_t and (t is None or not 1 <= t <= r - 1):
         raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t}")
     if not needs_t and t is not None:

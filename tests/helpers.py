@@ -8,9 +8,11 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from beckpart import euler_pairs, identities
 from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import EulerPair
-from beckpart.identities import ClassTotals, class_totals, stat_value
+from beckpart.identities import (ClassTotals, class_totals, stat_value,
+                                 totals_table)
 from beckpart.partition import Partition, classify
 from beckpart.qseries import KINDS, Series
 
@@ -259,6 +261,19 @@ def _gen_mk(j, left, m_min, m_acc, k_acc):
 def record(n: int, r: int) -> ClassTotals:
     """The unrestricted totals record of one (n, r)."""
     return class_totals(r, n)[n]
+
+
+def count_table_builds(monkeypatch) -> list[tuple[int, int]]:
+    """Record the (r, n_max) of every ``totals_table`` build from here on.
+    euler_pairs imports it by name, so both modules' names are patched."""
+    builds = []
+
+    def spy(r, n_max, s1, s2):
+        builds.append((r, n_max))
+        return totals_table(r, n_max, s1, s2)
+    for module in (identities, euler_pairs):
+        monkeypatch.setattr(module, "totals_table", spy)
+    return builds
 
 
 def total_of(tot: ClassTotals, field: str, j: int, t: int = 0) -> int:
@@ -698,7 +713,7 @@ def product_form(kind: str, r: int, t: int | None, N: int,
 
 def series_tables(r: int):
     """(kind, t) of every `beckpart series` table at modulus r."""
-    return [(kind, t) for kind, (_, needs_t) in KINDS.items()
+    return [(kind, t) for kind, needs_t in KINDS.items()
             for t in (range(1, r) if needs_t else (None,))]
 
 

@@ -14,7 +14,7 @@ from beckpart import cli, euler_pairs, identities
 from beckpart.cli import run
 from beckpart.enumeration import partitions_of
 from beckpart.identities import VerificationRecord
-from helpers import EXPECTED
+from helpers import EXPECTED, count_table_builds
 
 
 def run_capture(capsys, argv):
@@ -347,12 +347,16 @@ def test_stats_repeated_r_lists_each_row_once(capsys, fmt):
     (["stats", "--stat", "modular-gap", "--n-max", "12", "--r", "4,2",
       "--j-max", "1"], 2),
     (["oeis", "--sequence", "A090867", "--n-max", "20"], 1),
+    # one pass over the moduli for all nine theorems, however many moduli
+    (["verify", "--theorem", "all", "--n-max", "12", "--r",
+      "2,3,4,5,6,7,8,9,10", "--j-max", "1"], 9),
 ])
-def test_one_totals_table_build_per_modulus(capsys, argv, builds):
-    identities.class_totals.cache_clear()
+def test_one_totals_table_build_per_modulus(capsys, monkeypatch, argv,
+                                            builds):
+    tables = count_table_builds(monkeypatch)
     assert run(argv) == 0
     capsys.readouterr()
-    assert identities.class_totals.cache_info().misses == builds
+    assert len(tables) == builds
 
 
 def test_series_csv_spot_value(capsys):
@@ -455,14 +459,14 @@ def test_euler_accepts_the_largest_bound(capsys):
                for row in csv.DictReader(io.StringIO(out)))
 
 
-def test_euler_builds_one_table_per_run(capsys):
-    euler_pairs.tilde_totals.cache_clear()
+def test_euler_builds_one_table_per_run(capsys, monkeypatch):
+    tables = count_table_builds(monkeypatch)
     assert run(["euler", "--r", "2", "--s1-multiples-of", "1",
                 "--n-max", "30", "--j-max", "2"]) == 0
     assert run(["euler", "--r", "2", "--s1", "1", "--s2", "1",
                 "--bound", "30", "--n-max", "30"]) == 2
     capsys.readouterr()
-    assert euler_pairs.tilde_totals.cache_info().misses == 2
+    assert len(tables) == 2
 
 
 @pytest.mark.parametrize("module", ["beckpart", "beckpart.cli"])
@@ -513,11 +517,14 @@ def test_oeis_exits_one_on_a_mismatch_inside_the_reference(
 
 def test_oeis_checks_the_sequence_before_building_the_table(capsys,
                                                             monkeypatch):
-    monkeypatch.setattr(identities, "class_totals",
-                        lambda *args: pytest.fail("class table built"))
+    tables = count_table_builds(monkeypatch)
     assert run_capture(capsys, [
         "oeis", "--sequence", "x", "--n-max", "120"]) == (
         2, "", "error: sequence id must be 'A' followed by digits, got 'x'\n")
     assert run_capture(capsys, [
         "oeis", "--sequence", "A090867", "--j", "200"]) == (
         2, "", "error: j must be at most 120, got 200\n")
+    assert run_capture(capsys, [
+        "oeis", "--sequence", "A090867", "--j", "-1", "--n-max", "120"]) == (
+        2, "", "error: class index j must be >= 0, got -1\n")
+    assert tables == []

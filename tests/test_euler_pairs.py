@@ -10,7 +10,8 @@ from beckpart.euler_pairs import (EULER_ITEM_IDS, make_euler_pair,
                                   verify_tilde)
 from beckpart.identities import (ClassTotals, class_totals, stat_value,
                                  verify)
-from helpers import assert_same_totals, enumerated_tilde_totals
+from helpers import (assert_same_totals, count_table_builds,
+                     enumerated_tilde_totals)
 
 BOUND = 24
 
@@ -226,32 +227,21 @@ def test_tilde_dp_equals_enumeration_random(pair, n):
 
 
 @pytest.mark.parametrize("item", [1, 2, 3, 4])
-def test_verify_tilde_builds_each_table_once(classical, triples, item):
-    tilde_totals.cache_clear()
+def test_verify_tilde_builds_each_table_once(classical, triples, item,
+                                             monkeypatch):
+    builds = count_table_builds(monkeypatch)
     for pair in (classical, triples):
         assert all(rec.ok for rec in verify_tilde(item, pair,
                                                   range(BOUND + 1), 2))
-    assert tilde_totals.cache_info().misses == 2
+    assert len(builds) == 2
 
 
-def test_counterexample_search_builds_each_table_once(broken):
-    tilde_totals.cache_clear()
+def test_counterexample_search_builds_each_table_once(broken, monkeypatch):
+    builds = count_table_builds(monkeypatch)
     assert subbarao_counterexample(broken, 10) == (2, 1, 0)
     pair = make_euler_pair(2, [1, 2], 4)
     assert subbarao_counterexample(pair, 4) == (4, 1, 0)
-    assert tilde_totals.cache_info().misses == 2
-
-
-def test_tilde_cache_stays_bounded():
-    pairs = [make_euler_pair(2, range(1, b + 1), b) for b in range(1, 13)]
-    tilde_totals.cache_clear()
-    for pair in pairs:
-        tilde_totals(pair, pair.bound)
-        assert tilde_totals.cache_info().currsize <= 8
-    info = tilde_totals.cache_info()
-    assert (info.misses, info.currsize, info.maxsize) == (12, 8, 8)
-    tilde_totals(pairs[-1], pairs[-1].bound)
-    assert tilde_totals.cache_info().hits == 1
+    assert len(builds) == 2
 
 
 def test_euler_pairs_is_independent_of_the_series_route():

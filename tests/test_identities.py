@@ -5,9 +5,10 @@ from beckpart import identities
 from beckpart.euler_pairs import make_euler_pair, tilde_totals
 from beckpart.identities import (STATS, THEOREM_IDS, _record, class_totals,
                                  stat_value, verify)
-from helpers import (ClassSpec, assert_same_totals, enumerate_class,
-                     enumerated_class_totals, fiber_ragged_repeat_count,
-                     index_weight_tuples, pentagonal_counts, record)
+from helpers import (ClassSpec, assert_same_totals, count_table_builds,
+                     enumerate_class, enumerated_class_totals,
+                     fiber_ragged_repeat_count, index_weight_tuples,
+                     pentagonal_counts, record)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -58,24 +59,20 @@ def test_widest_totals_at_120_match_classical_sums(r):
                 == distinct)
 
 
-def test_totals_cache_stays_bounded():
-    class_totals.cache_clear()
-    for r in range(2, 51):
-        assert sum(class_totals(r, 12)[12].o_count.values()) == 77
-        assert class_totals.cache_info().currsize <= 8
-    info = class_totals.cache_info()
-    assert (info.misses, info.currsize, info.maxsize) == (49, 8, 8)
-    class_totals(50, 12)
-    class_totals(49, 12)
-    assert class_totals.cache_info().hits == 2
+def test_no_totals_table_is_kept_between_calls(monkeypatch):
+    pair = make_euler_pair(2, range(1, 13), 12)
+    builds = count_table_builds(monkeypatch)
+    assert class_totals(3, 12) == class_totals(3, 12)
+    assert tilde_totals(pair, 12) == tilde_totals(pair, 12)
+    assert builds == [(3, 12), (3, 12), (2, 12), (2, 12)]
 
 
-def test_totals_table_is_built_once_for_a_range_of_n():
-    class_totals.cache_clear()
+def test_totals_table_is_built_once_for_a_range_of_n(monkeypatch):
     table = class_totals(3, 20)
     assert len(table) == 21
+    builds = count_table_builds(monkeypatch)
     assert all(rec.ok for rec in verify("beck_main", range(21), [3], 2))
-    assert class_totals.cache_info().misses == 1
+    assert builds == [(3, 20)]
     # a table's records do not depend on its n_max
     assert class_totals(3, 12) == table[:13]
 
