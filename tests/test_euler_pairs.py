@@ -244,6 +244,19 @@ def test_counterexample_search_builds_each_table_once(broken, monkeypatch):
     assert len(builds) == 2
 
 
+def test_tilde_cache_stays_bounded(monkeypatch):
+    # no pair table is kept between calls: every call builds its own,
+    # a repeated call builds again, and there is no cache to outgrow
+    pairs = [make_euler_pair(2, range(1, b + 1), b) for b in range(1, 13)]
+    builds = count_table_builds(monkeypatch)
+    for pair in pairs:
+        tilde_totals(pair, pair.bound)
+    assert (tilde_totals(pairs[-1], pairs[-1].bound)
+            == tilde_totals(pairs[-1], pairs[-1].bound))
+    assert builds == [(2, b) for b in range(1, 13)] + [(2, 12), (2, 12)]
+    assert not hasattr(tilde_totals, "cache_info")
+
+
 def test_euler_pairs_is_independent_of_the_series_route():
     import inspect
     assert "qseries" not in inspect.getsource(euler_pairs)

@@ -59,12 +59,15 @@ def test_widest_totals_at_120_match_classical_sums(r):
                 == distinct)
 
 
-def test_no_totals_table_is_kept_between_calls(monkeypatch):
-    pair = make_euler_pair(2, range(1, 13), 12)
+def test_totals_cache_stays_bounded(monkeypatch):
+    # no class table is kept between calls: every call builds its own,
+    # a repeated call builds again, and there is no cache to outgrow
     builds = count_table_builds(monkeypatch)
+    for r in range(2, 51):
+        assert sum(class_totals(r, 12)[12].o_count.values()) == 77
     assert class_totals(3, 12) == class_totals(3, 12)
-    assert tilde_totals(pair, 12) == tilde_totals(pair, 12)
-    assert builds == [(3, 12), (3, 12), (2, 12), (2, 12)]
+    assert builds == [(r, 12) for r in range(2, 51)] + [(3, 12), (3, 12)]
+    assert not hasattr(class_totals, "cache_info")
 
 
 def test_totals_table_is_built_once_for_a_range_of_n(monkeypatch):
