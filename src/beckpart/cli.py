@@ -54,49 +54,43 @@ def _t_selector(text: str) -> str | int:
         raise ValueError(f"--t must be 'all' or an integer, got {text!r}") from None
 
 
-def _write_text(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
+def _emit_rows(header: tuple[str, ...], rows, args, meta: dict) -> None:
+    """Render rows of values under ``header`` as ``args.format`` (table, CSV
+    or JSON), to ``args.output`` or stdout; None is "-" in a table, an
+    empty CSV field and null in JSON."""
+    if args.format == "json":
+        text = json.dumps({"meta": meta, "records": [
+            dict(zip(header, row)) for row in rows]}, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:  # one at a time, so no list of every row is built
+            writer.writerow(row)
+        text = buf.getvalue()
+    else:  # plain aligned table
+        cells = [header, *([("-" if v is None else str(v)) for v in row]
+                           for row in rows)]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        text = "".join("  ".join(v.ljust(w) for v, w in zip(c, widths))
+                       .rstrip() + "\n" for c in cells)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_rows(rows: list[dict], fmt: str, output: str | None, meta: dict) -> None:
-    """Render dict rows (all with identical keys) as table, CSV or JSON."""
-    if fmt == "json":
-        _write_text(json.dumps({"meta": meta, "records": rows}, indent=2) + "\n",
-                    output)
-        return
-    header = list(rows[0].keys()) if rows else []
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row.values()])
-        _write_text(buf.getvalue(), output)
-        return
-    # plain aligned table
-    cells = [[("-" if v is None else str(v)) for v in row.values()] for row in rows]
-    widths = [max([len(h)] + [len(c[i]) for c in cells])
-              for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for c in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip())
-    _write_text("\n".join(lines) + "\n", output)
+RECORD_HEADER = ("theorem", "n", "r", "j", "t", "lhs", "rhs1", "rhs2", "ok")
 
 
-def _record_rows(records: list[VerificationRecord], fmt: str) -> list[dict]:
-    rows = []
-    for rec in records:
-        ok = rec.ok if fmt == "json" else str(rec.ok).lower()
-        rows.append({
-            "theorem": rec.theorem, "n": rec.n, "r": rec.r, "j": rec.j,
-            "t": rec.t, "lhs": rec.lhs,
-            "rhs1": rec.rhs_value(0), "rhs2": rec.rhs_value(1), "ok": ok,
-        })
-    return rows
+def _record_rows(records: list[VerificationRecord], fmt: str):
+    """One row per record under RECORD_HEADER; ok is a JSON bool, or
+    true/false as text."""
+    for theorem, n, r, j, t, lhs, rhs, ok, _ in records:
+        yield (theorem, n, r, j, t, lhs, rhs[0][1],
+               rhs[1][1] if len(rhs) > 1 else None,
+               ok if fmt == "json" else "true" if ok else "false")
 
 
 def _report_failures(records: list[VerificationRecord]) -> int:
@@ -118,8 +112,7 @@ def _cmd_verify(args) -> int:
     meta = {"command": "verify", "theorem": args.theorem,
             "n_max": args.n_max, "r": list(r_list), "j_max": args.j_max,
             "t": t}
-    _emit_rows(_record_rows(records, args.format), args.format, args.output,
-               meta)
+    _emit_rows(RECORD_HEADER, _record_rows(records, args.format), args, meta)
     return _report_failures(records)
 
 
@@ -131,15 +124,15 @@ def _cmd_stats(args) -> int:
     # each r once, in first-seen order, so a repeated r adds no rows
     tables = {r: identities.class_totals(r, args.n_max)
               for r in dict.fromkeys(r_list)}
-    rows = [{"stat": stat, "n": n, "r": r, "j": j, "t": t,
-             "value": identities.stat_value(table[n], stat, j, mode, t)}
+    rows = [(stat, n, r, j, t,
+             identities.stat_value(table[n], stat, j, mode, t))
             for n in range(args.n_max + 1) for r, table in tables.items()
             for j in range(args.j_max + 1) for stat in stats
             for t in identities.t_values(stat, r, t_sel)]
     meta = {"command": "stats", "stat": args.stat, "n_max": args.n_max,
             "r": list(r_list), "j_max": args.j_max, "t": t_sel,
             "mode": args.mode}
-    _emit_rows(rows, args.format, args.output, meta)
+    _emit_rows(("stat", "n", "r", "j", "t", "value"), rows, args, meta)
     return 0
 
 
@@ -174,11 +167,11 @@ def _cmd_series(args) -> int:
     elif args.t is not None:
         raise ValueError(f"--which {args.which} does not accept --t")
     series = SERIES_KINDS[args.which](args.r, args.t, args.n_max, args.j_max)
-    rows = [{"n": n, "j": j, "coefficient": v}
-            for n, row in enumerate(series.c) for j, v in enumerate(row)]
+    rows = [(n, j, v) for n, row in enumerate(series.c)
+            for j, v in enumerate(row)]
     meta = {"command": "series", "which": args.which, "r": args.r,
             "t": args.t, "N": args.n_max, "J": args.j_max}
-    _emit_rows(rows, args.format, args.output, meta)
+    _emit_rows(("n", "j", "coefficient"), rows, args, meta)
     return 0
 
 
@@ -237,8 +230,7 @@ def _cmd_euler(args) -> int:
     meta = {"command": "euler", "r": args.r, "bound": bound,
             "s1_size": len(pair.s1), "s2_size": len(pair.s2),
             "item": args.item, "n_max": args.n_max, "j_max": args.j_max}
-    _emit_rows(_record_rows(records, args.format), args.format, args.output,
-               meta)
+    _emit_rows(RECORD_HEADER, _record_rows(records, args.format), args, meta)
     return _report_failures(records)
 
 

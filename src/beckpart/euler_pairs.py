@@ -95,14 +95,15 @@ def verify_tilde(item: int | str, pair: EulerPair, n_values: Iterable[int],
             "pair fails the closure condition (r*S1 inside S1 and "
             "S2 = S1 minus r*S1); the identities are not asserted for it")
     items = list(zip(EULER_ITEM_IDS, ITEM_THEOREMS))
+    statements = [(name, STATEMENTS[theorem]("~")) for name, theorem in
+                  (items if item == "all" else [items[item - 1]])]
     ns = sorted(set(n_values))
-    if ns:
-        _check_n(ns[0])
+    _check_n(min(ns, default=0), j_max)
     table = tilde_totals(pair, ns[-1]) if ns else []
     return [_record(name, n, pair.r, j, None,
-                    *STATEMENTS[theorem](table[n], pair.r, j, None, "~"))
-            for name, theorem in (items if item == "all" else [items[item - 1]])
-            for n in ns for j in range(j_max + 1)]
+                    *statement(table[n], pair.r, j, None))
+            for name, statement in statements for n in ns
+            for j in range(j_max + 1)]
 
 
 def subbarao_counterexample(pair: EulerPair, n_max: int

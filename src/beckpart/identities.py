@@ -13,8 +13,8 @@ route and is deliberately not used here.
 
 A command builds ``class_totals(r, n_max)`` once per r and indexes it
 by n; no table is kept between calls.  ``STATS`` reads each statistic
-from a record and ``STATEMENTS`` states each theorem on one, the record
-of an Euler pair included.
+from a record, ``STATEMENTS`` states each theorem on one (of an Euler
+pair too), and ``verify`` makes each instance a ``VerificationRecord``.
 
 The left side of ``diff3`` sums |O_1(n - r*w)| over index tuples (m, k),
 m strictly increasing in S1 and k positive, of weight w = sum m_i*k_i.
@@ -27,7 +27,7 @@ each weight, and the table stores the sum per j as one more field,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 # The largest n of a totals table, and so of every command.
@@ -162,9 +162,12 @@ def totals_table(r: int, n_max: int, s1: Iterable[int],
     return tables
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int, j: int = 0) -> None:
+    """Refuse a negative n, or a negative class index j."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    if j < 0:
+        raise ValueError(f"class index j must be >= 0, got {j}")
 
 
 def class_totals(r: int, n_max: int) -> list[ClassTotals]:
@@ -237,9 +240,10 @@ def _read(tot, stat, j, mode="exact", t=None):
     return sum(value(tot, i, t) for i in range(j + 1))
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    """One theorem instance: parameters, left side, labelled right sides."""
+class VerificationRecord(NamedTuple):
+    """One theorem instance: parameters, left side, labelled right sides.
+    A tuple, so it compares and unpacks as one, ``_replace`` returns a
+    changed copy, and it has no per-instance ``__dict__``."""
 
     theorem: str
     n: int
@@ -256,98 +260,100 @@ class VerificationRecord:
 
 
 def _record(theorem, n, r, j, t, lhs, rhs, note=""):
-    ok = not note and all(v == lhs for _, v in rhs)
-    return VerificationRecord(theorem, n, r, j, t, lhs, tuple(rhs), ok, note)
+    # ok: no note, and the one or two right sides (first, last) equal lhs
+    return VerificationRecord(theorem, n, r, j, t, lhs, tuple(rhs),
+                              not note and rhs[0][1] == rhs[-1][1] == lhs,
+                              note)
 
 
-# -- the statements: each reads one totals record, of the unrestricted classes
-# or of an Euler pair, and returns (lhs, labelled right sides, note); ``mark``
-# tags the class names in the labels ("~" for the restricted classes).
+# -- the statements: ``STATEMENTS[theorem](mark)`` builds a theorem's labels
+# once, ``mark`` tagging the class names ("~" for the restricted classes), as
+# statement(tot, r, j, t): on one totals record, of the unrestricted classes
+# or of an Euler pair, it returns (lhs, labelled right sides, note).
 
-def _counts_rhs(tot, j: int, mode: str, mark: str):
-    """(j+1)|O_{j+1}| - j|O_j| and the same for D (exact), or
-    (j+1)|O_{j+1}| and (j+1)|D_{j+1}| (at_most, the telescoped sum)."""
-    rhs = []
-    for family in "OD":
-        label = f"(j+1)|{family}{mark}_{{j+1}}|"
-        value = (j + 1) * _read(tot, f"count_{family}", j + 1)
-        if mode == "exact":
-            label += f"-j|{family}{mark}_j|"
-            value -= j * _read(tot, f"count_{family}", j)
-        rhs.append((label, value))
-    return rhs
+def _beck(mode: str, mark: str, modular: bool = False):
+    """The parts gap over r-1, noted when r-1 does not divide it, or the
+    modular gap at t (modular), against (j+1)|O_{j+1}| - j|O_j| and the
+    same for D (exact), or (j+1)|O_{j+1}| and (j+1)|D_{j+1}| (at_most, the
+    telescoped sum)."""
+    exact = mode == "exact"  # 0 or 1: the weight of the -j|X_j| terms
+    o_label, d_label = (f"(j+1)|{f}{mark}_{{j+1}}|"
+                        + (f"-j|{f}{mark}_j|" if exact else "") for f in "OD")
+    o_count, d_count = STATS["count_O"], STATS["count_D"]
 
-
-def _beck(mode: str):
-    def statement(tot, r, j, t, mark):
+    def statement(tot, r, j, t):
+        rhs = ((o_label, (j + 1) * o_count(tot, j + 1, None)
+                - exact * j * o_count(tot, j, None)),
+               (d_label, (j + 1) * d_count(tot, j + 1, None)
+                - exact * j * d_count(tot, j, None)))
+        if modular:
+            return _read(tot, "modular-gap", j, t=t), rhs, ""
         gap = _read(tot, "parts-gap", j, mode)
-        rhs = _counts_rhs(tot, j, mode, mark)
         if gap % (r - 1):
             return gap, rhs, f"gap {gap} not divisible by r-1={r - 1}"
         return gap // (r - 1), rhs, ""
     return statement
 
 
-def _distinct(mode: str):
+def _distinct(mode: str, mark: str):
     """The distinct-count gap (D minus O) against T_{j+1} - T_j (exact) or
     T_{j+1} (at_most), T being the repeat-window total."""
-    def statement(tot, r, j, t, mark):
-        label = f"T{mark}_{{j+1}}"
-        value = _read(tot, "repeat-window", j + 1)
-        if mode == "exact":
-            label += f"-T{mark}_j"
-            value -= _read(tot, "repeat-window", j)
-        return _read(tot, "distinct-gap", j, mode), [(label, value)], ""
-    return statement
+    exact = mode == "exact"
+    label = f"T{mark}_{{j+1}}" + (f"-T{mark}_j" if exact else "")
+    window = STATS["repeat-window"]
+    return lambda tot, r, j, t: (
+        _read(tot, "distinct-gap", j, mode),
+        ((label, window(tot, j + 1, None) - exact * window(tot, j, None)),),
+        "")
 
 
-# theorem id -> statement(tot, r, j, t, mark), in THEOREM_IDS order;
-# o_parts_mod[j][0] totals the parts divisible by r over O_j
+def _franklin(mark: str):
+    label = f"|D{mark}_j|"
+    return lambda tot, r, j, t: (_read(tot, "count_O", j),
+                                 ((label, _read(tot, "count_D", j)),), "")
+
+
+# theorem id -> statement builder, in THEOREM_IDS order; o_parts_mod[j][0]
+# totals the parts divisible by r over O_j
 STATEMENTS = {
-    "franklin": lambda tot, r, j, t, mark: (
-        _read(tot, "count_O", j),
-        [(f"|D{mark}_j|", _read(tot, "count_D", j))], ""),
-    "beck_main": _beck("exact"),
-    "beck_cumulative": _beck("at_most"),
-    "modular_refine": lambda tot, r, j, t, mark: (
-        _read(tot, "modular-gap", j, t=t),
-        _counts_rhs(tot, j, "exact", mark), ""),
-    "sum_reduction": lambda tot, r, j, t, mark: (
+    "franklin": _franklin,
+    "beck_main": partial(_beck, "exact"),
+    "beck_cumulative": partial(_beck, "at_most"),
+    "modular_refine": partial(_beck, "exact", modular=True),
+    "sum_reduction": lambda mark: lambda tot, r, j, t: (
         sum(_read(tot, "modular-gap", j, t=s) for s in range(1, r)),
-        [("b_{j,r}(n)", _read(tot, "parts-gap", j))], ""),
-    "distinct_parts": _distinct("exact"),
-    "distinct_cumulative": _distinct("at_most"),
-    "diff3": lambda tot, r, j, t, mark: (
+        (("b_{j,r}(n)", _read(tot, "parts-gap", j)),), ""),
+    "distinct_parts": partial(_distinct, "exact"),
+    "distinct_cumulative": partial(_distinct, "at_most"),
+    "diff3": lambda mark: lambda tot, r, j, t: (
         tot.o1_tuples.get(j, 0),
-        [("(j+1)|O_{j+1}|-j|O_j|+sum ell_0",
+        (("(j+1)|O_{j+1}|-j|O_j|+sum ell_0",
           (j + 1) * _read(tot, "count_O", j + 1)
           - j * _read(tot, "count_O", j)
-          + tot.o_parts_mod.get(j, [0])[0])], ""),
-    "nonresidual_balance": lambda tot, r, j, t, mark: (
+          + tot.o_parts_mod.get(j, [0])[0]),), ""),
+    "nonresidual_balance": lambda mark: lambda tot, r, j, t: (
         r * tot.o_parts_mod.get(j, [0])[0],
-        [("sum nonresidual mult over D_j", tot.d_nonresid.get(j, 0))], ""),
+        (("sum nonresidual mult over D_j", tot.d_nonresid.get(j, 0)),), ""),
 }
-
-
-def _statement(theorem: str):
-    if theorem not in STATEMENTS:
-        raise ValueError(f"unknown theorem {theorem!r}; "
-                         f"choose from {', '.join(THEOREM_IDS)}")
-    return STATEMENTS[theorem]
 
 
 def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
            j_max: int, t: int | str = "all") -> list[VerificationRecord]:
     """All instances of one theorem, or of each of ``THEOREM_IDS`` in turn
-    for "all", over a parameter grid in canonical (n, r, j, t) order; each
-    r's totals table is built once, at the largest n, for every theorem."""
-    statements = {name: _statement(name) for name in
+    for "all", over a parameter grid in canonical (n, r, j, t) order, one
+    ``VerificationRecord`` each.  Each r's totals table is built once, at
+    the largest n, for every theorem; each theorem's labels once, and its
+    residues once per r, even on an empty grid of n."""
+    if theorem not in STATEMENTS and theorem != "all":
+        raise ValueError(f"unknown theorem {theorem!r}; "
+                         f"choose from {', '.join(THEOREM_IDS)}")
+    statements = {name: STATEMENTS[name]("") for name in
                   (THEOREM_IDS if theorem == "all" else (theorem,))}
     ns, rs = sorted(set(n_values)), sorted(set(r_values))
-    _check_n(min(ns, default=0))
+    _check_n(min(ns, default=0), j_max)
     tables = {r: class_totals(r, ns[-1]) for r in rs} if ns else {}
-    return [_record(name, n, r, j, t_,
-                    *statement(tables[r][n], r, j, t_, ""))
-            for name, statement in statements.items()
-            for n in ns for r in rs for j in range(j_max + 1)
-            for t_ in t_values(name, r, t)]
+    residues = {(name, r): t_values(name, r, t)
+                for name in statements for r in rs}
+    return [_record(name, n, r, j, t_, *statement(tables[r][n], r, j, t_))
+            for name, statement in statements.items() for n in ns
+            for r in rs for j in range(j_max + 1) for t_ in residues[name, r]]

@@ -165,32 +165,77 @@ def test_exit_one_on_failing_record(capsys, monkeypatch):
     assert "FAIL franklin n=3 r=2 j=0: lhs=1" in err
 
 
-def test_fail_lines_label_the_classes_of_each_route(capsys, monkeypatch):
-    # one partition too many in O_1 at n=4, in both routes' tables
+def _tamper_at_4(monkeypatch, *fields):
+    """One more in column j of each (field, j) of n = 4's totals, in both
+    routes' tables."""
     def tampered(lookup):
         def tampered_lookup(*args):
             table = list(lookup(*args))
             tot = table[4]
-            table[4] = tot._replace(o_count={**tot.o_count,
-                                             1: tot.o_count[1] + 1})
+            table[4] = tot._replace(**{
+                field: {**getattr(tot, field), j: getattr(tot, field).get(j, 0)
+                        + 1} for field, j in fields})
             return table
         return tampered_lookup
     monkeypatch.setattr(identities, "class_totals",
                         tampered(identities.class_totals))
     monkeypatch.setattr(euler_pairs, "tilde_totals",
                         tampered(euler_pairs.tilde_totals))
-    code, _, err = run_capture(capsys, [
-        "verify", "--theorem", "beck_main", "--n-max", "4", "--r", "2",
-        "--j-max", "0"])
-    assert code == 1
-    assert err == ("FAIL beck_main n=4 r=2 j=0: lhs=3 vs "
-                   "(j+1)|O_{j+1}|-j|O_j|=4; (j+1)|D_{j+1}|-j|D_j|=3\n")
-    code, _, err = run_capture(capsys, [
-        "euler", "--r", "2", "--s1-multiples-of", "1", "--item", "2",
-        "--n-max", "4", "--j-max", "0"])
-    assert code == 1
-    assert err == ("FAIL euler_item2 n=4 r=2 j=0: lhs=3 vs "
-                   "(j+1)|O~_{j+1}|-j|O~_j|=4; (j+1)|D~_{j+1}|-j|D~_j|=3\n")
+
+
+EULER_N = ["euler", "--s1-multiples-of", "1", "--r"]
+
+
+def test_fail_lines_label_the_classes_of_each_route(capsys, monkeypatch):
+    # every label shape, each mode and mark: the exact and at-most counts,
+    # the exact and at-most windows, and the note of a gap that r-1 does
+    # not divide; recorded before the labels were built once per command
+    def assert_fail_lines(cases):
+        for argv, err in cases:
+            code, _, got = run_capture(capsys, [*argv, "--n-max", "4",
+                                                "--j-max", "0"])
+            assert (code, got) == (1, err), argv
+    # one partition too many in O_1, one window part too many in D_1
+    _tamper_at_4(monkeypatch, ("o_count", 1), ("d_window", 1))
+    assert_fail_lines([
+        (["verify", "--r", "2", "--theorem", "beck_main"],
+         "FAIL beck_main n=4 r=2 j=0: lhs=3 vs "
+         "(j+1)|O_{j+1}|-j|O_j|=4; (j+1)|D_{j+1}|-j|D_j|=3\n"),
+        (["verify", "--r", "2", "--theorem", "beck_cumulative"],
+         "FAIL beck_cumulative n=4 r=2 j=0: lhs=3 vs "
+         "(j+1)|O_{j+1}|=4; (j+1)|D_{j+1}|=3\n"),
+        (["verify", "--r", "2", "--theorem", "distinct_parts"],
+         "FAIL distinct_parts n=4 r=2 j=0: lhs=0 vs T_{j+1}-T_j=1\n"),
+        (["verify", "--r", "2", "--theorem", "distinct_cumulative"],
+         "FAIL distinct_cumulative n=4 r=2 j=0: lhs=0 vs T_{j+1}=1\n"),
+        (EULER_N + ["2", "--item", "1"],
+         "FAIL euler_item1 n=4 r=2 j=0: lhs=3 vs "
+         "(j+1)|O~_{j+1}|=4; (j+1)|D~_{j+1}|=3\n"),
+        (EULER_N + ["2", "--item", "2"],
+         "FAIL euler_item2 n=4 r=2 j=0: lhs=3 vs "
+         "(j+1)|O~_{j+1}|-j|O~_j|=4; (j+1)|D~_{j+1}|-j|D~_j|=3\n"),
+        (EULER_N + ["2", "--item", "3"],
+         "FAIL euler_item3 n=4 r=2 j=0: lhs=0 vs T~_{j+1}=1\n"),
+        (EULER_N + ["2", "--item", "4"],
+         "FAIL euler_item4 n=4 r=2 j=0: lhs=0 vs T~_{j+1}-T~_j=1\n"),
+    ])
+    # and one part too many in O_0: at r = 3 the gap 3 is odd
+    _tamper_at_4(monkeypatch, ("o_parts", 0))
+    note = " (gap 3 not divisible by r-1=2)\n"
+    assert_fail_lines([
+        (["verify", "--r", "3", "--theorem", "beck_main"],
+         "FAIL beck_main n=4 r=3 j=0: lhs=3 vs "
+         "(j+1)|O_{j+1}|-j|O_j|=2; (j+1)|D_{j+1}|-j|D_j|=1" + note),
+        (["verify", "--r", "3", "--theorem", "beck_cumulative"],
+         "FAIL beck_cumulative n=4 r=3 j=0: lhs=3 vs "
+         "(j+1)|O_{j+1}|=2; (j+1)|D_{j+1}|=1" + note),
+        (EULER_N + ["3", "--item", "1"],
+         "FAIL euler_item1 n=4 r=3 j=0: lhs=3 vs "
+         "(j+1)|O~_{j+1}|=2; (j+1)|D~_{j+1}|=1" + note),
+        (EULER_N + ["3", "--item", "2"],
+         "FAIL euler_item2 n=4 r=3 j=0: lhs=3 vs "
+         "(j+1)|O~_{j+1}|-j|O~_j|=2; (j+1)|D~_{j+1}|-j|D~_j|=1" + note),
+    ])
 
 
 def test_output_matches_the_recorded_digests(capsys):
@@ -209,6 +254,66 @@ def test_output_matches_the_recorded_digests(capsys):
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == \
             EXPECTED["euler_fixed_sha256"][f"N r={r}"]
+
+
+# SHA-256 of the JSON and table output, which the benchmark's CSV digests
+# never see, recorded before the record rows were built as tuples
+FORMAT_DIGESTS = {
+    "verify json":
+        "82ed9b0bdb08d65d6d918ce5a89504a43c8d932ff220906e1a4f4962d1cb5827",
+    "verify table":
+        "65da939b6694c2158ef4b33e2fe003c36378b56178a3329e1a890134edd08c9f",
+    "euler json":
+        "d2029378b42086e92f8ceae334997a59719f5e2fbc5145901a796367315c9832",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FORMAT_DIGESTS))
+def test_json_and_table_output_match_the_recorded_digests(capsys, key):
+    command, fmt = key.split()
+    argv = (["verify", "--theorem", "all", "--n-max", "10", "--r", "2,3",
+             "--j-max", "2"] if command == "verify" else
+            ["euler", "--r", "2", "--s1-multiples-of", "1", "--n-max", "10",
+             "--j-max", "2"])
+    code, out, err = run_capture(capsys, argv + ["--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_DIGESTS[key]
+
+
+# SHA-256 of `stats --format csv` for every stat and mode, recorded with the
+# other pins: the statistics share STATS and _read with the statements
+STATS_DIGESTS = {
+    ("counts", "exact"):
+        "94362e11438e77162ec133bc23d8ce7570536a4ab294b6a2eb52b466d1597eaa",
+    ("counts", "at-most"):
+        "0ec54a89a940f01bab3e3aa31f907f7aa2e7ce9194789f79f17a9f4573c18678",
+    ("parts-gap", "exact"):
+        "4f0acfff454bacd32772030443f68545a73fd9e81b6ee9b60c746e5eff511843",
+    ("parts-gap", "at-most"):
+        "fd3e1a96f021cfe65e1f4260906abdd03f11f0493a5fa19d1d82ccf335e48578",
+    ("modular-gap", "exact"):
+        "aa69f6577721a702241064685a1de4fc8acddcca1a26d07032310b5e13a4bacc",
+    ("modular-gap", "at-most"):
+        "f8384e9ad6fc8e6fa610c3a68757b7f9b537f79b0baea60b771766c62458a271",
+    ("distinct-gap", "exact"):
+        "9bb64a3723f30a300977e6fce4bdd846801eeb0f313faa24566eab3de013020e",
+    ("distinct-gap", "at-most"):
+        "2bad69da0a9f3eb73b30cada14b73b02ed97dcf42b4b2d579afc2d5ca731295b",
+    ("repeat-window", "exact"):
+        "293bd80624c17d94b7b85613616ae03cfdadbf8f3d1e3b799b27d591bb9a7951",
+    ("repeat-window", "at-most"):
+        "397c9981f86853fbbd2b0ca04be413741f9cf1f98ec9fca03ac90d8004b2485e",
+}
+
+
+@pytest.mark.parametrize("stat,mode", sorted(STATS_DIGESTS))
+def test_stats_output_matches_the_recorded_digests(capsys, stat, mode):
+    code, out, err = run_capture(capsys, [
+        "stats", "--stat", stat, "--mode", mode, "--n-max", "12",
+        "--r", "2,3", "--j-max", "2", "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        STATS_DIGESTS[stat, mode]
 
 
 def test_verify_at_the_largest_n(capsys):

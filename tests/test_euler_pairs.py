@@ -163,6 +163,11 @@ def test_item_validation(classical):
     # a negative n must not index a table from its end
     with pytest.raises(ValueError, match="non-negative"):
         verify_tilde(1, classical, [3, -1], 0)
+    # a negative class index selects no class; refused, not an empty grid
+    for item in (1, "all"):
+        with pytest.raises(ValueError, match=re.escape(
+                "class index j must be >= 0, got -1")):
+            verify_tilde(item, classical, [3], -1)
     with pytest.raises(ValueError, match="non-negative"):
         tilde_totals(classical, -1)
     # a pair's window may reach past the totals bound; its table may not

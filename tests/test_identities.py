@@ -1,10 +1,13 @@
+import pickle
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from beckpart import identities
 from beckpart.euler_pairs import make_euler_pair, tilde_totals
-from beckpart.identities import (STATS, THEOREM_IDS, _record, class_totals,
-                                 stat_value, verify)
+from beckpart.identities import (STATS, THEOREM_IDS, VerificationRecord,
+                                 _record, class_totals, stat_value, verify)
 from helpers import (ClassSpec, assert_same_totals, count_table_builds,
                      enumerate_class, enumerated_class_totals,
                      fiber_ragged_repeat_count, index_weight_tuples,
@@ -284,6 +287,23 @@ def test_totals_engine_is_independent_of_enumeration_and_series():
     assert not hasattr(module, "stats")
 
 
+def test_verification_record_is_an_immutable_named_tuple():
+    assert VerificationRecord._fields == (
+        "theorem", "n", "r", "j", "t", "lhs", "rhs", "ok", "note")
+    assert VerificationRecord._field_defaults == {"note": ""}
+    rec = verify("beck_main", [4], [2], 0)[0]
+    assert rec == ("beck_main", 4, 2, 0, None, 3,
+                   (("(j+1)|O_{j+1}|-j|O_j|", 3),
+                    ("(j+1)|D_{j+1}|-j|D_j|", 3)), True, "")
+    with pytest.raises(AttributeError):
+        rec.lhs = 4
+    assert not hasattr(rec, "__dict__")
+    assert [rec.rhs_value(i) for i in range(3)] == [3, 3, None]
+    copy = pickle.loads(pickle.dumps(rec))
+    assert type(copy) is VerificationRecord and copy == rec
+    assert rec._replace(lhs=4).lhs == 4 and rec.lhs == 3
+
+
 def test_record_flags_non_divisible_gap():
     rec = _record("beck_main", 5, 3, 0, None, 7, [("x", 7)],
                   note="gap 7 not divisible by r-1=2")
@@ -298,6 +318,15 @@ def test_parameter_errors():
         verify("modular_refine", [5], [2], 0, t=2)
     with pytest.raises(ValueError, match="t must satisfy"):
         verify("modular_refine", [4], [2], 0, t=5)
+    # the residues are checked once per (theorem, r), so on an empty grid
+    # of n too
+    with pytest.raises(ValueError, match="t must satisfy"):
+        verify("modular_refine", [], [2], 0, t=5)
+    # a negative class index selects no class; refused, not an empty grid
+    for theorem in ("franklin", "all"):
+        with pytest.raises(ValueError, match=re.escape(
+                "class index j must be >= 0, got -1")):
+            verify(theorem, [4], [2], -1)
     with pytest.raises(ValueError, match="r must be >= 2"):
         verify("franklin", [4], [1], 0)
     # a negative n must not index a table from its end
