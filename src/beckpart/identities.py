@@ -7,21 +7,23 @@ aggregated statistic is a sum over the distinct parts of a partition, so
 giving part p multiplicity m in each partition of n - p*m adds (number of
 those partitions) x (that part's contribution) to every total of n.
 Adding the allowed part values one at a time fills the totals of every
-n <= N in a single pass.  The program works from the class definitions
-alone; the q-series module reproduces the same numbers by a different
-route and is deliberately not used here.
+n <= N in a single pass: a run of multiplicities along which that
+contribution is affine in m is one running sum over n, and every class j
+sits in one packed row integer.  The program works from the class
+definitions alone; the q-series module reproduces the same numbers by a
+different route and is deliberately not used here.
 
-A command builds ``class_totals(r, n_max)`` once per r and indexes it
-by n; no table is kept between calls.  ``STATS`` reads each statistic
-from a record, ``STATEMENTS`` states each theorem on one (of an Euler
-pair too), and ``verify`` makes each instance a ``VerificationRecord``.
+A command builds ``class_totals(r, n_max, j_max)`` once per r, up to the
+largest class it reads, and indexes it by n; no table is kept between
+calls.  ``STATS`` reads each statistic from a record, ``STATEMENTS``
+states each theorem on one (of an Euler pair too), and ``verify`` makes
+each instance a ``VerificationRecord``.
 
 The left side of ``diff3`` sums |O_1(n - r*w)| over index tuples (m, k),
-m strictly increasing in S1 and k positive, of weight w = sum m_i*k_i.
-Such a j-tuple is a partition of w into exactly j distinct part values
-from S1, so the same program with every part marked counts the tuples of
-each weight, and the table stores the sum per j as one more field,
-``o1_tuples``.
+m strictly increasing in S1 and k positive, of weight w = sum m_i*k_i: a
+j-tuple is a partition of w into exactly j distinct values from S1, so
+the same program with every part marked counts them, and the table keeps
+the sums per j as one more field, ``o1_tuples``.
 """
 
 from __future__ import annotations
@@ -40,15 +42,15 @@ THEOREM_IDS = ("franklin", "beck_main", "beck_cumulative", "modular_refine",
 
 class ClassTotals(NamedTuple):
     """Per-class totals for one n over the part sets of an Euler pair of
-    order r: index j maps to the total over the exactly-j class of each
-    family.  The O-class takes its parts from r*S1 and S2, j counting its
-    distinct parts from r*S1; the D-class takes its parts from S1, j
-    counting its distinct parts repeated at least r times.
-    ``o_parts_mod[j][t]`` counts O's parts congruent to t mod r, and
-    ``d_depth[j][t]`` D's distinct parts with residual multiplicity >= t.
-    ``o1_tuples`` is diff3's left side: j maps to the sum of |O_1(n - r*w)|
-    over the index j-tuples of weight w <= n/r, index parts from S1,
-    present when one exists."""
+    order r: index j, up to the table's cap, maps to the total over the
+    non-empty exactly-j class of each family.  The O-class takes its parts
+    from r*S1 and S2, j counting its distinct parts from r*S1; the D-class
+    takes its parts from S1, j counting its distinct parts repeated at
+    least r times.  ``o_parts_mod[j][t]`` counts O's parts congruent to t
+    mod r, and ``d_depth[j][t]`` D's distinct parts with residual
+    multiplicity >= t.  ``o1_tuples`` is diff3's left side: j maps to the
+    sum of |O_1(n - r*w)| over the index j-tuples of weight w <= n/r,
+    index parts from S1, present when one exists."""
 
     o_count: dict[int, int]
     o_parts: dict[int, int]
@@ -63,9 +65,6 @@ class ClassTotals(NamedTuple):
     o1_tuples: dict[int, int]
 
 
-_Step = Callable[[int, int], tuple[int, list[int]]]
-
-
 def _lane_bits(n_max: int) -> int:
     """Unsigned lane width of the DP rows up to n_max: the bit length of
     the p(n) bound at n_max plus n_max.bit_length() bounds every n*p(n),
@@ -74,91 +73,121 @@ def _lane_bits(n_max: int) -> int:
             + n_max.bit_length() + 1)
 
 
-def _part_value_dp(n_max: int, width: int, step: _Step, parts: Iterable[int]
-                   ) -> list[dict[int, list[int]]]:
+def _j_cap(r: int, n_max: int, j_max: int | None = None) -> int:
+    """The largest j <= j_max whose class can be non-empty at n <= n_max:
+    its j marked distinct parts weigh at least r*(1 + ... + j)."""
+    j = (math.isqrt(8 * (n_max // r) + 1) - 1) // 2
+    return j if j_max is None else min(j, j_max)
+
+
+def _class_dp(n_max: int, j_max: int, width: int,
+              groups: list[tuple[list, list[int]]]
+              ) -> list[dict[int, list[int]]]:
     """rows[n][j] = [size, *sums] over the partitions of n into the given
-    parts with exactly j marked distinct parts, for every n <= n_max; j is
-    absent when there are none.  Parts above n_max are skipped.
+    part values with exactly j marked distinct parts, for n <= n_max and
+    j <= j_max; j is absent when there are none.  ``groups`` pairs runs
+    of multiplicities with the part values that share them, in the order
+    the values are added; values above n_max are skipped.  A run (m0, k,
+    mark, b, a) is the multiplicities m = m0 + k*i, i >= 0 (m0 alone if
+    k = 0, else m0 >= k), each adding the lanes b + i*a ({lane: coeff}),
+    and 1 to j if marked.  Over the rows without p, S[x] = row[x] +
+    S[x - k*p] and W[x] = size(S[x - k*p]) + W[x - k*p], and the run adds
+    S[x] + size(S[x])*b + W[x]*a to row x + p*m0, one class up if marked.
 
-    ``step(p, m)`` returns (mark, sums) for part p taken m times: mark is
-    1 when that part counts towards j, sums its width - 1 contributions.
-    Part values are added one at a time and n walks downwards, so each
-    source row n - p*m still holds the partitions without part p.
-
-    Each row vector is packed into one int, lane i in bits [i*bits,
-    (i+1)*bits), and adding a part's contribution to every lane is one
-    multiply-add of the packed size.  Every total is at most
-    max(1, n*p(n)), and p(n) < exp(pi*sqrt(2n/3)) for n >= 1 (Apostol,
-    Introduction to Analytic Number Theory, Thm 14.5), so ``_lane_bits``
-    bounds every total of n <= n_max and no lane carries into the next:
-    31 bits at n_max = 40, 49 at 120 and 75 at 300.
+    A row is one int, lane i of class j in bits [(j*width + i)*bits, ...):
+    a mark is a shift by one block, and the size lanes times a vector in
+    one block add to every j at once.  Every term is non-negative and sums
+    into one total of some n <= n_max, at most max(1, n*p(n)) < 2**bits
+    as p(n) < exp(pi*sqrt(2n/3)) for n >= 1 (Apostol, Introduction to
+    Analytic Number Theory, Thm 14.5), so no lane carries into the next.
     """
     bits = _lane_bits(n_max)
-    mask = (1 << bits) - 1
-    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
-    rows[0][0] = 1
-    for p in sorted(parts):
-        if p > n_max:
-            break
-        steps = []
-        for m in range(1, n_max // p + 1):
-            mark, sums = step(p, m)
-            steps.append((mark, sum(s << (i * bits)
-                                    for i, s in enumerate(sums, 1))))
-        for n in range(n_max, p - 1, -1):
-            row = rows[n]
-            for m in range(1, n // p + 1):
-                mark, vec = steps[m - 1]
-                for j, src in rows[n - p * m].items():
-                    row[j + mark] = (row.get(j + mark, 0) + src
-                                     + (src & mask) * vec)
-    return [{j: [x >> (i * bits) & mask for i in range(width)]
-             for j, x in sorted(row.items())} for row in rows]
+    block, lane = width * bits, (1 << bits) - 1
+    every_j = (1 << (j_max + 1) * block) - 1
+    sizes = sum(lane << j * block for j in range(j_max + 1))
+
+    def pack(lanes: dict[int, int]) -> int:
+        return sum(c << i * bits for i, c in lanes.items())
+    rows = [1] + [0] * n_max
+    for runs, values in groups:
+        runs = [(m0, k, mark, pack(b), pack(a)) for m0, k, mark, b, a in runs]
+        for p in (p for p in values if p <= n_max):
+            unmarked, marked = rows[:], [0] * (n_max + 1 - p)  # n >= p
+            sums = {}  # step -> S, size(S), W up to n_max - max(p, step)
+            for m0, k, mark, b, a in runs:
+                lo, step = m0 * p, k * p
+                if lo > n_max:
+                    continue
+                if step not in sums:
+                    run = rows[:n_max + 1 - max(p, step)]
+                    weights = [0] * len(run)
+                    for x in range(step, len(run)) if step else ():
+                        below = run[x - step]
+                        weights[x] = (below & sizes) + weights[x - step]
+                        run[x] += below
+                    sums[step] = run, [s & sizes for s in run], weights
+                run, size, weights = sums[step]
+                out, at = (marked, lo - p) if mark else (unmarked, lo)
+                out[at:] = [o + s + z * b + w * a for o, s, z, w
+                            in zip(out[at:], run, size, weights)]
+            if any(marked):
+                unmarked[p:] = [u + (m << block & every_j)
+                                for u, m in zip(unmarked[p:], marked)]
+            rows = unmarked
+    blocks = [[row >> j * block & (1 << block) - 1 for j in range(j_max + 1)]
+              for row in rows]
+    return [{j: [x >> i * bits & lane for i in range(width)]
+             for j, x in enumerate(row) if x & lane} for row in blocks]
 
 
-def _columns(row: dict[int, list[int]], width: int) -> list[dict[int, int]]:
-    """Split the first ``width`` columns of a DP row {j: [size, *sums]}
-    into one {j: value} per column."""
-    return [{j: vec[i] for j, vec in row.items()} for i in range(width)]
-
-
-def totals_table(r: int, n_max: int, s1: Iterable[int],
-                 s2: Iterable[int]) -> list[ClassTotals]:
+def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int],
+                 j_max: int | None = None) -> list[ClassTotals]:
     """ClassTotals of every n <= n_max for the part sets S1 and S2 of an
-    Euler pair of order r; members above n_max are never used."""
+    Euler pair of order r, over the classes j <= j_max (every j when
+    None); members above n_max are never used.  Those sets are subsets of
+    the unrestricted ones, so ``_j_cap`` drops only empty classes."""
     if n_max > MAX_N:
         raise ValueError(f"n={n_max} exceeds the totals bound {MAX_N}")
+    top = _j_cap(r, n_max, j_max)
     s1 = [s for s in s1 if s <= n_max]
     marked = {r * s for s in s1}
-
-    def o_step(p, m):
-        # marked when p is in r*S1; sums: ell, ell_bar, ell_mod[0..r-1]
-        mod = [0] * r
-        mod[p % r] = m
-        return int(p in marked), [m, 1, *mod]
-
-    def d_step(p, m):
-        # marked when m >= r; sums: ell, ell_bar, multiplicity in
-        # [r+1, 2r-1], nonresidual multiplicity, ell_bar_resid[0..r-1]
-        d = m % r
-        depth = [1] * (d + 1) + [0] * (r - d - 1)
-        return int(m >= r), [m, 1, int(r < m < 2 * r), m - d, *depth]
-
-    o_rows = _part_value_dp(n_max, 3 + r, o_step, marked.union(s2))
-    d_rows = _part_value_dp(n_max, 5 + r, d_step, s1)
+    # O lanes: 1 ell_bar, 2 + t ell_mod[t]; m copies of p add m to
+    # ell_mod[p % r], marked when p is in r*S1.  Class 1 is kept for o1
+    # when j_max is 0.  Unmarked parts go first, on rows of class 0 alone.
+    o_parts = marked.union(s2)
+    o_rows = _class_dp(n_max, _j_cap(r, n_max, max(top, 1)), 2 + r, [
+        ([(1, 1, mark, {1: 1, 2 + t: 1}, {2 + t: 1})],
+         sorted(p for p in o_parts if p % r == t and (p in marked) == mark))
+        for mark in (False, True) for t in range(r)])
+    # D lanes: 1 ell, 2 multiplicity in [r+1, 2r-1], 3 + t residual
+    # multiplicity m % r >= t.  m = r*i + d is marked when i >= 1; i = 0
+    # is one term per d, so is the window (i = 1, d >= 1), and the rest
+    # are chains of step r.  Largest parts first keeps the rows short.
+    d_runs = [(m0, k, m0 >= r, {1: m0, 2: int(r < m0 < 2 * r),
+                                **{3 + t: 1 for t in range(m0 % r + 1)}},
+               {1: r} if k else {}) for m0, k in
+              [(m, 0) for m in range(1, 2 * r) if m != r] + [(r, r)]
+              + [(2 * r + d, r) for d in range(1, r)]]
+    d_rows = _class_dp(n_max, top, 3 + r, [(d_runs, s1[::-1])])
     # tuple_rows[w][j] = [number of index j-tuples of weight w]
-    tuple_rows = _part_value_dp(n_max // r, 1, lambda p, m: (1, []), s1)
+    tuple_rows = _class_dp(n_max // r, top, 1, [([(1, 1, True, {}, {})], s1)])
     o1 = [row.get(1, [0])[0] for row in o_rows]
     tables = []
     for n, (o_row, d_row) in enumerate(zip(o_rows, d_rows)):
+        o_row.pop(top + 1, None)  # kept for o1 alone
         o1_tuples: dict[int, int] = {}
         for w in range(n // r + 1):
             for j, (count,) in tuple_rows[w].items():
                 o1_tuples[j] = o1_tuples.get(j, 0) + count * o1[n - r * w]
+        o, d = o_row.items(), d_row.items()
         tables.append(ClassTotals(
-            *_columns(o_row, 3), *_columns(d_row, 5),
-            {j: vec[3:] for j, vec in o_row.items()},
-            {j: vec[5:] for j, vec in d_row.items()}, o1_tuples))
+            {j: v[0] for j, v in o}, {j: sum(v[2:]) for j, v in o},
+            {j: v[1] for j, v in o}, {j: v[0] for j, v in d},
+            {j: v[1] for j, v in d}, {j: v[3] for j, v in d},
+            {j: v[2] for j, v in d},
+            # nonresidual m - m % r: m % r counts the depths t >= 1 reached
+            {j: v[1] - sum(v[4:]) for j, v in d},
+            {j: v[2:] for j, v in o}, {j: v[3:] for j, v in d}, o1_tuples))
     return tables
 
 
@@ -170,14 +199,14 @@ def _check_n(n: int, j: int = 0) -> None:
         raise ValueError(f"class index j must be >= 0, got {j}")
 
 
-def class_totals(r: int, n_max: int) -> list[ClassTotals]:
-    """ClassTotals of every n <= n_max for the unrestricted classes: S1 =
-    1..n_max, S2 its non-multiples of r."""
-    _check_n(n_max)
+def class_totals(r: int, n_max: int, j_max: int | None = None
+                 ) -> list[ClassTotals]:
+    """``totals_table`` on S1 = 1..n_max and S2 its non-multiples of r."""
+    _check_n(n_max, j_max or 0)
     if r < 2:
         raise ValueError(f"modulus r must be >= 2, got {r}")
     return totals_table(r, n_max, range(1, n_max + 1),
-                        [p for p in range(1, n_max + 1) if p % r])
+                        [p for p in range(1, n_max + 1) if p % r], j_max)
 
 
 def _modular_gap(tot: ClassTotals, j: int, t: int) -> int:
@@ -341,9 +370,10 @@ def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
            j_max: int, t: int | str = "all") -> list[VerificationRecord]:
     """All instances of one theorem, or of each of ``THEOREM_IDS`` in turn
     for "all", over a parameter grid in canonical (n, r, j, t) order, one
-    ``VerificationRecord`` each.  Each r's totals table is built once, at
-    the largest n, for every theorem; each theorem's labels once, and its
-    residues once per r, even on an empty grid of n."""
+    ``VerificationRecord`` each.  Each r's totals table is built once, up
+    to the largest n and class j_max + 1, for every theorem; each
+    theorem's labels once, and its residues once per r, even on an empty
+    grid of n."""
     if theorem not in STATEMENTS and theorem != "all":
         raise ValueError(f"unknown theorem {theorem!r}; "
                          f"choose from {', '.join(THEOREM_IDS)}")
@@ -351,7 +381,7 @@ def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
                   (THEOREM_IDS if theorem == "all" else (theorem,))}
     ns, rs = sorted(set(n_values)), sorted(set(r_values))
     _check_n(min(ns, default=0), j_max)
-    tables = {r: class_totals(r, ns[-1]) for r in rs} if ns else {}
+    tables = {r: class_totals(r, ns[-1], j_max + 1) for r in rs} if ns else {}
     residues = {(name, r): t_values(name, r, t)
                 for name in statements for r in rs}
     return [_record(name, n, r, j, t_, *statement(tables[r][n], r, j, t_))

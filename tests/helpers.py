@@ -263,17 +263,107 @@ def record(n: int, r: int) -> ClassTotals:
     return class_totals(r, n)[n]
 
 
-def count_table_builds(monkeypatch) -> list[tuple[int, int]]:
-    """Record the (r, n_max) of every ``totals_table`` build from here on.
-    euler_pairs imports it by name, so both modules' names are patched."""
+def count_table_builds(monkeypatch) -> list[tuple[int, int, int | None]]:
+    """Record the (r, n_max, j_max) of every ``totals_table`` build from
+    here on.  euler_pairs imports it by name, so both modules' names are
+    patched."""
     builds = []
 
-    def spy(r, n_max, s1, s2):
-        builds.append((r, n_max))
-        return totals_table(r, n_max, s1, s2)
+    def spy(r, n_max, s1, s2, j_max=None):
+        builds.append((r, n_max, j_max))
+        return totals_table(r, n_max, s1, s2, j_max)
     for module in (identities, euler_pairs):
         monkeypatch.setattr(module, "totals_table", spy)
     return builds
+
+
+def reference_part_value_dp(n_max: int, width: int, step, parts
+                            ) -> list[dict[int, list[int]]]:
+    """rows[n][j] = [size, *sums] over the partitions of n into the given
+    parts with exactly j marked distinct parts, for every n <= n_max; j is
+    absent when there are none.  Parts above n_max are skipped.
+
+    ``step(p, m)`` returns (mark, sums) for part p taken m times: mark is
+    1 when that part counts towards j, sums its width - 1 contributions.
+    Part values are added one at a time, n walks downwards so each source
+    row n - p*m still holds the partitions without part p, and every
+    multiplicity m <= n/p of every part is its own step over every j: the
+    per-multiplicity reference for the packed program of ``identities``.
+    A row vector is packed into one int of ``_lane_bits`` lanes.
+    """
+    bits = identities._lane_bits(n_max)
+    mask = (1 << bits) - 1
+    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    rows[0][0] = 1
+    for p in sorted(parts):
+        if p > n_max:
+            break
+        steps = []
+        for m in range(1, n_max // p + 1):
+            mark, sums = step(p, m)
+            steps.append((mark, sum(s << (i * bits)
+                                    for i, s in enumerate(sums, 1))))
+        for n in range(n_max, p - 1, -1):
+            row = rows[n]
+            for m in range(1, n // p + 1):
+                mark, vec = steps[m - 1]
+                for j, src in rows[n - p * m].items():
+                    row[j + mark] = (row.get(j + mark, 0) + src
+                                     + (src & mask) * vec)
+    return [{j: [x >> (i * bits) & mask for i in range(width)]
+             for j, x in sorted(row.items())} for row in rows]
+
+
+def _columns(row: dict[int, list[int]], width: int) -> list[dict[int, int]]:
+    """Split the first ``width`` columns of a DP row {j: [size, *sums]}
+    into one {j: value} per column."""
+    return [{j: vec[i] for j, vec in row.items()} for i in range(width)]
+
+
+def reference_totals_table(r: int, n_max: int, s1, s2) -> list[ClassTotals]:
+    """``identities.totals_table`` over every j, from the per-multiplicity
+    reference program with every field its own lane."""
+    s1 = [s for s in s1 if s <= n_max]
+    marked = {r * s for s in s1}
+
+    def o_step(p, m):
+        # marked when p is in r*S1; sums: ell, ell_bar, ell_mod[0..r-1]
+        mod = [0] * r
+        mod[p % r] = m
+        return int(p in marked), [m, 1, *mod]
+
+    def d_step(p, m):
+        # marked when m >= r; sums: ell, ell_bar, multiplicity in
+        # [r+1, 2r-1], nonresidual multiplicity, ell_bar_resid[0..r-1]
+        d = m % r
+        depth = [1] * (d + 1) + [0] * (r - d - 1)
+        return int(m >= r), [m, 1, int(r < m < 2 * r), m - d, *depth]
+
+    o_rows = reference_part_value_dp(n_max, 3 + r, o_step, marked.union(s2))
+    d_rows = reference_part_value_dp(n_max, 5 + r, d_step, s1)
+    # tuple_rows[w][j] = [number of index j-tuples of weight w]
+    tuple_rows = reference_part_value_dp(n_max // r, 1, lambda p, m: (1, []),
+                                         s1)
+    o1 = [row.get(1, [0])[0] for row in o_rows]
+    tables = []
+    for n, (o_row, d_row) in enumerate(zip(o_rows, d_rows)):
+        o1_tuples: dict[int, int] = {}
+        for w in range(n // r + 1):
+            for j, (count,) in tuple_rows[w].items():
+                o1_tuples[j] = o1_tuples.get(j, 0) + count * o1[n - r * w]
+        tables.append(ClassTotals(
+            *_columns(o_row, 3), *_columns(d_row, 5),
+            {j: vec[3:] for j, vec in o_row.items()},
+            {j: vec[5:] for j, vec in d_row.items()}, o1_tuples))
+    return tables
+
+
+def capped(tot: ClassTotals, j_max: int | None) -> ClassTotals:
+    """A totals record's classes j <= j_max (every class when None)."""
+    if j_max is None:
+        return tot
+    return ClassTotals(*({j: v for j, v in field.items() if j <= j_max}
+                         for field in tot))
 
 
 def total_of(tot: ClassTotals, field: str, j: int, t: int = 0) -> int:
