@@ -52,8 +52,7 @@ def one_even_part_counts(n_max: int) -> list[int]:
 
 
 def part_count_gap_values(n_max: int) -> list[int]:
-    return [stat_value(tot, "parts-gap", 0)
-            for tot in class_totals(2, n_max, 0)]
+    return [stat_value(tot, "parts-gap", 0) for tot in class_totals(2, n_max)]
 
 
 def write_fixture(sid: str, what: str, values: list[int]) -> Path:

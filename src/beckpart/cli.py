@@ -122,7 +122,7 @@ def _cmd_stats(args) -> int:
     mode = args.mode.replace("-", "_")
     stats = ("count_O", "count_D") if args.stat == "counts" else (args.stat,)
     # each r once, in first-seen order, so a repeated r adds no rows
-    tables = {r: identities.class_totals(r, args.n_max, args.j_max)
+    tables = {r: identities.class_totals(r, args.n_max)
               for r in dict.fromkeys(r_list)}
     rows = [(stat, n, r, j, t,
              identities.stat_value(table[n], stat, j, mode, t))
@@ -242,7 +242,7 @@ def _cmd_oeis(args) -> int:
         raise ValueError(f"class index j must be >= 0, got {args.j}")
     oeis.check_id(args.sequence)  # before the table is built
     values = [identities.stat_value(tot, f"count_{args.family}", args.j)
-              for tot in identities.class_totals(args.r, args.n_max, args.j)]
+              for tot in identities.class_totals(args.r, args.n_max)]
     report = oeis.crosscheck(args.sequence, values, cache_dir=args.cache_dir,
                              online=args.online)
     if report.status == "unavailable":

@@ -73,13 +73,12 @@ def make_euler_pair(r: int, s1_members: Iterable[int], bound: int,
                      subbarao_ok=closure and s2 == derived_s2)
 
 
-def tilde_totals(pair: EulerPair, n_max: int, j_max: int | None = None
-                 ) -> list[ClassTotals]:
-    """``totals_table`` on the pair's S1 and S2, built on each call."""
-    _check_n(n_max, j_max or 0)
+def tilde_totals(pair: EulerPair, n_max: int) -> list[ClassTotals]:
+    """The pair's ClassTotals of every n <= n_max: ``totals_table`` on its
+    S1 and S2, built on each call and indexed by n."""
     if n_max > pair.bound:
         raise ValueError(f"n={n_max} exceeds the realized window {pair.bound}")
-    return totals_table(pair.r, n_max, pair.s1, pair.s2, j_max)
+    return totals_table(pair.r, n_max, pair.s1, pair.s2)
 
 
 def verify_tilde(item: int | str, pair: EulerPair, n_values: Iterable[int],
@@ -99,7 +98,7 @@ def verify_tilde(item: int | str, pair: EulerPair, n_values: Iterable[int],
                   (items if item == "all" else [items[item - 1]])]
     ns = sorted(set(n_values))
     _check_n(min(ns, default=0), j_max)
-    table = tilde_totals(pair, ns[-1], j_max + 1) if ns else []
+    table = tilde_totals(pair, ns[-1]) if ns else []
     return [_record(name, n, pair.r, j, None,
                     *statement(table[n], pair.r, j, None))
             for name, statement in statements for n in ns
@@ -115,7 +114,7 @@ def subbarao_counterexample(pair: EulerPair, n_max: int
     does not certify anything: the finite window may simply be too small.
     """
     top = min(n_max, pair.bound)
-    for n, tot in enumerate(tilde_totals(pair, top, 0) if top >= 0 else []):
+    for n, tot in enumerate(tilde_totals(pair, top) if top >= 0 else []):
         o, d = stat_value(tot, "count_O", 0), stat_value(tot, "count_D", 0)
         if o != d:
             return (n, o, d)

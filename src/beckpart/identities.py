@@ -9,15 +9,14 @@ those partitions) x (that part's contribution) to every total of n.
 Adding the allowed part values one at a time fills the totals of every
 n <= N in a single pass: a run of multiplicities along which that
 contribution is affine in m is one running sum over n, and every class j
-sits in one packed row integer.  The program works from the class
+that can be non-empty sits in one packed row integer.  The program works from the class
 definitions alone; the q-series module reproduces the same numbers by a
 different route and is deliberately not used here.
 
-A command builds ``class_totals(r, n_max, j_max)`` once per r, up to the
-largest class it reads, and indexes it by n; no table is kept between
-calls.  ``STATS`` reads each statistic from a record, ``STATEMENTS``
-states each theorem on one (of an Euler pair too), and ``verify`` makes
-each instance a ``VerificationRecord``.
+A command builds ``class_totals(r, n_max)`` once per r and indexes it
+by n; no table is kept between calls.  ``STATS`` reads each statistic
+from a record, ``STATEMENTS`` states each theorem on one (of an Euler
+pair too), and ``verify`` makes each instance a ``VerificationRecord``.
 
 The left side of ``diff3`` sums |O_1(n - r*w)| over index tuples (m, k),
 m strictly increasing in S1 and k positive, of weight w = sum m_i*k_i: a
@@ -42,8 +41,7 @@ THEOREM_IDS = ("franklin", "beck_main", "beck_cumulative", "modular_refine",
 
 class ClassTotals(NamedTuple):
     """Per-class totals for one n over the part sets of an Euler pair of
-    order r: index j, up to the table's cap, maps to the total over the
-    non-empty exactly-j class of each family.  The O-class takes its parts
+    order r: index j maps to the total over the non-empty exactly-j class of each family.  The O-class takes its parts
     from r*S1 and S2, j counting its distinct parts from r*S1; the D-class
     takes its parts from S1, j counting its distinct parts repeated at
     least r times.  ``o_parts_mod[j][t]`` counts O's parts congruent to t
@@ -73,11 +71,10 @@ def _lane_bits(n_max: int) -> int:
             + n_max.bit_length() + 1)
 
 
-def _j_cap(r: int, n_max: int, j_max: int | None = None) -> int:
-    """The largest j <= j_max whose class can be non-empty at n <= n_max:
-    its j marked distinct parts weigh at least r*(1 + ... + j)."""
-    j = (math.isqrt(8 * (n_max // r) + 1) - 1) // 2
-    return j if j_max is None else min(j, j_max)
+def _j_cap(r: int, n_max: int) -> int:
+    """The largest j whose class can be non-empty at n <= n_max: its j
+    marked distinct parts weigh at least r*(1 + ... + j)."""
+    return (math.isqrt(8 * (n_max // r) + 1) - 1) // 2
 
 
 def _class_dp(n_max: int, j_max: int, width: int,
@@ -140,22 +137,23 @@ def _class_dp(n_max: int, j_max: int, width: int,
              for j, x in enumerate(row) if x & lane} for row in blocks]
 
 
-def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int],
-                 j_max: int | None = None) -> list[ClassTotals]:
+def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int]
+                 ) -> list[ClassTotals]:
     """ClassTotals of every n <= n_max for the part sets S1 and S2 of an
-    Euler pair of order r, over the classes j <= j_max (every j when
-    None); members above n_max are never used.  Those sets are subsets of
-    the unrestricted ones, so ``_j_cap`` drops only empty classes."""
+    Euler pair of order r; members above n_max are never used.  Those sets
+    are subsets of the unrestricted ones, so the classes above ``_j_cap``
+    are empty here too."""
+    _check_n(n_max)
     if n_max > MAX_N:
         raise ValueError(f"n={n_max} exceeds the totals bound {MAX_N}")
-    top = _j_cap(r, n_max, j_max)
+    top = _j_cap(r, n_max)
     s1 = [s for s in s1 if s <= n_max]
     marked = {r * s for s in s1}
     # O lanes: 1 ell_bar, 2 + t ell_mod[t]; m copies of p add m to
-    # ell_mod[p % r], marked when p is in r*S1.  Class 1 is kept for o1
-    # when j_max is 0.  Unmarked parts go first, on rows of class 0 alone.
+    # ell_mod[p % r], marked when p is in r*S1.  Unmarked parts go first,
+    # on rows of class 0 alone.
     o_parts = marked.union(s2)
-    o_rows = _class_dp(n_max, _j_cap(r, n_max, max(top, 1)), 2 + r, [
+    o_rows = _class_dp(n_max, top, 2 + r, [
         ([(1, 1, mark, {1: 1, 2 + t: 1}, {2 + t: 1})],
          sorted(p for p in o_parts if p % r == t and (p in marked) == mark))
         for mark in (False, True) for t in range(r)])
@@ -174,7 +172,6 @@ def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int],
     o1 = [row.get(1, [0])[0] for row in o_rows]
     tables = []
     for n, (o_row, d_row) in enumerate(zip(o_rows, d_rows)):
-        o_row.pop(top + 1, None)  # kept for o1 alone
         o1_tuples: dict[int, int] = {}
         for w in range(n // r + 1):
             for j, (count,) in tuple_rows[w].items():
@@ -199,14 +196,12 @@ def _check_n(n: int, j: int = 0) -> None:
         raise ValueError(f"class index j must be >= 0, got {j}")
 
 
-def class_totals(r: int, n_max: int, j_max: int | None = None
-                 ) -> list[ClassTotals]:
+def class_totals(r: int, n_max: int) -> list[ClassTotals]:
     """``totals_table`` on S1 = 1..n_max and S2 its non-multiples of r."""
-    _check_n(n_max, j_max or 0)
     if r < 2:
         raise ValueError(f"modulus r must be >= 2, got {r}")
     return totals_table(r, n_max, range(1, n_max + 1),
-                        [p for p in range(1, n_max + 1) if p % r], j_max)
+                        [p for p in range(1, n_max + 1) if p % r])
 
 
 def _modular_gap(tot: ClassTotals, j: int, t: int) -> int:
@@ -370,10 +365,9 @@ def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
            j_max: int, t: int | str = "all") -> list[VerificationRecord]:
     """All instances of one theorem, or of each of ``THEOREM_IDS`` in turn
     for "all", over a parameter grid in canonical (n, r, j, t) order, one
-    ``VerificationRecord`` each.  Each r's totals table is built once, up
-    to the largest n and class j_max + 1, for every theorem; each
-    theorem's labels once, and its residues once per r, even on an empty
-    grid of n."""
+    ``VerificationRecord`` each.  Each r's totals table is built once, at
+    the largest n, for every theorem; each theorem's labels once, and its
+    residues once per r, even on an empty grid of n."""
     if theorem not in STATEMENTS and theorem != "all":
         raise ValueError(f"unknown theorem {theorem!r}; "
                          f"choose from {', '.join(THEOREM_IDS)}")
@@ -381,7 +375,7 @@ def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
                   (THEOREM_IDS if theorem == "all" else (theorem,))}
     ns, rs = sorted(set(n_values)), sorted(set(r_values))
     _check_n(min(ns, default=0), j_max)
-    tables = {r: class_totals(r, ns[-1], j_max + 1) for r in rs} if ns else {}
+    tables = {r: class_totals(r, ns[-1]) for r in rs} if ns else {}
     residues = {(name, r): t_values(name, r, t)
                 for name in statements for r in rs}
     return [_record(name, n, r, j, t_, *statement(tables[r][n], r, j, t_))

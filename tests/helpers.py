@@ -263,15 +263,14 @@ def record(n: int, r: int) -> ClassTotals:
     return class_totals(r, n)[n]
 
 
-def count_table_builds(monkeypatch) -> list[tuple[int, int, int | None]]:
-    """Record the (r, n_max, j_max) of every ``totals_table`` build from
-    here on.  euler_pairs imports it by name, so both modules' names are
-    patched."""
+def count_table_builds(monkeypatch) -> list[tuple[int, int]]:
+    """Record the (r, n_max) of every ``totals_table`` build from here on.
+    euler_pairs imports it by name, so both modules' names are patched."""
     builds = []
 
-    def spy(r, n_max, s1, s2, j_max=None):
-        builds.append((r, n_max, j_max))
-        return totals_table(r, n_max, s1, s2, j_max)
+    def spy(r, n_max, s1, s2):
+        builds.append((r, n_max))
+        return totals_table(r, n_max, s1, s2)
     for module in (identities, euler_pairs):
         monkeypatch.setattr(module, "totals_table", spy)
     return builds
@@ -356,14 +355,6 @@ def reference_totals_table(r: int, n_max: int, s1, s2) -> list[ClassTotals]:
             {j: vec[3:] for j, vec in o_row.items()},
             {j: vec[5:] for j, vec in d_row.items()}, o1_tuples))
     return tables
-
-
-def capped(tot: ClassTotals, j_max: int | None) -> ClassTotals:
-    """A totals record's classes j <= j_max (every class when None)."""
-    if j_max is None:
-        return tot
-    return ClassTotals(*({j: v for j, v in field.items() if j <= j_max}
-                         for field in tot))
 
 
 def total_of(tot: ClassTotals, field: str, j: int, t: int = 0) -> int:

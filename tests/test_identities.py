@@ -8,11 +8,10 @@ from beckpart import identities
 from beckpart.euler_pairs import make_euler_pair, tilde_totals
 from beckpart.identities import (STATS, THEOREM_IDS, VerificationRecord,
                                  _record, class_totals, stat_value, verify)
-from helpers import (ClassSpec, assert_same_totals, capped,
-                     count_table_builds, enumerate_class,
-                     enumerated_class_totals, fiber_ragged_repeat_count,
-                     index_weight_tuples, pentagonal_counts, record,
-                     reference_totals_table)
+from helpers import (ClassSpec, assert_same_totals, count_table_builds,
+                     enumerate_class, enumerated_class_totals,
+                     fiber_ragged_repeat_count, index_weight_tuples,
+                     pentagonal_counts, record, reference_totals_table)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -46,44 +45,38 @@ def reference_at_120():
     return {r: _reference_class_totals(r, 120) for r in (2, 3, 4, 5)}
 
 
-@pytest.mark.parametrize("j_max", [0, 1, 4, None])
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_packed_dp_equals_the_per_multiplicity_reference(reference_at_120,
-                                                         r, j_max):
-    # every field of every n <= 120 over the classes j <= j_max; at
-    # j_max = 0, o1_tuples must still read the O table's class 1
+                                                         r):
+    # every field of every n <= 120; the reference runs every class j, so
+    # the packed table's cap at _j_cap drops only empty classes
     wants = {n_max: _reference_class_totals(r, n_max) for n_max in (0, 1, 7)}
     wants[120] = reference_at_120[r]
     for n_max, want in wants.items():
-        for n, got in enumerate(class_totals(r, n_max, j_max)):
-            assert_same_totals(got, capped(want[n], j_max), (n_max, n, j_max))
+        for n, got in enumerate(class_totals(r, n_max)):
+            assert_same_totals(got, want[n], (n_max, n))
 
 
-@pytest.mark.parametrize("j_max", [0, 1, 4, None])
-def test_packed_dp_equals_the_reference_on_euler_pairs(j_max):
+def test_packed_dp_equals_the_reference_on_euler_pairs():
     # criterion 9's three window pairs and its broken pair, at their bounds
     for r, s1, bound, s2 in ((2, range(1, 31), 30, None),
                              (2, range(3, 31, 3), 30, None),
                              (3, range(1, 31), 30, None), (2, [1], 10, [1])):
         pair = make_euler_pair(r, s1, bound, s2_override=s2)
         want = reference_totals_table(r, bound, pair.s1, pair.s2)
-        for n, got in enumerate(tilde_totals(pair, bound, j_max)):
-            assert_same_totals(got, capped(want[n], j_max), (pair, n, j_max))
+        for n, got in enumerate(tilde_totals(pair, bound)):
+            assert_same_totals(got, want[n], (pair, n))
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
-def test_j_cap_drops_only_empty_classes(r):
-    # r*J(J+1)/2 <= n_max: a cap above J builds the uncapped table, and
-    # class J itself is non-empty at n_max in both families
+def test_j_cap_is_the_largest_non_empty_class(r):
+    # r*J(J+1)/2 <= n_max: class J is non-empty at n_max in both families
     for n_max in (0, 1, 2, 5, 17, 40):
-        table = class_totals(r, n_max)
         top = identities._j_cap(r, n_max)
-        assert class_totals(r, n_max, 120) == table, n_max
-        assert max(table[n_max].o_count) == max(table[n_max].d_count) == top
-    assert [identities._j_cap(2, n, 121) for n in (0, 2, 6, 40, 120)] == \
+        tot = class_totals(r, n_max)[n_max]
+        assert max(tot.o_count) == max(tot.d_count) == top, n_max
+    assert [identities._j_cap(2, n) for n in (0, 2, 6, 40, 120)] == \
         [0, 1, 2, 5, 10]
-    with pytest.raises(ValueError, match="class index j must be >= 0"):
-        class_totals(r, 5, -1)
 
 
 def test_dp_lane_width_fits_every_total_bound_to_400():
@@ -120,8 +113,7 @@ def test_totals_cache_stays_bounded(monkeypatch):
     for r in range(2, 51):
         assert sum(class_totals(r, 12)[12].o_count.values()) == 77
     assert class_totals(3, 12) == class_totals(3, 12)
-    assert builds == ([(r, 12, None) for r in range(2, 51)]
-                      + [(3, 12, None), (3, 12, None)])
+    assert builds == [(r, 12) for r in range(2, 51)] + [(3, 12), (3, 12)]
     assert not hasattr(class_totals, "cache_info")
 
 
@@ -130,7 +122,7 @@ def test_totals_table_is_built_once_for_a_range_of_n(monkeypatch):
     assert len(table) == 21
     builds = count_table_builds(monkeypatch)
     assert all(rec.ok for rec in verify("beck_main", range(21), [3], 2))
-    assert builds == [(3, 20, 3)]
+    assert builds == [(3, 20)]
     # a table's records do not depend on its n_max
     assert class_totals(3, 12) == table[:13]
 
@@ -138,6 +130,8 @@ def test_totals_table_is_built_once_for_a_range_of_n(monkeypatch):
 def test_totals_reject_out_of_range_n():
     with pytest.raises(ValueError, match="non-negative"):
         class_totals(2, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        identities.totals_table(2, -1, [1], [1])
     with pytest.raises(ValueError, match="exceeds the totals bound"):
         class_totals(2, 121)
     with pytest.raises(ValueError, match="r must be >= 2"):
@@ -225,17 +219,17 @@ def test_one_totals_lookup_per_call(monkeypatch):
     # table, and on a larger grid fetches one table per r, at the largest n
     calls = []
 
-    def lookup(r, n_max, j_max=None):
-        calls.append((r, n_max, j_max))
-        return class_totals(r, n_max, j_max)
+    def lookup(r, n_max):
+        calls.append((r, n_max))
+        return class_totals(r, n_max)
     monkeypatch.setattr(identities, "class_totals", lookup)
     for theorem in THEOREM_IDS:
         calls.clear()
         verify(theorem, [9], [3], 1, t=1)
-        assert calls == [(3, 9, 2)]
+        assert calls == [(3, 9)]
     calls.clear()
     verify("modular_refine", range(10), [3, 2], 2)
-    assert calls == [(2, 9, 3), (3, 9, 3)]
+    assert calls == [(2, 9), (3, 9)]
 
 
 def test_franklin_instance():
