@@ -4,9 +4,11 @@
 one with j distinct parts repeated >= r times, preserving size: it strips
 each divisible part and re-adjoins it as a repeat, and rewrites every
 other multiplicity in base r.  ``franklin_inverse`` undoes it.  Each
-direction is one loop over the pairs into one part -> multiplicity dict,
-sorted once.  On partitions with no part divisible by r (no part
-repeated r times) nothing is stripped, so Glaisher's bijection
+direction is one loop over the pairs into one part -> pair dict, sorted
+once, that reuses each pair it leaves alone; a partition with no part
+divisible by r and none repeated r times is returned as it is.  On
+partitions with no part divisible by r (no part repeated r times) nothing
+is stripped, so Glaisher's bijection
 ``glaisher_map`` (``glaisher_inverse``) is the Franklin map restricted to
 that domain, after its precondition check.  ``adjoin_and_classify`` is
 the two-case adjoin map used for the double-counting arguments.
@@ -17,19 +19,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .partition import Partition
+from .partition import Partition, from_canonical
 
 
 def _check_modulus(r: int) -> None:
     if r < 2:
         raise ValueError(f"modulus r must be >= 2, got {r}")
-
-
-def _from_counts(counts: dict[int, int]) -> Partition:
-    # every key is a distinct positive part and every value a positive
-    # multiplicity, so one descending sort is the canonical form
-    return Partition._from_canonical(tuple(sorted(counts.items(),
-                                                  reverse=True)))
 
 
 def glaisher_map(lam: Partition, r: int) -> Partition:
@@ -64,43 +59,58 @@ def franklin_map(lam: Partition, r: int) -> Partition:
     part i^s goes through Glaisher's rewrite, s = sum(a_v * r^v) giving
     (i*r^v)^(a_v).  The image is the multiset union of the two.
     """
-    _check_modulus(r)
-    counts: dict[int, int] = {}
-    for part, mult in lam.pairs:
+    if r < 2:
+        raise ValueError(f"modulus r must be >= 2, got {r}")
+    out: dict[int, tuple[int, int]] = {}
+    fixed = True
+    for pair in lam.pairs:
+        part, mult = pair
         if part % r == 0:
-            part //= r
-            mult *= r
-        else:
+            fixed = False
+            part, mult = pair = (part // r, mult * r)
+        elif mult >= r:
+            fixed = False
             # emit the low base-r digits; the top digit is added below
             while mult >= r:
                 digit = mult % r
                 if digit:
-                    counts[part] = counts.get(part, 0) + digit
+                    out[part] = (part, out.get(part, (0, 0))[1] + digit)
                 mult //= r
                 part *= r
-        counts[part] = counts.get(part, 0) + mult
-    return _from_counts(counts)
+            pair = (part, mult)
+        out[part] = (part, out[part][1] + mult) if part in out else pair
+    return lam if fixed else from_canonical(
+        tuple(sorted(out.values(), reverse=True)))
 
 
 def franklin_inverse(mu: Partition, r: int) -> Partition:
     """Inverse of ``franklin_map``: each part with multiplicity
     a = k*r + d gives (part*r)^k, and its remainder d, written as
     part = s*r^v with s not divisible by r, gives s^(d*r^v)."""
-    _check_modulus(r)
-    counts: dict[int, int] = {}
-    for part, mult in mu.pairs:
+    if r < 2:
+        raise ValueError(f"modulus r must be >= 2, got {r}")
+    out: dict[int, tuple[int, int]] = {}
+    fixed = True
+    for pair in mu.pairs:
+        part, mult = pair
         if mult >= r:
+            fixed = False
             # part*r is divisible by r and every folded part is not, and
             # distinct parts give distinct part*r: no collision
-            counts[part * r] = mult // r
+            out[part * r] = (part * r, mult // r)
             mult %= r
             if not mult:
                 continue
-        while part % r == 0:
-            part //= r
-            mult *= r
-        counts[part] = counts.get(part, 0) + mult
-    return _from_counts(counts)
+            pair = (part, mult)
+        if part % r == 0:
+            fixed = False
+            while part % r == 0:
+                part //= r
+                mult *= r
+            pair = (part, mult)
+        out[part] = (part, out[part][1] + mult) if part in out else pair
+    return mu if fixed else from_canonical(
+        tuple(sorted(out.values(), reverse=True)))
 
 
 class ZetaCase(enum.Enum):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .partition import Partition
+from .partition import Partition, from_canonical
 
 # Guard against accidental combinatorial explosion: p(120) ~ 1.8e9.
 MAX_ENUM_N = 120
@@ -26,11 +26,11 @@ def partitions_of(n: int) -> Iterator[Partition]:
 def _gen_plain(remaining: int, max_part: int,
                acc: tuple[tuple[int, int], ...]) -> Iterator[Partition]:
     if remaining == 0:
-        yield Partition._from_canonical(acc)
+        yield from_canonical(acc)
         return
     for part in range(min(max_part, remaining), 1, -1):
         for mult in range(remaining // part, 0, -1):
             yield from _gen_plain(remaining - part * mult, part - 1,
                                   acc + ((part, mult),))
     if max_part >= 1:
-        yield Partition._from_canonical(acc + ((1, remaining),))
+        yield from_canonical(acc + ((1, remaining),))

@@ -48,13 +48,6 @@ class Partition:
         raise AttributeError("Partition is immutable")
 
     @classmethod
-    def _from_canonical(cls, pairs: tuple[tuple[int, int], ...]) -> "Partition":
-        # trusted fast path for generators that already produce canonical pairs
-        self = cls.__new__(cls)
-        object.__setattr__(self, "pairs", pairs)
-        return self
-
-    @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse comma-separated ``part`` or ``part^mult`` tokens.
 
@@ -99,6 +92,16 @@ class Partition:
 
     def __str__(self) -> str:
         return self.render()
+
+
+_set_pairs = Partition.pairs.__set__
+
+
+def from_canonical(pairs: tuple[tuple[int, int], ...]) -> Partition:
+    """Trusted constructor: wrap canonical ``pairs`` without checking them."""
+    lam = object.__new__(Partition)
+    _set_pairs(lam, pairs)
+    return lam
 
 
 class ClassIndex(NamedTuple):

@@ -13,7 +13,7 @@ from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import EulerPair
 from beckpart.identities import (ClassTotals, class_totals, stat_value,
                                  totals_table)
-from beckpart.partition import Partition, classify
+from beckpart.partition import Partition, classify, from_canonical
 from beckpart.qseries import KINDS, Series
 
 # The benchmark's regression digests; tests only read them.
@@ -154,7 +154,7 @@ def _exact_reachable(need: int, remaining: int, max_part: int,
 def _gen_class(remaining, max_part, count, spec, acc):
     if remaining == 0:
         if spec.mode == "at_most" or count == spec.j:
-            yield Partition._from_canonical(acc)
+            yield from_canonical(acc)
         return
     if spec.mode == "exact" and not _exact_reachable(
             spec.j - count, remaining, max_part, spec):
@@ -171,7 +171,7 @@ def _gen_class(remaining, max_part, count, spec, acc):
         # part 1 forces multiplicity == remaining; 1 is never divisible by r
         final = count + (spec.family == "D" and remaining >= r)
         if final == j or (spec.mode == "at_most" and final < j):
-            yield Partition._from_canonical(acc + ((1, remaining),))
+            yield from_canonical(acc + ((1, remaining),))
 
 
 def count_class(n: int, spec: ClassSpec, *, method: str = "direct") -> int:
@@ -533,10 +533,18 @@ def composed_franklin_inverse(mu: Partition, r: int) -> Partition:
 
 
 def assert_canonical(lam: Partition, size: int) -> None:
-    """``lam`` is in the form ``Partition`` would build: positive parts,
-    strictly decreasing, every multiplicity >= 1, and its parts summing
-    to ``size``, the size the caller knows it must have.  Guards maps
-    that skip validation."""
+    """``lam`` is in the form ``Partition`` would build: a plain
+    ``Partition`` whose pairs are a tuple of (int, int) tuples, positive
+    parts, strictly decreasing, every multiplicity >= 1, hashing as the
+    validated rebuild does, and its parts summing to ``size``, the size
+    the caller knows it must have.  Guards maps that skip validation and
+    share pair objects with their input."""
+    assert type(lam) is Partition, type(lam)
+    assert type(lam.pairs) is tuple, lam.pairs
+    assert all(type(pair) is tuple and len(pair) == 2
+               and type(pair[0]) is int and type(pair[1]) is int
+               for pair in lam.pairs), lam.pairs
+    assert hash(lam) == hash(Partition(lam.pairs)), lam.pairs
     parts = [p for p, _ in lam.pairs]
     assert all(p >= 1 for p in parts), lam.pairs
     assert all(a > b for a, b in zip(parts, parts[1:])), lam.pairs

@@ -75,6 +75,11 @@ def test_franklin_examples():
     assert image == Partition.parse("2^2,1^5")
     assert image.size == 9
     assert classify(image, 2).j_rep == 2
+    # a stripped 6 meets the unchanged 3
+    assert franklin_map(Partition.parse("6,3"), 2) == Partition.parse("3^3")
+    # equal to its argument, though not a fixed point of the pair rules
+    lam = Partition.parse("2,1^2")
+    assert franklin_map(lam, 2) == lam and franklin_map(lam, 2) is not lam
 
 
 def test_franklin_inverse_examples():
@@ -83,6 +88,11 @@ def test_franklin_inverse_examples():
     assert franklin_inverse(Partition.parse("3,2"), 2) == \
         Partition.parse("3,1^2")
     assert franklin_inverse(Partition(), 3) == Partition()
+    # the unfolded 6 meets the unchanged 3; 3^3 splits into 6 and 3
+    assert franklin_inverse(Partition.parse("6,3"), 2) == \
+        Partition.parse("3^3")
+    assert franklin_inverse(Partition.parse("3^3"), 2) == \
+        Partition.parse("6,3")
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -120,15 +130,20 @@ def test_nonresidual_balance_is_pointwise_under_franklin():
 def test_one_pass_maps_equal_the_composition(r):
     """The one-pass maps equal the paper's strip / rewrite / union
     construction on every partition of n <= 20, and every image they
-    build without validation is canonical and of size n."""
+    build without validation is canonical and of size n.  Each map
+    returns its argument itself exactly when no part is divisible by r
+    and none is repeated r or more times."""
     for n in range(21):
         for lam in partitions_of(n):
+            fixed = all(p % r and m < r for p, m in lam.pairs)
             mu = franklin_map(lam, r)
             assert mu == composed_franklin_map(lam, r), (lam, r)
             assert_canonical(mu, n)
+            assert (mu is lam) == fixed, (lam, r)
             back = franklin_inverse(lam, r)
             assert back == composed_franklin_inverse(lam, r), (lam, r)
             assert_canonical(back, n)
+            assert (back is lam) == fixed, (lam, r)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given
 
-from beckpart.partition import Partition, PartitionParseError, classify
+from beckpart.partition import (Partition, PartitionParseError, classify,
+                                from_canonical)
 from helpers import partitions, stats
 
 
@@ -152,7 +153,7 @@ def test_partition_is_immutable_and_hashable():
 def test_size_is_derived_from_the_pairs():
     # a partition stores only its pairs; size is read from them on demand
     assert Partition.__slots__ == ("pairs",)
-    lam = Partition._from_canonical(((3, 2), (1, 1)))
+    lam = from_canonical(((3, 2), (1, 1)))
     assert lam.size == 7
     with pytest.raises(AttributeError):
         lam.size = 8
