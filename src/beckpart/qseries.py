@@ -12,10 +12,12 @@ C(q, w) = prod_m (1 - (1-w)q^(rm)) / prod_k (1 - q^k) times a per-part
 multiplier.  That the O and D families share C is Franklin's identity,
 so a kind's family changes nothing but its multiplier.
 ``multiplier`` writes the kind's sparse sum over part values as packed
-rows, one integer per power of q; ``series`` applies C's marked factors
-to them in place, divides by prod_k (1 - q^k) in one recurrence from
-Euler's pentagonal number theorem, and unpacks the rows once.  The tests
-build each family's product from its own per-part factors as reference.
+rows, one integer per power of q; ``series`` multiplies them in place by
+all of C's marked factors at once through Euler's expansion of
+prod_m (1 + z y^m), one pass per term (about sqrt(2N/r) terms), divides
+by prod_k (1 - q^k) in one recurrence from Euler's pentagonal number
+theorem, and unpacks the rows once.  The tests build each family's
+product from its own per-part factors as reference.
 """
 
 from __future__ import annotations
@@ -129,16 +131,26 @@ def _unpack(X: list[int], c: list[list[int]], B: int) -> None:
 
 def _times_count_product(X: list[int], r: int, B: int, M: int) -> None:
     """X *= C(q, w) in place ([q^n w^j] of C counts either family's
-    exactly-j class): a descending masked step per factor 1 - (1-w)q^p,
-    p = r, 2r, ... (b << B is w*b), then one ascending recurrence divides
-    by prod_k (1 - q^k) = sum_i (-1)^i q^(i(3i-1)/2) over all integers i
-    (Euler's pentagonal theorem; Andrews, The Theory of Partitions, ch. 1),
-    exact as its constant term is 1: X[n] += X[n-1] + X[n-2] - X[n-5] ..."""
+    exactly-j class).  The marked factors come from Euler's identity
+    prod_{m>=1} (1 + z y^m) = sum_k z^k y^(k(k+1)/2) / ((1-y)...(1-y^k))
+    (Andrews, The Theory of Partitions, ch. 2, Cor. 2.2) with z = w - 1
+    and y = q^r.  The work rows Z step from term k-1 to term k in one
+    ascending pass, which multiplies by w - 1 (z << B is w*z) and divides
+    by 1 - q^(rk), and are added into X at q^off, off = r*k(k+1)/2, while
+    off <= N.  Then one ascending recurrence divides by prod_k (1 - q^k)
+    = sum_i (-1)^i q^(i(3i-1)/2) over all integers i (Euler's pentagonal
+    theorem; ibid., ch. 1), exact as its constant term is 1:
+    X[n] += X[n-1] + X[n-2] - X[n-5] ..."""
     N = len(X) - 1
-    for p in range(r, N + 1, r):
-        for n in range(N, p - 1, -1):
-            b = X[n - p]
-            X[n] = (X[n] - b + (b << B)) & M
+    Z, k, off = X[:N + 1 - r], 1, r
+    while off <= N:
+        s = r * k
+        for n in range(N + 1 - off):  # Z's rows past N - off never reach X
+            z = Z[n]
+            Z[n] = z = ((z << B) - z + (Z[n - s] if n >= s else 0)) & M
+            X[n + off] += z
+        k += 1
+        off += r * k
     plus, minus = [], []  # the generalized pentagonal numbers by sign
     for i in range(1, N + 1):
         (plus if i % 2 else minus).extend((i * (3 * i - 1) // 2,

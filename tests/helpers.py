@@ -8,7 +8,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from beckpart import euler_pairs, identities
+from beckpart import euler_pairs, identities, qseries
 from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import EulerPair
 from beckpart.identities import (ClassTotals, class_totals, stat_value,
@@ -550,6 +550,25 @@ def assert_canonical(lam: Partition, size: int) -> None:
     assert all(a > b for a, b in zip(parts, parts[1:])), lam.pairs
     assert all(m >= 1 for _, m in lam.pairs), lam.pairs
     assert sum(p * m for p, m in lam.pairs) == size, (lam.pairs, size)
+
+
+def reference_times_count_product(X: list[int], r: int, B: int,
+                                  M: int) -> list[int]:
+    """X times C(q, w) as packed rows (the lanes of ``qseries``), one marked
+    factor at a time: a descending masked step per factor 1 - (1-w)q^p,
+    p = r, 2r, ... (b << B is w*b), about N^2/(2r) row steps.  The
+    per-factor reference for the Euler expansion of
+    ``qseries._times_count_product``; X is left as it is.  The division
+    by prod_k (1 - q^k) is that function's at a modulus above N, where C
+    has no marked factor below q^(N+1)."""
+    X = X[:]
+    N = len(X) - 1
+    for p in range(r, N + 1, r):
+        for n in range(N, p - 1, -1):
+            b = X[n - p]
+            X[n] = (X[n] - b + (b << B)) & M
+    qseries._times_count_product(X, N + 1, B, M)
+    return X
 
 
 # -- series product forms ----------------------------------------------------

@@ -12,8 +12,8 @@ from beckpart.qseries import Series
 from helpers import (EXPECTED, add, dp_total, geometric_factor,
                      lambert_by_mult, lambert_by_parts, marked_geometric,
                      monomial, mul, nnz, one, one_minus_w, pentagonal_counts,
-                     product_form, repeat_marker, scale, series_tables,
-                     shift)
+                     product_form, reference_times_count_product,
+                     repeat_marker, scale, series_tables, shift)
 
 small_series = st.builds(
     lambda rows: Series(4, 2, rows),
@@ -279,6 +279,27 @@ def test_small_tables_equal_their_product_forms(r):
                     product_form(kind, r, t, N, J), (kind, t, N, J)
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_count_product_equals_the_per_factor_reference(r):
+    # Euler's expansion of the marked factors against one descending step
+    # per factor, on each kind's multiplier rows (t = 1 where it takes a
+    # t).  Term k first reaches row N at N = r*k(k+1)/2, so N runs through
+    # those and one below each; N = 400 passes the rows in directly, past
+    # MAX_Q_ORDER, at the widest J only
+    edges = {r * k * (k + 1) // 2 - d for k in range(1, 11) for d in (0, 1)}
+    grid = [(N, J) for N in sorted({*range(9), *(e for e in edges
+                                                 if e <= 120), 120})
+            for J in (0, 1, 8)] + [(400, 8)]
+    for N, J in grid:
+        B = qs._lane_bits(N)
+        M = (1 << (J + 1) * B) - 1
+        for kind, takes_t in qs.KINDS.items():
+            X = qs.multiplier(kind, r, 1 if takes_t else None, N, B, M)
+            want = reference_times_count_product(X, r, B, M)
+            qs._times_count_product(X, r, B, M)
+            assert [x & M for x in X] == [x & M for x in want], (kind, N, J)
+
+
 def _pack(rows: list[list[int]], B: int) -> list[int]:
     # the lanes of qseries' lane comment, packed straight from a table
     M = (1 << len(rows[0]) * B) - 1
@@ -290,7 +311,8 @@ def _pack(rows: list[list[int]], B: int) -> list[int]:
 def test_packed_rows_round_trip_signed_lanes(N, J):
     B = qs._lane_bits(N)
     top = (1 << (B - 1)) - 1
-    for v in (-1, 0, top, -top):
+    bottom = -top - 1  # its lane reads 2^(B-1), the least that borrows
+    for v in (-1, 0, top, -top, bottom):
         rows = [[0] * (J + 1) for _ in range(3)]
         rows[0][0] = v  # lane 0
         rows[1][J] = v  # lane J
@@ -298,6 +320,11 @@ def test_packed_rows_round_trip_signed_lanes(N, J):
         back = [[9] * (J + 1) for _ in range(3)]
         qs._unpack(_pack(rows, B), back, B)
         assert back == rows, v
+    # the top and the bottom value in turn across every lane
+    rows = [[bottom if j % 2 else top for j in range(J + 1)]]
+    back = [[9] * (J + 1)]
+    qs._unpack(_pack(rows, B), back, B)
+    assert back == rows
     # one past the top does not fit: it reads back as the bottom
     back = [[0] * (J + 1)]
     qs._unpack(_pack([[top + 1] + [0] * J], B), back, B)

@@ -75,3 +75,29 @@ def test_series_equal_sympy_product_forms(r):
     for t in range(1, r):
         assert coefficients(qs.series("beck-delta", r, t, N, J)) == \
             delta.as_dict(), t
+
+
+def test_euler_expansion_of_the_marked_product():
+    # the identity that the count product's marked factors are applied
+    # through (Andrews, The Theory of Partitions, ch. 2, Cor. 2.2):
+    # prod_{m>=1} (1 + z y^m) = sum_k z^k y^(k(k+1)/2) / ((1-y)...(1-y^k)),
+    # both sides expanded by sympy mod y^(D+1) with z symbolic
+    y, z = sympy.symbols("y z")
+    D = 30
+
+    def trunc(p):
+        return sympy.Poly.from_dict(
+            {m: c for m, c in p.as_dict().items() if m[0] <= D}, y, z)
+
+    lhs = sympy.Poly(1, y, z)
+    for m in range(1, D + 1):
+        lhs = trunc(lhs * sympy.Poly(1 + z * y**m, y, z))
+    rhs = sympy.Poly(0, y, z)
+    for k in range(D + 1):
+        term = trunc(sympy.Poly(z**k * y**(k * (k + 1) // 2), y, z))
+        for i in range(1, k + 1):  # times 1/(1 - y^i)
+            term = trunc(term * sympy.Poly(
+                sum(y**(i * e) for e in range(D // i + 1)), y, z))
+        rhs += term
+    assert lhs == rhs
+    assert lhs.degree(z) == 7  # the terms k <= 7 reach y^30
