@@ -84,16 +84,15 @@ def _emit_rows(header: tuple[str, ...], rows, args, meta: dict) -> None:
 RECORD_HEADER = ("theorem", "n", "r", "j", "t", "lhs", "rhs1", "rhs2", "ok")
 
 
-def _record_rows(records: list[VerificationRecord], fmt: str):
-    """One row per record under RECORD_HEADER; ok is a JSON bool, or
-    true/false as text."""
-    for theorem, n, r, j, t, lhs, rhs, ok, _ in records:
-        yield (theorem, n, r, j, t, lhs, rhs[0][1],
-               rhs[1][1] if len(rhs) > 1 else None,
-               ok if fmt == "json" else "true" if ok else "false")
-
-
-def _report_failures(records: list[VerificationRecord]) -> int:
+def _emit_records(records: list[VerificationRecord], args, meta: dict) -> int:
+    """Emit one row per record under RECORD_HEADER (ok a JSON bool, or
+    true/false as text), then a FAIL line on stderr for each failed
+    record; returns the exit code, 1 when any failed."""
+    _emit_rows(RECORD_HEADER, (
+        (theorem, n, r, j, t, lhs, rhs[0][1],
+         rhs[1][1] if len(rhs) > 1 else None,
+         ok if args.format == "json" else "true" if ok else "false")
+        for theorem, n, r, j, t, lhs, rhs, ok, _ in records), args, meta)
     failures = [rec for rec in records if not rec.ok]
     for rec in failures:
         detail = "; ".join(f"{label}={value}" for label, value in rec.rhs)
@@ -112,8 +111,7 @@ def _cmd_verify(args) -> int:
     meta = {"command": "verify", "theorem": args.theorem,
             "n_max": args.n_max, "r": list(r_list), "j_max": args.j_max,
             "t": t}
-    _emit_rows(RECORD_HEADER, _record_rows(records, args.format), args, meta)
-    return _report_failures(records)
+    return _emit_records(records, args, meta)
 
 
 def _cmd_stats(args) -> int:
@@ -230,8 +228,7 @@ def _cmd_euler(args) -> int:
     meta = {"command": "euler", "r": args.r, "bound": bound,
             "s1_size": len(pair.s1), "s2_size": len(pair.s2),
             "item": args.item, "n_max": args.n_max, "j_max": args.j_max}
-    _emit_rows(RECORD_HEADER, _record_rows(records, args.format), args, meta)
-    return _report_failures(records)
+    return _emit_records(records, args, meta)
 
 
 def _cmd_oeis(args) -> int:
@@ -267,14 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of partition part-count identities")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p, help=None):
+        p.add_argument("--format", choices=("table", "csv", "json"),
+                       default="table")
+        p.add_argument("--output", default=None, help=help)
+
     def common(p):
         p.add_argument("--n-max", type=int, default=20)
         p.add_argument("--r", default="2", help="comma-separated moduli")
         p.add_argument("--j-max", type=int, default=3)
         p.add_argument("--t", default="all", help="'all' or a single residue")
-        p.add_argument("--format", choices=("table", "csv", "json"),
-                       default="table")
-        p.add_argument("--output", default=None, help="write to file")
+        output(p, "write to file")
 
     p = sub.add_parser("verify", help="verify theorem instances on a grid")
     p.add_argument("--theorem", choices=THEOREM_IDS + ("all",), default="all")
@@ -307,9 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--n-max", type=int, default=40, help="q-truncation N")
     p.add_argument("--j-max", type=int, default=8, help="w-truncation J")
-    p.add_argument("--format", choices=("table", "csv", "json"),
-                   default="table")
-    p.add_argument("--output", default=None)
+    output(p)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("euler", help="verify the restricted-set identities")
@@ -323,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--item", choices=("1", "2", "3", "4", "all"), default="all")
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--j-max", type=int, default=2)
-    p.add_argument("--format", choices=("table", "csv", "json"),
-                   default="table")
-    p.add_argument("--output", default=None)
+    output(p)
     p.set_defaults(func=_cmd_euler)
 
     p = sub.add_parser("oeis", help="cross-check a computed sequence")

@@ -9,9 +9,9 @@ pairs.  The restricted-class totals are ``identities.totals_table`` on
 the pair's S1 and S2, the builder of the unrestricted totals, so a pair's
 record is a ``ClassTotals`` with every field, read through the same
 ``STATS``.  Items 1-4 are the ``STATEMENTS`` of ``beck_cumulative``,
-``beck_main``, ``distinct_cumulative`` and ``distinct_parts``, evaluated
-on that record: the unrestricted theorems are the pair S1 = all positive
-integers.
+``beck_main``, ``distinct_cumulative`` and ``distinct_parts``, checked
+on it by the theorems' own loop, ``identities.check``, with the classes
+marked ~: the unrestricted theorems are the pair S1 = all positive integers.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .identities import (STATEMENTS, ClassTotals, VerificationRecord,
-                         _check_n, _record, stat_value, totals_table)
+from .identities import (ClassTotals, VerificationRecord, check, stat_value,
+                         totals_table)
 
 EULER_ITEM_IDS = ("euler_item1", "euler_item2", "euler_item3", "euler_item4")
 # item k is the unrestricted theorem ITEM_THEOREMS[k - 1] over the pair
@@ -39,6 +39,17 @@ class EulerPair:
     subbarao_ok: bool
 
 
+def _members(name: str, given: Iterable[int], bound: int) -> tuple[int, ...]:
+    """The distinct members given, in increasing order, each in 1..bound."""
+    ordered = tuple(sorted(set(given)))
+    for s in ordered:
+        if s <= 0:
+            raise ValueError(f"{name} member {s} must be positive")
+        if s > bound:
+            raise ValueError(f"{name} member {s} exceeds bound {bound}")
+    return ordered
+
+
 def make_euler_pair(r: int, s1_members: Iterable[int], bound: int,
                     s2_override: Iterable[int] | None = None) -> EulerPair:
     """Build a pair; s2 defaults to s1 minus r*s1 within the bound.
@@ -50,26 +61,16 @@ def make_euler_pair(r: int, s1_members: Iterable[int], bound: int,
         raise ValueError(f"modulus r must be >= 2, got {r}")
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
-    s1 = sorted(set(s1_members))
-    for s in s1:
-        if s <= 0:
-            raise ValueError(f"s1 member {s} must be positive")
-        if s > bound:
-            raise ValueError(f"s1 member {s} exceeds bound {bound}")
+    s1 = _members("s1", s1_members, bound)
     s1_set = set(s1)
     # s1 \ r*s1: drop members expressible as r times another member
     derived_s2 = tuple(s for s in s1 if not (s % r == 0 and s // r in s1_set))
     if s2_override is None:
         s2 = derived_s2
     else:
-        s2 = tuple(sorted(set(s2_override)))
-        for s in s2:
-            if s <= 0:
-                raise ValueError(f"s2 member {s} must be positive")
-            if s > bound:
-                raise ValueError(f"s2 member {s} exceeds bound {bound}")
+        s2 = _members("s2", s2_override, bound)
     closure = all(r * s in s1_set for s in s1 if r * s <= bound)
-    return EulerPair(r, bound, tuple(s1), s2,
+    return EulerPair(r, bound, s1, s2,
                      subbarao_ok=closure and s2 == derived_s2)
 
 
@@ -84,8 +85,8 @@ def tilde_totals(pair: EulerPair, n_max: int) -> list[ClassTotals]:
 def verify_tilde(item: int | str, pair: EulerPair, n_values: Iterable[int],
                  j_max: int) -> list[VerificationRecord]:
     """All instances of item k, or of items 1-4 in turn for "all", over the
-    grid in (n, j) order: the statement of theorem ``ITEM_THEOREMS[k - 1]``
-    on the pair's totals, built once for every item, with its classes
+    grid in (n, j) order: ``check`` of theorem ``ITEM_THEOREMS[k - 1]`` on
+    the pair's totals, built once for every item, with its classes
     labelled O~, D~ and T~."""
     if item not in ("all", 1, 2, 3, 4):
         raise ValueError(f"item must be in 1..4, got {item}")
@@ -94,15 +95,9 @@ def verify_tilde(item: int | str, pair: EulerPair, n_values: Iterable[int],
             "pair fails the closure condition (r*S1 inside S1 and "
             "S2 = S1 minus r*S1); the identities are not asserted for it")
     items = list(zip(EULER_ITEM_IDS, ITEM_THEOREMS))
-    statements = [(name, STATEMENTS[theorem]("~")) for name, theorem in
-                  (items if item == "all" else [items[item - 1]])]
-    ns = sorted(set(n_values))
-    _check_n(min(ns, default=0), j_max)
-    table = tilde_totals(pair, ns[-1]) if ns else []
-    return [_record(name, n, pair.r, j, None,
-                    *statement(table[n], pair.r, j, None))
-            for name, statement in statements for n in ns
-            for j in range(j_max + 1)]
+    return check(items if item == "all" else [items[item - 1]], "~",
+                 lambda r, n: tilde_totals(pair, n), n_values, (pair.r,),
+                 j_max, None)
 
 
 def subbarao_counterexample(pair: EulerPair, n_max: int

@@ -15,8 +15,10 @@ different route and is deliberately not used here.
 
 A command builds ``class_totals(r, n_max)`` once per r and indexes it
 by n; no table is kept between calls.  ``STATS`` reads each statistic
-from a record, ``STATEMENTS`` states each theorem on one (of an Euler
-pair too), and ``verify`` makes each instance a ``VerificationRecord``.
+from a record and ``STATEMENTS`` states each theorem on one (of an Euler
+pair too).  ``check`` is the one grid loop that makes each instance a
+``VerificationRecord``, from any table builder: ``verify`` passes it
+``class_totals``, and ``euler_pairs.verify_tilde`` a pair's totals.
 
 The left side of ``diff3`` sums |O_1(n - r*w)| over index tuples (m, k),
 m strictly increasing in S1 and k positive, of weight w = sum m_i*k_i: a
@@ -33,10 +35,6 @@ from typing import Callable, Iterable, NamedTuple
 
 # The largest n of a totals table, and so of every command.
 MAX_N = 120
-
-THEOREM_IDS = ("franklin", "beck_main", "beck_cumulative", "modular_refine",
-               "sum_reduction", "distinct_parts", "distinct_cumulative",
-               "diff3", "nonresidual_balance")
 
 
 class ClassTotals(NamedTuple):
@@ -279,9 +277,6 @@ class VerificationRecord(NamedTuple):
     ok: bool
     note: str = ""
 
-    def rhs_value(self, idx: int):
-        return self.rhs[idx][1] if idx < len(self.rhs) else None
-
 
 def _record(theorem, n, r, j, t, lhs, rhs, note=""):
     # ok: no note, and the one or two right sides (first, last) equal lhs
@@ -337,8 +332,8 @@ def _franklin(mark: str):
                                  ((label, _read(tot, "count_D", j)),), "")
 
 
-# theorem id -> statement builder, in THEOREM_IDS order; o_parts_mod[j][0]
-# totals the parts divisible by r over O_j
+# theorem id -> statement builder; o_parts_mod[j][0] totals the parts
+# divisible by r over O_j
 STATEMENTS = {
     "franklin": _franklin,
     "beck_main": partial(_beck, "exact"),
@@ -359,25 +354,39 @@ STATEMENTS = {
         r * tot.o_parts_mod.get(j, [0])[0],
         (("sum nonresidual mult over D_j", tot.d_nonresid.get(j, 0)),), ""),
 }
+THEOREM_IDS = tuple(STATEMENTS)
+
+
+def check(names: Iterable[tuple[str, str]], mark: str,
+          totals: Callable[[int, int], list[ClassTotals]],
+          n_values: Iterable[int], r_values: Iterable[int], j_max: int,
+          t: int | str | None) -> list[VerificationRecord]:
+    """A record per instance of each (record name, theorem id) of ``names``
+    over the grid, in (name, n, r, j, t) order: the theorem's statement,
+    classes tagged ``mark``, on ``totals(r, n_max)[n]``.  Each r's table is
+    built once, at the largest n, for every theorem; each statement once,
+    and each theorem's residues once per r, even on an empty grid of n."""
+    statements = [(name, theorem, STATEMENTS[theorem](mark))
+                  for name, theorem in names]
+    ns, rs = sorted(set(n_values)), sorted(set(r_values))
+    _check_n(min(ns, default=0), j_max)
+    tables = {r: totals(r, ns[-1]) for r in rs} if ns else {}
+    residues = {(theorem, r): t_values(theorem, r, t)
+                for _, theorem, _ in statements for r in rs}
+    return [_record(name, n, r, j, t_, *statement(tables[r][n], r, j, t_))
+            for name, theorem, statement in statements for n in ns
+            for r in rs for j in range(j_max + 1)
+            for t_ in residues[theorem, r]]
 
 
 def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
            j_max: int, t: int | str = "all") -> list[VerificationRecord]:
     """All instances of one theorem, or of each of ``THEOREM_IDS`` in turn
-    for "all", over a parameter grid in canonical (n, r, j, t) order, one
-    ``VerificationRecord`` each.  Each r's totals table is built once, at
-    the largest n, for every theorem; each theorem's labels once, and its
-    residues once per r, even on an empty grid of n."""
+    for "all", over a parameter grid: ``check`` on the unrestricted
+    classes' ``class_totals``."""
     if theorem not in STATEMENTS and theorem != "all":
         raise ValueError(f"unknown theorem {theorem!r}; "
                          f"choose from {', '.join(THEOREM_IDS)}")
-    statements = {name: STATEMENTS[name]("") for name in
-                  (THEOREM_IDS if theorem == "all" else (theorem,))}
-    ns, rs = sorted(set(n_values)), sorted(set(r_values))
-    _check_n(min(ns, default=0), j_max)
-    tables = {r: class_totals(r, ns[-1]) for r in rs} if ns else {}
-    residues = {(name, r): t_values(name, r, t)
-                for name in statements for r in rs}
-    return [_record(name, n, r, j, t_, *statement(tables[r][n], r, j, t_))
-            for name, statement in statements.items() for n in ns
-            for r in rs for j in range(j_max + 1) for t_ in residues[name, r]]
+    names = THEOREM_IDS if theorem == "all" else (theorem,)
+    return check(zip(names, names), "", class_totals, n_values, r_values,
+                 j_max, t)

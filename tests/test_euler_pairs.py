@@ -46,10 +46,14 @@ def test_broken_pair_is_flagged(broken):
 
 
 def test_make_euler_pair_validation():
-    with pytest.raises(ValueError, match="exceeds bound"):
+    with pytest.raises(ValueError, match="^s1 member 40 exceeds bound 30$"):
         make_euler_pair(2, [40], 30)
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ValueError, match="^s1 member 0 must be positive$"):
         make_euler_pair(2, [0, 3], 10)
+    with pytest.raises(ValueError, match="^s2 member 11 exceeds bound 10$"):
+        make_euler_pair(2, [1, 2], 10, s2_override=[1, 11])
+    with pytest.raises(ValueError, match="^s2 member -1 must be positive$"):
+        make_euler_pair(2, [1, 2], 10, s2_override=[1, -1, 20])
     with pytest.raises(ValueError, match="r must be >= 2"):
         make_euler_pair(1, [1], 10)
 

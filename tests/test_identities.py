@@ -344,10 +344,29 @@ def test_verification_record_is_an_immutable_named_tuple():
     with pytest.raises(AttributeError):
         rec.lhs = 4
     assert not hasattr(rec, "__dict__")
-    assert [rec.rhs_value(i) for i in range(3)] == [3, 3, None]
     copy = pickle.loads(pickle.dumps(rec))
     assert type(copy) is VerificationRecord and copy == rec
     assert rec._replace(lhs=4).lhs == 4 and rec.lhs == 3
+
+
+def test_check_reads_the_residues_of_the_theorem_not_the_record_name(
+        monkeypatch):
+    # modular_refine on the pair S1 = all positive integers of each r, under
+    # a record name of its own: the unrestricted records, renamed and with
+    # the restricted classes marked, from one table per r
+    ns = range(13)
+    wanted = [rec._replace(theorem="x", rhs=tuple(
+        (re.sub(r"([OD])_", r"\1~_", label), value)
+        for label, value in rec.rhs))
+        for rec in verify("modular_refine", ns, [2, 3], 2)]
+    builds = count_table_builds(monkeypatch)
+    got = identities.check(
+        [("x", "modular_refine")], "~",
+        lambda r, n: tilde_totals(make_euler_pair(r, range(1, n + 1), n), n),
+        ns, [3, 2], 2, "all")
+    assert got == wanted
+    assert {rec.t for rec in got} == {1, 2}
+    assert builds == [(2, 12), (3, 12)]
 
 
 def test_record_flags_non_divisible_gap():
