@@ -9,11 +9,13 @@ tables), ``map`` (bijections), ``series`` (coefficient tables), ``euler``
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
 import json
 import sys
 from functools import partial
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 from . import bijections, euler_pairs, identities, oeis, qseries
 from .identities import MAX_N, THEOREM_IDS, VerificationRecord
@@ -54,46 +56,86 @@ def _t_selector(text: str) -> str | int:
         raise ValueError(f"--t must be 'all' or an integer, got {text!r}") from None
 
 
-def _emit_rows(header: tuple[str, ...], rows, args, meta: dict) -> None:
-    """Render rows of values under ``header`` as ``args.format`` (table, CSV
-    or JSON), to ``args.output`` or stdout; None is "-" in a table, an
-    empty CSV field and null in JSON."""
-    if args.format == "json":
-        text = json.dumps({"meta": meta, "records": [
-            dict(zip(header, row)) for row in rows]}, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:  # one at a time, so no list of every row is built
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:  # plain aligned table
-        cells = [header, *([("-" if v is None else str(v)) for v in row]
-                           for row in rows)]
-        widths = [max(map(len, column)) for column in zip(*cells)]
-        text = "".join("  ".join(v.ljust(w) for v, w in zip(c, widths))
-                       .rstrip() + "\n" for c in cells)
+# a value's cell per format: None as this, a string passed through this
+_NULL = {"table": "-", "csv": "", "json": "null"}
+_QUOTE = {"table": str, "csv": str, "json": encode_basestring_ascii}
+_BLOCK = 1024  # rows per write
+
+
+def _output(args):
+    """``args.output`` opened for writing, or stdout, as a context."""
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return open(args.output, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _write_rows(header: tuple[str, ...], cells, args, meta: dict) -> None:
+    """Write rows of cells under ``header`` as ``args.format``: an aligned
+    table, one CSV line or one JSON object per row, the same text as
+    ``csv.writer`` or ``json.dumps({"meta": meta, "records": [...]},
+    indent=2)`` would give.  A cell is an int or a string already in the
+    format's text (``_NULL``, ``_QUOTE``); CSV and JSON rows are formatted
+    as they come and written ``_BLOCK`` at a time."""
+    if args.format == "table":
+        rows = [header, *(tuple(map(str, row)) for row in cells)]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        with _output(args) as out:
+            out.write("".join("  ".join(v.ljust(w) for v, w in zip(c, widths))
+                              .rstrip() + "\n" for c in rows))
+        return
+    json_ = args.format == "json"
+    if json_:  # each object after the first follows a comma
+        head = ('{\n  "meta": '
+                + json.dumps(meta, indent=2).replace("\n", "\n  ")
+                + ',\n  "records": [')
+        line = ",\n    {\n" + ",\n".join(
+            f"      {encode_basestring_ascii(key)}: %s" for key in header
+        ) + "\n    }"
     else:
-        sys.stdout.write(text)
+        head = ",".join(header) + "\n"
+        line = ",".join(["%s"] * len(header)) + "\n"
+    lines = map(line.__mod__, cells)
+    with _output(args) as out:
+        out.write(head)
+        first = True
+        while block := "".join(islice(lines, _BLOCK)):
+            out.write(block[1:] if json_ and first else block)
+            first = False
+        if json_:
+            out.write("]\n}\n" if first else "\n  ]\n}\n")
+
+
+def _emit_rows(header: tuple[str, ...], rows, args, meta: dict) -> None:
+    """Render rows of values (ints, strings or None) under ``header`` as
+    ``args.format``, to ``args.output`` or stdout; None is "-" in a table,
+    an empty CSV field and null in JSON."""
+    null, quote = _NULL[args.format], _QUOTE[args.format]
+    _write_rows(header, (tuple(null if v is None else
+                               quote(v) if isinstance(v, str) else v
+                               for v in row) for row in rows), args, meta)
 
 
 RECORD_HEADER = ("theorem", "n", "r", "j", "t", "lhs", "rhs1", "rhs2", "ok")
 
 
-def _emit_records(records: list[VerificationRecord], args, meta: dict) -> int:
+def _emit_records(records: Iterable[VerificationRecord], args,
+                  meta: dict) -> int:
     """Emit one row per record under RECORD_HEADER (ok a JSON bool, or
-    true/false as text), then a FAIL line on stderr for each failed
-    record; returns the exit code, 1 when any failed."""
-    _emit_rows(RECORD_HEADER, (
-        (theorem, n, r, j, t, lhs, rhs[0][1],
-         rhs[1][1] if len(rhs) > 1 else None,
-         ok if args.format == "json" else "true" if ok else "false")
-        for theorem, n, r, j, t, lhs, rhs, ok, _ in records), args, meta)
-    failures = [rec for rec in records if not rec.ok]
+    true/false as text) as the records come, keeping the failed ones, then
+    a FAIL line on stderr for each; returns the exit code, 1 when any
+    failed."""
+    null, quote = _NULL[args.format], _QUOTE[args.format]
+    failures = []
+
+    def cells():
+        for rec in records:
+            theorem, n, r, j, t, lhs, rhs, ok, _ = rec
+            if not ok:
+                failures.append(rec)
+            yield (quote(theorem), n, r, j, null if t is None else t, lhs,
+                   rhs[0][1], rhs[1][1] if len(rhs) > 1 else null,
+                   "true" if ok else "false")
+    _write_rows(RECORD_HEADER, cells(), args, meta)
     for rec in failures:
         detail = "; ".join(f"{label}={value}" for label, value in rec.rhs)
         note = f" ({rec.note})" if rec.note else ""
@@ -165,8 +207,8 @@ def _cmd_series(args) -> int:
     elif args.t is not None:
         raise ValueError(f"--which {args.which} does not accept --t")
     series = SERIES_KINDS[args.which](args.r, args.t, args.n_max, args.j_max)
-    rows = [(n, j, v) for n, row in enumerate(series.c)
-            for j, v in enumerate(row)]
+    rows = ((n, j, v) for n, row in enumerate(series.c)
+            for j, v in enumerate(row))
     meta = {"command": "series", "which": args.which, "r": args.r,
             "t": args.t, "N": args.n_max, "J": args.j_max}
     _emit_rows(("n", "j", "coefficient"), rows, args, meta)

@@ -17,7 +17,7 @@ marked ~: the unrestricted theorems are the pair S1 = all positive integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .identities import (ClassTotals, VerificationRecord, check, stat_value,
                          totals_table)
@@ -83,11 +83,12 @@ def tilde_totals(pair: EulerPair, n_max: int) -> list[ClassTotals]:
 
 
 def verify_tilde(item: int | str, pair: EulerPair, n_values: Iterable[int],
-                 j_max: int) -> list[VerificationRecord]:
+                 j_max: int) -> Iterator[VerificationRecord]:
     """All instances of item k, or of items 1-4 in turn for "all", over the
     grid in (n, j) order: ``check`` of theorem ``ITEM_THEOREMS[k - 1]`` on
     the pair's totals, built once for every item, with its classes
-    labelled O~, D~ and T~."""
+    labelled O~, D~ and T~.  An iterator; the arguments are checked and
+    the table built on the call."""
     if item not in ("all", 1, 2, 3, 4):
         raise ValueError(f"item must be in 1..4, got {item}")
     if not pair.subbarao_ok:

@@ -17,8 +17,9 @@ A command builds ``class_totals(r, n_max)`` once per r and indexes it
 by n; no table is kept between calls.  ``STATS`` reads each statistic
 from a record and ``STATEMENTS`` states each theorem on one (of an Euler
 pair too).  ``check`` is the one grid loop that makes each instance a
-``VerificationRecord``, from any table builder: ``verify`` passes it
-``class_totals``, and ``euler_pairs.verify_tilde`` a pair's totals.
+``VerificationRecord``, from any table builder, as its iterator is read:
+``verify`` passes it ``class_totals``, and ``euler_pairs.verify_tilde`` a
+pair's totals.
 
 The left side of ``diff3`` sums |O_1(n - r*w)| over index tuples (m, k),
 m strictly increasing in S1 and k positive, of weight w = sum m_i*k_i: a
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 # The largest n of a totals table, and so of every command.
 MAX_N = 120
@@ -279,7 +280,8 @@ class VerificationRecord(NamedTuple):
 
 
 def _record(theorem, n, r, j, t, lhs, rhs, note=""):
-    # ok: no note, and the one or two right sides (first, last) equal lhs
+    # ok: no note, and the one or two right sides (first, last) equal lhs;
+    # ``check`` builds the same tuple inline
     return VerificationRecord(theorem, n, r, j, t, lhs, tuple(rhs),
                               not note and rhs[0][1] == rhs[-1][1] == lhs,
                               note)
@@ -360,30 +362,48 @@ THEOREM_IDS = tuple(STATEMENTS)
 def check(names: Iterable[tuple[str, str]], mark: str,
           totals: Callable[[int, int], list[ClassTotals]],
           n_values: Iterable[int], r_values: Iterable[int], j_max: int,
-          t: int | str | None) -> list[VerificationRecord]:
+          t: int | str | None) -> Iterator[VerificationRecord]:
     """A record per instance of each (record name, theorem id) of ``names``
     over the grid, in (name, n, r, j, t) order: the theorem's statement,
-    classes tagged ``mark``, on ``totals(r, n_max)[n]``.  Each r's table is
-    built once, at the largest n, for every theorem; each statement once,
-    and each theorem's residues once per r, even on an empty grid of n."""
+    classes tagged ``mark``, on ``totals(r, n_max)[n]``.  Every argument is
+    checked, each theorem's residues taken once per r (even on an empty
+    grid of n) and then each r's table built once, at the largest n, when
+    ``check`` is called; the records are made as they are iterated."""
     statements = [(name, theorem, STATEMENTS[theorem](mark))
                   for name, theorem in names]
     ns, rs = sorted(set(n_values)), sorted(set(r_values))
     _check_n(min(ns, default=0), j_max)
-    tables = {r: totals(r, ns[-1]) for r in rs} if ns else {}
+    if rs and rs[0] < 2:
+        raise ValueError(f"modulus r must be >= 2, got {rs[0]}")
     residues = {(theorem, r): t_values(theorem, r, t)
                 for _, theorem, _ in statements for r in rs}
-    return [_record(name, n, r, j, t_, *statement(tables[r][n], r, j, t_))
-            for name, theorem, statement in statements for n in ns
-            for r in rs for j in range(j_max + 1)
-            for t_ in residues[theorem, r]]
+    tables = {r: totals(r, ns[-1]) for r in rs} if ns else {}
+    return _records(statements, ns, rs, range(j_max + 1), tables, residues)
+
+
+def _records(statements, ns, rs, js, tables, residues):
+    """``check``'s records, each one tuple made in place, as ``_record``
+    makes it."""
+    new = tuple.__new__
+    for name, theorem, statement in statements:
+        for n in ns:
+            for r in rs:
+                tot, ts = tables[r][n], residues[theorem, r]
+                for j in js:
+                    for t in ts:
+                        lhs, rhs, note = statement(tot, r, j, t)
+                        yield new(VerificationRecord, (
+                            name, n, r, j, t, lhs, rhs,
+                            not note and rhs[0][1] == rhs[-1][1] == lhs,
+                            note))
 
 
 def verify(theorem: str, n_values: Iterable[int], r_values: Iterable[int],
-           j_max: int, t: int | str = "all") -> list[VerificationRecord]:
+           j_max: int, t: int | str = "all") -> Iterator[VerificationRecord]:
     """All instances of one theorem, or of each of ``THEOREM_IDS`` in turn
     for "all", over a parameter grid: ``check`` on the unrestricted
-    classes' ``class_totals``."""
+    classes' ``class_totals``, an iterator whose arguments are checked on
+    the call."""
     if theorem not in STATEMENTS and theorem != "all":
         raise ValueError(f"unknown theorem {theorem!r}; "
                          f"choose from {', '.join(THEOREM_IDS)}")

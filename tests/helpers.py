@@ -1,5 +1,7 @@
 """Shared test helpers: independent oracles and hypothesis strategies."""
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from functools import cache
@@ -261,6 +263,36 @@ def _gen_mk(j, left, m_min, m_acc, k_acc):
 def record(n: int, r: int) -> ClassTotals:
     """The unrestricted totals record of one (n, r)."""
     return class_totals(r, n)[n]
+
+
+RECORD_HEADER = ("theorem", "n", "r", "j", "t", "lhs", "rhs1", "rhs2", "ok")
+
+
+def record_rows(records, *, as_json: bool = False) -> list[tuple]:
+    """The CLI row of each ``VerificationRecord`` under RECORD_HEADER: the
+    first and second right sides (None when there is one), ok a bool for
+    JSON and the text true/false otherwise."""
+    return [(rec.theorem, rec.n, rec.r, rec.j, rec.t, rec.lhs, rec.rhs[0][1],
+             rec.rhs[1][1] if len(rec.rhs) > 1 else None,
+             rec.ok if as_json else "true" if rec.ok else "false")
+            for rec in records]
+
+
+def reference_csv(header, rows) -> str:
+    """Header and rows as ``csv.writer`` writes them, one line each, None
+    an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def reference_json(meta: dict, header, rows) -> str:
+    """The CLI's JSON document of ``rows`` under ``header``, as one
+    ``json.dumps`` of every row dict with indent 2."""
+    return json.dumps({"meta": meta, "records": [
+        dict(zip(header, row)) for row in rows]}, indent=2) + "\n"
 
 
 def count_table_builds(monkeypatch) -> list[tuple[int, int]]:

@@ -37,7 +37,8 @@ def _all_ok(records):
 
 def test_criterion_01_franklin_counts_agree():
     t0 = time.monotonic()
-    records = _all_ok(verify("franklin", range(GRID_N + 1), GRID_R, GRID_J))
+    records = _all_ok(list(verify("franklin", range(GRID_N + 1), GRID_R,
+                                   GRID_J)))
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"criterion 1 took {elapsed:.1f}s"
     _announce(1, f"|O_j| = |D_j| on {len(records)} instances "
@@ -59,8 +60,8 @@ def test_criterion_02_part_count_gap_identities():
 
 def test_criterion_03_modular_refinement():
     t0 = time.monotonic()
-    records = _all_ok(verify("modular_refine", range(GRID_N + 1), GRID_R,
-                             GRID_J, "all"))
+    records = _all_ok(list(verify("modular_refine", range(GRID_N + 1), GRID_R,
+                                  GRID_J, "all")))
     _all_ok(verify("sum_reduction", range(GRID_N + 1), GRID_R, GRID_J))
     _announce(3, f"modular gaps match both right sides for every t "
                  f"({len(records)} instances) and sum back to the plain gap",
@@ -113,8 +114,8 @@ def test_criterion_05_bijection_suite():
 
 def test_criterion_06_adjoin_double_count():
     t0 = time.monotonic()
-    records = _all_ok(verify("diff3", range(31), (2, 3), 2))
-    rec = verify("diff3", [4], [2], 1)[1]
+    records = _all_ok(list(verify("diff3", range(31), (2, 3), 2)))
+    rec = list(verify("diff3", [4], [2], 1))[1]
     assert rec.lhs == 1 and rec.rhs[0][1] == 1
     assert 2 * stat_value(record(4, 2), "count_O", 2) == 0
     assert -1 * stat_value(record(4, 2), "count_O", 1) == -3
@@ -125,8 +126,8 @@ def test_criterion_06_adjoin_double_count():
 
 def test_criterion_07_nonresidual_balance():
     t0 = time.monotonic()
-    records = _all_ok(verify("nonresidual_balance", range(GRID_N + 1),
-                             GRID_R, GRID_J))
+    records = _all_ok(list(verify("nonresidual_balance", range(GRID_N + 1),
+                                  GRID_R, GRID_J)))
     _announce(7, f"r x divisible-part totals equal nonresidual totals on "
                  f"{len(records)} instances", t0)
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -5,16 +6,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import beckpart
-from beckpart import cli, euler_pairs, identities
+from beckpart import cli, euler_pairs, identities, qseries
 from beckpart.cli import run
 from beckpart.enumeration import partitions_of
 from beckpart.identities import VerificationRecord
-from helpers import EXPECTED, count_table_builds
+from helpers import (EXPECTED, RECORD_HEADER, count_table_builds,
+                     record_rows, reference_csv, reference_json)
 
 
 def run_capture(capsys, argv):
@@ -633,3 +636,149 @@ def test_oeis_checks_the_sequence_before_building_the_table(capsys,
         "oeis", "--sequence", "A090867", "--j", "-1", "--n-max", "120"]) == (
         2, "", "error: class index j must be >= 0, got -1\n")
     assert tables == []
+
+
+# -- streamed output: the same text as the csv and json modules give ---------
+
+def test_a_bad_t_is_refused_before_any_table_is_built(capsys, monkeypatch):
+    builds = count_table_builds(monkeypatch)
+    assert run_capture(capsys, [
+        "verify", "--theorem", "all", "--n-max", "120", "--r", "2,3,4,5",
+        "--t", "9"]) == (
+        2, "", "error: t must satisfy 1 <= t <= r-1=1, got 9\n")
+    assert builds == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "all", "--n-max", "120", "--r", "2,3,4,5",
+     "--t", "9"],
+    ["euler", "--r", "2", "--s1", "1,3", "--n-max", "8"],
+    ["stats", "--stat", "counts", "--j-max", "-1"],
+])
+def test_a_refused_command_leaves_its_output_file_alone(capsys, tmp_path,
+                                                        argv):
+    missing, kept = tmp_path / "missing.csv", tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
+    for path in (missing, kept):
+        assert run([*argv, "--output", str(path)]) == 2
+    capsys.readouterr()
+    assert not missing.exists()
+    assert kept.read_text() == "earlier output\n"
+
+
+def _stats_rows(stat, mode, n_max, r_list, j_max):
+    """The rows of ``beckpart stats``, read value by value from the API."""
+    names = ("count_O", "count_D") if stat == "counts" else (stat,)
+    tables = {r: identities.class_totals(r, n_max) for r in r_list}
+    return [(name, n, r, j, t,
+             identities.stat_value(tables[r][n], name, j, mode, t))
+            for n in range(n_max + 1) for r in r_list
+            for j in range(j_max + 1) for name in names
+            for t in (range(1, r) if name == "modular-gap" else (None,))]
+
+
+def test_csv_equals_the_csv_module_reference(capsys):
+    cases = [
+        (["verify", "--theorem", "all", "--n-max", "12", "--r", "2,3",
+          "--j-max", "2"],
+         RECORD_HEADER, record_rows(identities.verify("all", range(13),
+                                                      (2, 3), 2))),
+        (["euler", "--r", "2", "--s1-multiples-of", "1", "--n-max", "12",
+          "--j-max", "2"],
+         RECORD_HEADER, record_rows(euler_pairs.verify_tilde(
+             "all", euler_pairs.make_euler_pair(2, range(1, 13), 12),
+             range(13), 2))),
+        (["series", "--which", "congruent-parts", "--r", "3", "--t", "2",
+          "--n-max", "12", "--j-max", "3"],
+         ("n", "j", "coefficient"),
+         [(n, j, s[n, j]) for s in [qseries.series("congruent-parts", 3, 2,
+                                                   12, 3)]
+          for n in range(13) for j in range(4)]),
+    ]
+    for stat in ("counts", "parts-gap", "modular-gap", "distinct-gap",
+                 "repeat-window"):
+        for mode in ("exact", "at-most"):
+            cases.append(
+                (["stats", "--stat", stat, "--mode", mode, "--n-max", "10",
+                  "--r", "2,3", "--j-max", "2"],
+                 ("stat", "n", "r", "j", "t", "value"),
+                 _stats_rows(stat, mode.replace("-", "_"), 10, (2, 3), 2)))
+    for argv, header, rows in cases:
+        code, out, err = run_capture(capsys, [*argv, "--format", "csv"])
+        assert (code, err) == (0, ""), argv
+        assert out == reference_csv(header, rows), argv
+
+
+def test_no_csv_field_text_needs_quoting():
+    # the CSV rows are formatted without the csv module, so a name that
+    # reaches a field must be written by csv.writer exactly as it is
+    names = (identities.THEOREM_IDS + euler_pairs.EULER_ITEM_IDS
+             + tuple(identities.STATS) + ("true", "false"))
+    for name in names:
+        assert not set(name) & set(',"\r\n'), name
+        assert reference_csv((name,), []) == name + "\n"
+
+
+@pytest.mark.parametrize("t", ["all", 1])
+def test_verify_json_equals_json_dumps_on_the_bench_grid(capsys, t):
+    code, out, err = run_capture(capsys, [
+        "verify", "--theorem", "all", "--n-max", "40", "--r", "2,3,4,5",
+        "--j-max", "3", "--t", str(t), "--format", "json"])
+    assert (code, err) == (0, "")
+    meta = {"command": "verify", "theorem": "all", "n_max": 40,
+            "r": [2, 3, 4, 5], "j_max": 3, "t": t}
+    rows = record_rows(identities.verify("all", range(41), (2, 3, 4, 5), 3,
+                                         t), as_json=True)
+    assert out == reference_json(meta, RECORD_HEADER, rows)
+
+
+def test_euler_json_equals_json_dumps(capsys):
+    code, out, err = run_capture(capsys, [
+        "euler", "--r", "3", "--s1-multiples-of", "1", "--n-max", "40",
+        "--j-max", "3", "--format", "json"])
+    assert (code, err) == (0, "")
+    meta = {"command": "euler", "r": 3, "bound": 40, "s1_size": 40,
+            "s2_size": 27, "item": "all", "n_max": 40, "j_max": 3}
+    rows = record_rows(euler_pairs.verify_tilde(
+        "all", euler_pairs.make_euler_pair(3, range(1, 41), 40), range(41),
+        3), as_json=True)
+    assert out == reference_json(meta, RECORD_HEADER, rows)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, cli._BLOCK, cli._BLOCK + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rows_equal_the_reference_at_any_count(capsys, fmt, count):
+    # no row, one, and either side of a block of rows written at once
+    header = ("stat", "n", "t", "value")
+    rows = [(f"s{i}", i, None if i % 3 else i, -i) for i in range(count)]
+    meta = {"command": "x", "t": None, "r": [2, 3], "mode": "at-most"}
+    cli._emit_rows(header, rows, argparse.Namespace(format=fmt, output=None),
+                   meta)
+    want = (reference_csv(header, rows) if fmt == "csv"
+            else reference_json(meta, header, rows))
+    assert capsys.readouterr().out == want
+
+
+def test_json_output_peaks_near_the_csv_output(monkeypatch, tmp_path):
+    # records stream from the tables to the file in every format but the
+    # table: the traced peak of the n = 120 grid as JSON stays within 1 MB
+    # of the same grid as CSV.  The tables are built once, outside the
+    # trace, so each peak is that of the records and their text (on
+    # Python 3.11, about 0.3-0.5 MB for CSV and 0.7 MB for JSON when
+    # records stream; 9.3 and 42.9 MB when every record and JSON row was
+    # kept).
+    tables = {r: identities.class_totals(r, 120) for r in (2, 3, 4, 5)}
+    monkeypatch.setattr(identities, "class_totals",
+                        lambda r, n_max: tables[r])
+    peaks = {}
+    for fmt in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            code = run(["verify", "--theorem", "all", "--n-max", "120",
+                        "--r", "2,3,4,5", "--j-max", "3", "--format", fmt,
+                        "--output", str(tmp_path / fmt)])
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks["json"] <= peaks["csv"] + 1_000_000, peaks

@@ -124,8 +124,8 @@ def test_items_reduce_to_unrestricted_theorems():
     for r in (2, 3):
         pair = make_euler_pair(r, range(1, BOUND + 1), BOUND)
         for item, theorem in theorems.items():
-            got = verify_tilde(item, pair, range(BOUND + 1), 2)
-            wanted = verify(theorem, range(BOUND + 1), [r], 2)
+            got = list(verify_tilde(item, pair, range(BOUND + 1), 2))
+            wanted = list(verify(theorem, range(BOUND + 1), [r], 2))
             assert len(got) == len(wanted) == 3 * (BOUND + 1)
             for rec, want in zip(got, wanted):
                 assert rec.ok and want.ok
@@ -140,7 +140,7 @@ def test_items_reduce_to_unrestricted_theorems():
 @pytest.mark.parametrize("item", [1, 2, 3, 4])
 def test_items_verify_on_good_pairs(classical, triples, item):
     for pair in (classical, triples):
-        records = verify_tilde(item, pair, range(BOUND + 1), 2)
+        records = list(verify_tilde(item, pair, range(BOUND + 1), 2))
         assert records and all(rec.ok for rec in records)
         assert all(rec.theorem == EULER_ITEM_IDS[item - 1] for rec in records)
 

@@ -191,13 +191,13 @@ def test_fiber_ragged_counts_sum_to_overlong_parts(r, j):
 
 def test_single_instance_spec_examples():
     # one instance is the record at j of a one-point grid
-    rec = verify("beck_main", [4], [2], 0)[0]
+    rec = list(verify("beck_main", [4], [2], 0))[0]
     assert rec.lhs == 3 and [v for _, v in rec.rhs] == [3, 3] and rec.ok
 
-    rec = verify("modular_refine", [4], [3], 0, t=1)[0]
+    rec = list(verify("modular_refine", [4], [3], 0, t=1))[0]
     assert rec.lhs == 1 and [v for _, v in rec.rhs] == [1, 1] and rec.ok
 
-    rec = verify("diff3", [4], [2], 1)[1]
+    rec = list(verify("diff3", [4], [2], 1))[1]
     assert rec.lhs == 1 and rec.rhs[0][1] == 1 and rec.ok
 
 
@@ -210,7 +210,7 @@ def test_statement_labels():
         "distinct_parts": ["T_{j+1}-T_j"],
     }
     for theorem, want in labels.items():
-        rec = verify(theorem, [6], [3], 1, t=1)[1]
+        rec = list(verify(theorem, [6], [3], 1, t=1))[1]
         assert [label for label, _ in rec.rhs] == want, theorem
 
 
@@ -233,7 +233,7 @@ def test_one_totals_lookup_per_call(monkeypatch):
 
 
 def test_franklin_instance():
-    rec = verify("franklin", [9], [2], 1)[1]
+    rec = list(verify("franklin", [9], [2], 1))[1]
     assert rec.lhs == rec.rhs[0][1] and rec.ok
 
 
@@ -276,7 +276,7 @@ def test_modular_gap_value_is_t_independent():
 
 
 def test_verify_grid_order_and_shape():
-    records = verify("modular_refine", [3, 2], [3, 2], 1, "all")
+    records = list(verify("modular_refine", [3, 2], [3, 2], 1, "all"))
     keys = [(rec.n, rec.r, rec.j, rec.t) for rec in records]
     assert keys == sorted(keys)
     assert all(rec.theorem == "modular_refine" for rec in records)
@@ -286,11 +286,11 @@ def test_verify_grid_order_and_shape():
 
 
 def test_verify_accepts_one_shot_iterables():
-    records = verify("franklin", range(3), (r for r in [2, 3]), 0)
+    records = list(verify("franklin", range(3), (r for r in [2, 3]), 0))
     assert [(rec.n, rec.r) for rec in records] == [
         (0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3)]
-    assert verify("franklin", iter([2, 0]), [2], 0) == verify(
-        "franklin", [0, 2], [2], 0)
+    assert list(verify("franklin", iter([2, 0]), [2], 0)) == list(verify(
+        "franklin", [0, 2], [2], 0))
 
 
 def test_verify_single_t():
@@ -300,7 +300,7 @@ def test_verify_single_t():
 
 def test_all_theorems_pass_small_grid():
     for theorem in THEOREM_IDS:
-        records = verify(theorem, range(13), [2, 3], 2, "all")
+        records = list(verify(theorem, range(13), [2, 3], 2, "all"))
         assert records and all(rec.ok for rec in records), theorem
 
 
@@ -337,7 +337,7 @@ def test_verification_record_is_an_immutable_named_tuple():
     assert VerificationRecord._fields == (
         "theorem", "n", "r", "j", "t", "lhs", "rhs", "ok", "note")
     assert VerificationRecord._field_defaults == {"note": ""}
-    rec = verify("beck_main", [4], [2], 0)[0]
+    rec = list(verify("beck_main", [4], [2], 0))[0]
     assert rec == ("beck_main", 4, 2, 0, None, 3,
                    (("(j+1)|O_{j+1}|-j|O_j|", 3),
                     ("(j+1)|D_{j+1}|-j|D_j|", 3)), True, "")
@@ -360,10 +360,10 @@ def test_check_reads_the_residues_of_the_theorem_not_the_record_name(
         for label, value in rec.rhs))
         for rec in verify("modular_refine", ns, [2, 3], 2)]
     builds = count_table_builds(monkeypatch)
-    got = identities.check(
+    got = list(identities.check(
         [("x", "modular_refine")], "~",
         lambda r, n: tilde_totals(make_euler_pair(r, range(1, n + 1), n), n),
-        ns, [3, 2], 2, "all")
+        ns, [3, 2], 2, "all"))
     assert got == wanted
     assert {rec.t for rec in got} == {1, 2}
     assert builds == [(2, 12), (3, 12)]
@@ -373,6 +373,19 @@ def test_record_flags_non_divisible_gap():
     rec = _record("beck_main", 5, 3, 0, None, 7, [("x", 7)],
                   note="gap 7 not divisible by r-1=2")
     assert not rec.ok and "not divisible" in rec.note
+
+
+def test_verify_refuses_its_arguments_on_the_call(monkeypatch):
+    # the records are made as they are iterated, but every argument is
+    # checked, and every table built, when verify is called
+    builds = count_table_builds(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(
+            "t must satisfy 1 <= t <= r-1=3, got 9")):
+        verify("modular_refine", [3], [4], 0, t=9)
+    assert builds == []
+    records = verify("modular_refine", [3], [4], 0, t=3)
+    assert builds == [(4, 3)] and iter(records) is records
+    assert [rec.t for rec in records] == [3]
 
 
 def test_parameter_errors():
