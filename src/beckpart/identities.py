@@ -22,10 +22,10 @@ pair too).  ``check`` is the one grid loop that makes each instance a
 pair's totals.
 
 The left side of ``diff3`` sums |O_1(n - r*w)| over index tuples (m, k),
-m strictly increasing in S1 and k positive, of weight w = sum m_i*k_i: a
-j-tuple is a partition of w into exactly j distinct values from S1, so
-the same program with every part marked counts them, and the table keeps
-the sums per j as one more field, ``o1_tuples``.
+m strictly increasing in S1 and k positive, of weight w = sum m_i*k_i.
+Its generating function is |O_1|(q) times O's marked factors, so it is
+one more run of the program: from |O_1| as class 0, over the marked part
+values r*S1.  The table keeps its class sizes as ``o1_tuples``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class ClassTotals(NamedTuple):
     mod r, and ``d_depth[j][t]`` D's distinct parts with residual
     multiplicity >= t.  ``o1_tuples`` is diff3's left side: j maps to the
     sum of |O_1(n - r*w)| over the index j-tuples of weight w <= n/r,
-    index parts from S1, present when one exists."""
+    index parts from S1, present when that sum is non-zero."""
 
     o_count: dict[int, int]
     o_parts: dict[int, int]
@@ -76,19 +76,20 @@ def _j_cap(r: int, n_max: int) -> int:
     return (math.isqrt(8 * (n_max // r) + 1) - 1) // 2
 
 
-def _class_dp(n_max: int, j_max: int, width: int,
+def _class_dp(n_max: int, j_max: int, width: int, start: list[int],
               groups: list[tuple[list, list[int]]]
               ) -> list[dict[int, list[int]]]:
     """rows[n][j] = [size, *sums] over the partitions of n into the given
     part values with exactly j marked distinct parts, for n <= n_max and
-    j <= j_max; j is absent when there are none.  ``groups`` pairs runs
-    of multiplicities with the part values that share them, in the order
-    the values are added; values above n_max are skipped.  A run (m0, k,
-    mark, b, a) is the multiplicities m = m0 + k*i, i >= 0 (m0 alone if
-    k = 0, else m0 >= k), each adding the lanes b + i*a ({lane: coeff}),
-    and 1 to j if marked.  Over the rows without p, S[x] = row[x] +
-    S[x - k*p] and W[x] = size(S[x - k*p]) + W[x - k*p], and the run adds
-    S[x] + size(S[x])*b + W[x]*a to row x + p*m0, one class up if marked.
+    j <= j_max, class 0 of n starting at size start[n] ([1, 0, ...]: the
+    empty partition); j is absent when there are none.  ``groups`` pairs
+    runs of multiplicities with the part values that share them, in the
+    order the values are added; values above n_max are skipped.  A run
+    (m0, k, mark, b, a) is the multiplicities m = m0 + k*i, i >= 0 (m0
+    alone if k = 0, else m0 >= k), each adding the lanes b + i*a ({lane:
+    coeff}), and 1 to j if marked.  Over the rows without p, S[x] =
+    row[x] + S[x - k*p] and W[x] = size(S[x - k*p]) + W[x - k*p]; the run
+    adds S[x] + size(S[x])*b + W[x]*a to row x + p*m0, a class up if marked.
 
     A row is one int, lane i of class j in bits [(j*width + i)*bits, ...):
     a mark is a shift by one block, and the size lanes times a vector in
@@ -96,6 +97,9 @@ def _class_dp(n_max: int, j_max: int, width: int,
     into one total of some n <= n_max, at most max(1, n*p(n)) < 2**bits
     as p(n) < exp(pi*sqrt(2n/3)) for n >= 1 (Apostol, Introduction to
     Analytic Number Theory, Thm 14.5), so no lane carries into the next.
+    The o1_tuples run counts pairs (index tuple, lambda in O_1), each fixed
+    by mu = lambda + the tuple's parts and one of mu's parts in r*S1 (the
+    paper's adjoin map), so at most sum of l(mu) over mu |- n <= n*p(n).
     """
     bits = _lane_bits(n_max)
     block, lane = width * bits, (1 << bits) - 1
@@ -104,7 +108,7 @@ def _class_dp(n_max: int, j_max: int, width: int,
 
     def pack(lanes: dict[int, int]) -> int:
         return sum(c << i * bits for i, c in lanes.items())
-    rows = [1] + [0] * n_max
+    rows = start[:]
     for runs, values in groups:
         runs = [(m0, k, mark, pack(b), pack(a)) for m0, k, mark, b, a in runs]
         for p in (p for p in values if p <= n_max):
@@ -151,8 +155,8 @@ def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int]
     # O lanes: 1 ell_bar, 2 + t ell_mod[t]; m copies of p add m to
     # ell_mod[p % r], marked when p is in r*S1.  Unmarked parts go first,
     # on rows of class 0 alone.
-    o_parts = marked.union(s2)
-    o_rows = _class_dp(n_max, top, 2 + r, [
+    o_parts, empty = marked.union(s2), [1] + [0] * n_max
+    o_rows = _class_dp(n_max, top, 2 + r, empty, [
         ([(1, 1, mark, {1: 1, 2 + t: 1}, {2 + t: 1})],
          sorted(p for p in o_parts if p % r == t and (p in marked) == mark))
         for mark in (False, True) for t in range(r)])
@@ -165,16 +169,12 @@ def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int]
                {1: r} if k else {}) for m0, k in
               [(m, 0) for m in range(1, 2 * r) if m != r] + [(r, r)]
               + [(2 * r + d, r) for d in range(1, r)]]
-    d_rows = _class_dp(n_max, top, 3 + r, [(d_runs, s1[::-1])])
-    # tuple_rows[w][j] = [number of index j-tuples of weight w]
-    tuple_rows = _class_dp(n_max // r, top, 1, [([(1, 1, True, {}, {})], s1)])
-    o1 = [row.get(1, [0])[0] for row in o_rows]
+    d_rows = _class_dp(n_max, top, 3 + r, empty, [(d_runs, s1[::-1])])
+    # diff3's left side: from |O_1| as class 0, every r*m of r*S1 marked
+    o1_rows = _class_dp(n_max, top, 1, [row.get(1, [0])[0] for row in o_rows],
+                        [([(1, 1, True, {}, {})], sorted(marked))])
     tables = []
-    for n, (o_row, d_row) in enumerate(zip(o_rows, d_rows)):
-        o1_tuples: dict[int, int] = {}
-        for w in range(n // r + 1):
-            for j, (count,) in tuple_rows[w].items():
-                o1_tuples[j] = o1_tuples.get(j, 0) + count * o1[n - r * w]
+    for o_row, d_row, o1_row in zip(o_rows, d_rows, o1_rows):
         o, d = o_row.items(), d_row.items()
         tables.append(ClassTotals(
             {j: v[0] for j, v in o}, {j: sum(v[2:]) for j, v in o},
@@ -183,7 +183,8 @@ def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int]
             {j: v[2] for j, v in d},
             # nonresidual m - m % r: m % r counts the depths t >= 1 reached
             {j: v[1] - sum(v[4:]) for j, v in d},
-            {j: v[2:] for j, v in o}, {j: v[3:] for j, v in d}, o1_tuples))
+            {j: v[2:] for j, v in o}, {j: v[3:] for j, v in d},
+            {j: v[0] for j, v in o1_row.items()}))
     return tables
 
 
@@ -279,14 +280,6 @@ class VerificationRecord(NamedTuple):
     note: str = ""
 
 
-def _record(theorem, n, r, j, t, lhs, rhs, note=""):
-    # ok: no note, and the one or two right sides (first, last) equal lhs;
-    # ``check`` builds the same tuple inline
-    return VerificationRecord(theorem, n, r, j, t, lhs, tuple(rhs),
-                              not note and rhs[0][1] == rhs[-1][1] == lhs,
-                              note)
-
-
 # -- the statements: ``STATEMENTS[theorem](mark)`` builds a theorem's labels
 # once, ``mark`` tagging the class names ("~" for the restricted classes), as
 # statement(tot, r, j, t): on one totals record, of the unrestricted classes
@@ -334,6 +327,19 @@ def _franklin(mark: str):
                                  ((label, _read(tot, "count_D", j)),), "")
 
 
+def _diff3(mark: str):
+    label = f"(j+1)|O{mark}_{{j+1}}|-j|O{mark}_j|+sum ell_0"
+    return lambda tot, r, j, t: (tot.o1_tuples.get(j, 0), ((label, (
+        (j + 1) * _read(tot, "count_O", j + 1) - j * _read(tot, "count_O", j)
+        + tot.o_parts_mod.get(j, [0])[0]),),), "")
+
+
+def _nonresidual(mark: str):
+    label = f"sum nonresidual mult over D{mark}_j"
+    return lambda tot, r, j, t: (r * tot.o_parts_mod.get(j, [0])[0],
+                                 ((label, tot.d_nonresid.get(j, 0)),), "")
+
+
 # theorem id -> statement builder; o_parts_mod[j][0] totals the parts
 # divisible by r over O_j
 STATEMENTS = {
@@ -346,15 +352,8 @@ STATEMENTS = {
         (("b_{j,r}(n)", _read(tot, "parts-gap", j)),), ""),
     "distinct_parts": partial(_distinct, "exact"),
     "distinct_cumulative": partial(_distinct, "at_most"),
-    "diff3": lambda mark: lambda tot, r, j, t: (
-        tot.o1_tuples.get(j, 0),
-        (("(j+1)|O_{j+1}|-j|O_j|+sum ell_0",
-          (j + 1) * _read(tot, "count_O", j + 1)
-          - j * _read(tot, "count_O", j)
-          + tot.o_parts_mod.get(j, [0])[0]),), ""),
-    "nonresidual_balance": lambda mark: lambda tot, r, j, t: (
-        r * tot.o_parts_mod.get(j, [0])[0],
-        (("sum nonresidual mult over D_j", tot.d_nonresid.get(j, 0)),), ""),
+    "diff3": _diff3,
+    "nonresidual_balance": _nonresidual,
 }
 THEOREM_IDS = tuple(STATEMENTS)
 
@@ -382,8 +381,8 @@ def check(names: Iterable[tuple[str, str]], mark: str,
 
 
 def _records(statements, ns, rs, js, tables, residues):
-    """``check``'s records, each one tuple made in place, as ``_record``
-    makes it."""
+    """``check``'s records, each one tuple made in place: ok when there is
+    no note and the one or two right sides (first, last) equal lhs."""
     new = tuple.__new__
     for name, theorem, statement in statements:
         for n in ns:

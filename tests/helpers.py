@@ -385,7 +385,8 @@ def reference_totals_table(r: int, n_max: int, s1, s2) -> list[ClassTotals]:
         tables.append(ClassTotals(
             *_columns(o_row, 3), *_columns(d_row, 5),
             {j: vec[3:] for j, vec in o_row.items()},
-            {j: vec[5:] for j, vec in d_row.items()}, o1_tuples))
+            {j: vec[5:] for j, vec in d_row.items()},
+            {j: v for j, v in o1_tuples.items() if v}))
     return tables
 
 
@@ -429,16 +430,18 @@ def _add_d(tot: ClassTotals, j: int, st_) -> None:
 def _add_o1_tuples(tot: ClassTotals, n: int, r: int, o1_count,
                    index_ok=lambda m_vec: True) -> None:
     """diff3's left side: for each j, sum o1_count(n - r*w) over the index
-    j-tuples of weight w <= n/r whose parts all pass ``index_ok``."""
+    j-tuples of weight w <= n/r whose parts all pass ``index_ok``, kept
+    when the sum is non-zero."""
     j = 0
     while True:
         tuples = [(mv, kv) for mv, kv in index_weight_tuples(j, n // r)
                   if index_ok(mv)]
         if not tuples:  # a longer tuple weighs more still
             return
-        tot.o1_tuples[j] = sum(
-            o1_count(n - r * sum(m * k for m, k in zip(mv, kv)))
-            for mv, kv in tuples)
+        total = sum(o1_count(n - r * sum(m * k for m, k in zip(mv, kv)))
+                    for mv, kv in tuples)
+        if total:
+            tot.o1_tuples[j] = total
         j += 1
 
 

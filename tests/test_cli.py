@@ -135,7 +135,8 @@ def test_verify_json_and_csv_carry_identical_records(capsys, tmp_path):
         capsys, args + ["--format", "json", "--output",
                         str(tmp_path / "out.json")])
     assert code == 0
-    csv_rows = list(csv.DictReader((tmp_path / "out.csv").open()))
+    with (tmp_path / "out.csv").open() as out:
+        csv_rows = list(csv.DictReader(out))
     json_rows = json.loads((tmp_path / "out.json").read_text())["records"]
     assert len(csv_rows) == len(json_rows)
     for crow, jrow in zip(csv_rows, json_rows):

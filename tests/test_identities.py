@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from beckpart import identities
 from beckpart.euler_pairs import make_euler_pair, tilde_totals
-from beckpart.identities import (STATS, THEOREM_IDS, VerificationRecord,
-                                 _record, class_totals, stat_value, verify)
+from beckpart.identities import (STATS, THEOREM_IDS, ClassTotals,
+                                 VerificationRecord, class_totals, stat_value,
+                                 verify)
 from helpers import (ClassSpec, assert_same_totals, count_table_builds,
                      enumerate_class, enumerated_class_totals,
                      fiber_ragged_repeat_count, index_weight_tuples,
@@ -214,6 +215,38 @@ def test_statement_labels():
         assert [label for label, _ in rec.rhs] == want, theorem
 
 
+def test_statement_labels_carry_the_mark_on_every_class():
+    # a record per theorem on a pair's totals: "~" tags each O, D and T
+    # class of every label, and nothing else
+    pair = make_euler_pair(3, range(1, 7), 6)
+    unmarked, marked = (list(identities.check(
+        zip(THEOREM_IDS, THEOREM_IDS), mark,
+        lambda r, n: tilde_totals(pair, n), [6], [3], 0, 1))
+        for mark in ("", "~"))
+    assert [rec.theorem for rec in marked] == list(THEOREM_IDS)
+    for plain, tagged in zip(unmarked, marked):
+        assert [label for label, _ in tagged.rhs] == [
+            re.sub(r"([ODT])_", r"\1~_", label) for label, _ in plain.rhs
+        ], plain.theorem
+
+
+def test_o1_tuples_keys_are_non_zero_and_within_the_lane_bound():
+    # a j is kept exactly when its sum is non-zero, and every sum is at
+    # most n*p(n) (each pair of an index tuple and an O_1 partition is
+    # fixed by their union and one of its parts), as _class_dp states
+    p = pentagonal_counts(120)
+    tables = [class_totals(r, 120) for r in (2, 3, 4, 5)] + [
+        tilde_totals(make_euler_pair(r, s1, bound, s2_override=s2), bound)
+        for r, s1, bound, s2 in ((2, range(1, 31), 30, None),
+                                 (2, range(3, 31, 3), 30, None),
+                                 (3, range(1, 31), 30, None),
+                                 (2, [1], 10, [1]))]
+    for table in tables:
+        for n, tot in enumerate(table):
+            for j, value in tot.o1_tuples.items():
+                assert 0 < value <= max(1, n * p[n]), (n, j)
+
+
 def test_one_totals_lookup_per_call(monkeypatch):
     # verify reads every number of a one-point grid from one record of one
     # table, and on a larger grid fetches one table per r, at the largest n
@@ -370,9 +403,12 @@ def test_check_reads_the_residues_of_the_theorem_not_the_record_name(
 
 
 def test_record_flags_non_divisible_gap():
-    rec = _record("beck_main", 5, 3, 0, None, 7, [("x", 7)],
-                  note="gap 7 not divisible by r-1=2")
-    assert not rec.ok and "not divisible" in rec.note
+    tot = ClassTotals(*({} for _ in ClassTotals._fields))._replace(
+        o_parts={0: 7})
+    [rec] = identities.check([("beck_main", "beck_main")], "",
+                             lambda r, n: [tot], [0], [3], 0, None)
+    assert (rec.lhs, rec.ok, rec.note) == (
+        7, False, "gap 7 not divisible by r-1=2")
 
 
 def test_verify_refuses_its_arguments_on_the_call(monkeypatch):
