@@ -16,16 +16,18 @@ rows, one integer per power of q; ``series`` multiplies them in place by
 all of C's marked factors at once through Euler's expansion of
 prod_m (1 + z y^m), one pass per term (about sqrt(2N/r) terms), divides
 by prod_k (1 - q^k) in one recurrence from Euler's pentagonal number
-theorem, and unpacks the rows once.  The tests build each family's
-product from its own per-part factors as reference.
+theorem, and reads each row's 64-bit lanes back, offset so that no lane
+borrows, in one native int64 cast.  The tests build each family's product
+from its own per-part factors as reference.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 # Caps both truncation orders, N and J: up to it the dense tables stay at
-# desk scale, and the lane bound below is tested to N = 400.
+# desk scale, and the 64-bit lanes below hold every coefficient to N = 212.
 MAX_Q_ORDER = 120
 
 # kind -> whether it takes a residue t, in `beckpart series --which` order;
@@ -84,23 +86,22 @@ class Series:
         return f"Series(N={self.N}, J={self.J}, {head or '0'})"
 
 
-# A row c[n] is packed as X[n] = sum_j c[n][j] 2^(jB) mod 2^((J+1)B):
-# w is 2^B, so multiplying a row by a polynomial in w is big-int
-# arithmetic, and the modulus drops only w^(J+1) and up.  Intermediate
-# rows may therefore be any size; only the final coefficients must fit a
-# signed B-bit lane.  Each is a class total or a difference of two, so
-# |c| <= max(1, n*p(n)).  With p(n) < exp(pi*sqrt(2n/3)) for n >= 1
+# A row c[n] is packed as X[n] = sum_j c[n][j] 2^(64j) mod 2^(64(J+1)):
+# w is 2^64, so multiplying a row by a polynomial in w is big-int
+# arithmetic, and the modulus M + 1 = 2^(64(J+1)) drops only w^(J+1) and
+# up.  Intermediate rows may be any size; only the final coefficients must
+# fit a signed 64-bit lane.  Each is a class total or a difference of two,
+# so |c| <= max(1, n*p(n)).  With p(n) < exp(pi*sqrt(2n/3)) for n >= 1
 # (Apostol, Introduction to Analytic Number Theory, Thm 14.5) and p
 # increasing, L(N) = ceil(pi*sqrt(2N/3)*log2(e)) + N.bit_length() bounds
-# the bit length of every n*p(n) with n <= N.  B = L(N) + 2 bits, so
-# |c| < 2^(B-1), the signed-lane fit, with a bit to spare (at N = 0,
-# B = 2 and |c| <= 1): 32 bits at N = 40, 50 at N = 120 and 76 at
-# N = 300.  The tests check each width against the exact p(n) for every
-# N <= 400.  M = 2^((J+1)B) - 1 masks a row to the modulus.
+# the bit length of every n*p(n) with n <= N, so |c| < 2^(B-1) for
+# B = L(N) + 2 (B = 2 at N = 0, where |c| <= 1).  B <= 64 for N <= 212, so
+# 64-bit lanes hold every table up to MAX_Q_ORDER; the tests pin 212 and
+# check B against the exact p(n) for every N <= 400.
 
 
 def _lane_bits(N: int) -> int:
-    """B, the signed lane width of the rows of a q-truncation N table."""
+    """B, a signed lane width that fits every coefficient of a table."""
     return (math.ceil(math.pi * math.sqrt(2 * N / 3) * math.log2(math.e))
             + N.bit_length() + 2)
 
@@ -117,16 +118,16 @@ def _add_marked_run(X: list[int], B: int, M: int, p: int, first: int,
         term = (term - (term << B)) & M
 
 
-def _unpack(X: list[int], c: list[list[int]], B: int) -> None:
-    """Write each X[n] back into row c[n] as signed B-bit digits."""
-    lane, half = (1 << B) - 1, 1 << (B - 1)
-    for row, x in zip(c, X):
-        for j in range(len(row)):
-            v = x & lane
-            if v >= half:
-                v -= 1 << B
-            row[j] = v
-            x = (x - v) >> B  # borrow from the next lane
+def _unpack(X: list[int], J: int) -> list[list[int]]:
+    """The rows c[n] of the packed rows X[n], as signed 64-bit lanes.
+    Adding 2^63 to every lane makes each one non-negative, so no lane
+    borrows from the next; flipping bit 63 back leaves every lane in two's
+    complement, which one native int64 cast per row reads."""
+    size = 8 * (J + 1)
+    M = (1 << 8 * size) - 1
+    top = M // 0xFFFF_FFFF_FFFF_FFFF << 63  # bit 63 of every lane
+    return [memoryview((((x + top) & M) ^ top).to_bytes(size, sys.byteorder))
+            .cast("q").tolist() for x in X]
 
 
 def _times_count_product(X: list[int], r: int, B: int, M: int) -> None:
@@ -232,10 +233,9 @@ def series(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
         raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t}")
     if not needs_t and t is not None:
         raise ValueError(f"{kind} takes no t, got {t}")
-    s = Series(N, J)
-    B = _lane_bits(N)
-    M = (1 << (J + 1) * B) - 1
-    X = multiplier(kind, r, t, N, B, M)
-    _times_count_product(X, r, B, M)
-    _unpack(X, s.c, B)
+    s = Series(N, J, [])  # checks N and J; the rows are read back last
+    M = (1 << 64 * (J + 1)) - 1
+    X = multiplier(kind, r, t, N, 64, M)
+    _times_count_product(X, r, 64, M)
+    s.c = _unpack(X, J)
     return s

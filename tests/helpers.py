@@ -606,6 +606,20 @@ def reference_times_count_product(X: list[int], r: int, B: int,
     return X
 
 
+def reference_unpack(X: list[int], c: list[list[int]], B: int) -> None:
+    """Write each X[n] back into row c[n] as signed B-bit digits, one lane
+    at a time with a borrow: the reference for the one-cast decode of
+    ``qseries._unpack``, which reads 64-bit lanes only."""
+    lane, half = (1 << B) - 1, 1 << (B - 1)
+    for row, x in zip(c, X):
+        for j in range(len(row)):
+            v = x & lane
+            if v >= half:
+                v -= 1 << B
+            row[j] = v
+            x = (x - v) >> B  # borrow from the next lane
+
+
 # -- series product forms ----------------------------------------------------
 # ``qseries.series`` writes one sparse multiplier as packed rows and applies
 # the count product's factors to them in place; it has no general product.

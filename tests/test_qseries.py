@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import inspect
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from helpers import (EXPECTED, add, dp_total, geometric_factor,
                      lambert_by_mult, lambert_by_parts, marked_geometric,
                      monomial, mul, nnz, one, one_minus_w, pentagonal_counts,
                      product_form, reference_times_count_product,
-                     repeat_marker, scale, series_tables, shift)
+                     reference_unpack, repeat_marker, scale, series_tables,
+                     shift)
 
 small_series = st.builds(
     lambda rows: Series(4, 2, rows),
@@ -309,26 +311,34 @@ def _pack(rows: list[list[int]], B: int) -> list[int]:
 @pytest.mark.parametrize("N,J", [(0, 0), (0, 3), (7, 0), (7, 3), (120, 8),
                                  (120, 120)])
 def test_packed_rows_round_trip_signed_lanes(N, J):
-    B = qs._lane_bits(N)
-    top = (1 << (B - 1)) - 1
-    bottom = -top - 1  # its lane reads 2^(B-1), the least that borrows
-    for v in (-1, 0, top, -top, bottom):
+    # every table has 64-bit lanes; N only sets its widest coefficient,
+    # 2^(B-1) - 1 at B = _lane_bits(N)
+    top = (1 << 63) - 1
+    bottom = -top - 1  # its lane reads 2^63, the least that borrows
+    widest = (1 << qs._lane_bits(N) - 1) - 1
+    for v in (-1, 0, top, -top, bottom, widest, -widest - 1):
         rows = [[0] * (J + 1) for _ in range(3)]
         rows[0][0] = v  # lane 0
         rows[1][J] = v  # lane J
         rows[2][0] = rows[2][J] = v  # both ends
-        back = [[9] * (J + 1) for _ in range(3)]
-        qs._unpack(_pack(rows, B), back, B)
-        assert back == rows, v
+        assert qs._unpack(_pack(rows, 64), J) == rows, v
     # the top and the bottom value in turn across every lane
     rows = [[bottom if j % 2 else top for j in range(J + 1)]]
-    back = [[9] * (J + 1)]
-    qs._unpack(_pack(rows, B), back, B)
-    assert back == rows
+    assert qs._unpack(_pack(rows, 64), J) == rows
     # one past the top does not fit: it reads back as the bottom
-    back = [[0] * (J + 1)]
-    qs._unpack(_pack([[top + 1] + [0] * J], B), back, B)
-    assert back[0][0] == -top - 1
+    assert qs._unpack(_pack([[top + 1] + [0] * J], 64), J)[0][0] == bottom
+    # seeded random rows, packed from signed lanes and as any int (negative
+    # or past the modulus), read as the lane-by-lane borrow reads them
+    rng = random.Random(J)
+    rows = [[rng.randrange(-1 << 63, 1 << 63) for _ in range(J + 1)]
+            for _ in range(20)]
+    wide = 64 * (J + 1) + 6
+    X = _pack(rows, 64) + [rng.randrange(-1 << wide, 1 << wide)
+                           for _ in range(20)]
+    want = [[9] * (J + 1) for _ in X]
+    reference_unpack(X, want, 64)
+    assert want[:20] == rows
+    assert qs._unpack(X, J) == want
 
 
 def test_lane_width_fits_every_coefficient_bound_to_400():
@@ -338,6 +348,10 @@ def test_lane_width_fits_every_coefficient_bound_to_400():
     for N in range(401):
         assert max(1, N * p[N]) < 1 << qs._lane_bits(N) - 1, N
     assert [qs._lane_bits(N) for N in (0, 40, 120, 300)] == [2, 32, 50, 76]
+    # the 64-bit lanes of every table up to the cap: a cap past 212 needs
+    # wider lanes
+    assert all(qs._lane_bits(N) <= 64 for N in range(qs.MAX_Q_ORDER + 1))
+    assert max(N for N in range(401) if qs._lane_bits(N) <= 64) == 212
 
 
 def test_widest_coefficients_fit_the_lane_bound():
