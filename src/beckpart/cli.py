@@ -105,16 +105,6 @@ def _write_rows(header: tuple[str, ...], cells, args, meta: dict) -> None:
             out.write("]\n}\n" if first else "\n  ]\n}\n")
 
 
-def _emit_rows(header: tuple[str, ...], rows, args, meta: dict) -> None:
-    """Render rows of values (ints, strings or None) under ``header`` as
-    ``args.format``, to ``args.output`` or stdout; None is "-" in a table,
-    an empty CSV field and null in JSON."""
-    null, quote = _NULL[args.format], _QUOTE[args.format]
-    _write_rows(header, (tuple(null if v is None else
-                               quote(v) if isinstance(v, str) else v
-                               for v in row) for row in rows), args, meta)
-
-
 RECORD_HEADER = ("theorem", "n", "r", "j", "t", "lhs", "rhs1", "rhs2", "ok")
 
 
@@ -161,18 +151,22 @@ def _cmd_stats(args) -> int:
     _check_grid(args.n_max, r_list, args.j_max)
     mode = args.mode.replace("-", "_")
     stats = ("count_O", "count_D") if args.stat == "counts" else (args.stat,)
-    # each r once, in first-seen order, so a repeated r adds no rows
-    tables = {r: identities.class_totals(r, args.n_max)
-              for r in dict.fromkeys(r_list)}
-    rows = [(stat, n, r, j, t,
-             identities.stat_value(table[n], stat, j, mode, t))
-            for n in range(args.n_max + 1) for r, table in tables.items()
-            for j in range(args.j_max + 1) for stat in stats
-            for t in identities.t_values(stat, r, t_sel)]
+    # each r once, in first-seen order, so a repeated r adds no rows; the
+    # residues are checked before a table is built or a row is written
+    rs = dict.fromkeys(r_list)
+    residues = {(r, stat): identities.t_values(stat, r, t_sel)
+                for r in rs for stat in stats}
+    tables = {r: identities.class_totals(r, args.n_max) for r in rs}
+    null, quote = _NULL[args.format], _QUOTE[args.format]
+    cells = ((quote(stat), n, r, j, null if t is None else t,
+              identities.stat_value(table[n], stat, j, mode, t))
+             for n in range(args.n_max + 1) for r, table in tables.items()
+             for j in range(args.j_max + 1) for stat in stats
+             for t in residues[r, stat])
     meta = {"command": "stats", "stat": args.stat, "n_max": args.n_max,
             "r": list(r_list), "j_max": args.j_max, "t": t_sel,
             "mode": args.mode}
-    _emit_rows(("stat", "n", "r", "j", "t", "value"), rows, args, meta)
+    _write_rows(("stat", "n", "r", "j", "t", "value"), cells, args, meta)
     return 0
 
 
@@ -211,7 +205,7 @@ def _cmd_series(args) -> int:
             for j, v in enumerate(row))
     meta = {"command": "series", "which": args.which, "r": args.r,
             "t": args.t, "N": args.n_max, "J": args.j_max}
-    _emit_rows(("n", "j", "coefficient"), rows, args, meta)
+    _write_rows(("n", "j", "coefficient"), rows, args, meta)
     return 0
 
 
