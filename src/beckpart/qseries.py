@@ -23,11 +23,10 @@ from its own per-part factors as reference.
 
 from __future__ import annotations
 
-import math
 import sys
 
 # Caps both truncation orders, N and J: up to it the dense tables stay at
-# desk scale, and the 64-bit lanes below hold every coefficient to N = 212.
+# desk scale, and the 64-bit lanes below hold every coefficient to N = 316.
 MAX_Q_ORDER = 120
 
 # kind -> whether it takes a residue t, in `beckpart series --which` order;
@@ -91,31 +90,20 @@ class Series:
 # arithmetic, and the modulus M + 1 = 2^(64(J+1)) drops only w^(J+1) and
 # up.  Intermediate rows may be any size; only the final coefficients must
 # fit a signed 64-bit lane.  Each is a class total or a difference of two,
-# so |c| <= max(1, n*p(n)).  With p(n) < exp(pi*sqrt(2n/3)) for n >= 1
-# (Apostol, Introduction to Analytic Number Theory, Thm 14.5) and p
-# increasing, L(N) = ceil(pi*sqrt(2N/3)*log2(e)) + N.bit_length() bounds
-# the bit length of every n*p(n) with n <= N, so |c| < 2^(B-1) for
-# B = L(N) + 2 (B = 2 at N = 0, where |c| <= 1).  B <= 64 for N <= 212, so
-# 64-bit lanes hold every table up to MAX_Q_ORDER; the tests pin 212 and
-# check B against the exact p(n) for every N <= 400.
+# so |c| <= max(1, n*p(n)).  By the exact p(n), n*p(n) < 2^63 holds for
+# every n <= 316 and fails at 317, so 64-bit lanes hold every table up to
+# MAX_Q_ORDER; tests/test_qseries.py's
+# test_64_bit_lanes_fit_every_coefficient_bound_to_316 pins 316 and the cap.
 
 
-def _lane_bits(N: int) -> int:
-    """B, a signed lane width that fits every coefficient of a table."""
-    return (math.ceil(math.pi * math.sqrt(2 * N / 3) * math.log2(math.e))
-            + N.bit_length() + 2)
-
-
-def _add_marked_run(X: list[int], B: int, M: int, p: int, first: int,
-                    sign: int = 1, i_min: int = 0, dj: int = 0) -> None:
-    """Add sign * w^dj * sum_{i >= i_min} (1-w)^i q^(first + p*i) into the
-    packed rows X: one masked add per row, and the term steps by (1-w)."""
-    term = (sign << dj * B) & M
-    for _ in range(i_min):
-        term = (term - (term << B)) & M
-    for n in range(first + p * i_min, len(X), p):
+def _add_marked_run(X: list[int], M: int, p: int, first: int,
+                    term: int) -> None:
+    """Add term * sum_{i >= 0} (1-w)^i q^(first + p*i) into the packed rows
+    X, term a packed row itself (1, w or 1-w times a sign or a factor): one
+    masked add per row, and the term steps by (1-w)."""
+    for n in range(first, len(X), p):
         X[n] = (X[n] + term) & M
-        term = (term - (term << B)) & M
+        term = (term - (term << 64)) & M
 
 
 def _unpack(X: list[int], J: int) -> list[list[int]]:
@@ -130,13 +118,13 @@ def _unpack(X: list[int], J: int) -> list[list[int]]:
             .cast("q").tolist() for x in X]
 
 
-def _times_count_product(X: list[int], r: int, B: int, M: int) -> None:
+def _times_count_product(X: list[int], r: int, M: int) -> None:
     """X *= C(q, w) in place ([q^n w^j] of C counts either family's
     exactly-j class).  The marked factors come from Euler's identity
     prod_{m>=1} (1 + z y^m) = sum_k z^k y^(k(k+1)/2) / ((1-y)...(1-y^k))
     (Andrews, The Theory of Partitions, ch. 2, Cor. 2.2) with z = w - 1
     and y = q^r.  The work rows Z step from term k-1 to term k in one
-    ascending pass, which multiplies by w - 1 (z << B is w*z) and divides
+    ascending pass, which multiplies by w - 1 (z << 64 is w*z) and divides
     by 1 - q^(rk), and are added into X at q^off, off = r*k(k+1)/2, while
     off <= N.  Then one ascending recurrence divides by prod_k (1 - q^k)
     = sum_i (-1)^i q^(i(3i-1)/2) over all integers i (Euler's pentagonal
@@ -148,7 +136,7 @@ def _times_count_product(X: list[int], r: int, B: int, M: int) -> None:
         s = r * k
         for n in range(N + 1 - off):  # Z's rows past N - off never reach X
             z = Z[n]
-            Z[n] = z = ((z << B) - z + (Z[n - s] if n >= s else 0)) & M
+            Z[n] = z = ((z << 64) - z + (Z[n - s] if n >= s else 0)) & M
             X[n + off] += z
         k += 1
         off += r * k
@@ -169,12 +157,10 @@ def _times_count_product(X: list[int], r: int, B: int, M: int) -> None:
         X[n] = x & M
 
 
-def multiplier(kind: str, r: int, t: int | None, N: int, B: int,
-               M: int) -> list[int]:
+def multiplier(kind: str, r: int, t: int | None, N: int, M: int) -> list[int]:
     """The sparse sum over part values that turns the count product into
-    the kind's table, as the packed rows q^0..q^N with B-bit lanes under
-    the mask M."""
-    X = [0] * (N + 1)
+    the kind's table, as the packed rows q^0..q^N under the mask M."""
+    X, w = [0] * (N + 1), 1 << 64
     if kind in ("count-O", "count-D"):
         X[0] = 1
         return X
@@ -195,29 +181,29 @@ def multiplier(kind: str, r: int, t: int | None, N: int, B: int,
         for p in range(r, N + 1, r):
             for n in range(p, N + 1, p):
                 X[n] += factor
-            _add_marked_run(X, B, M, p, 0, sign=-factor, i_min=1)
+            _add_marked_run(X, M, p, p, -factor * (1 - w))
     elif kind == "distinct-O":
         for m in range(1, N + 1):
             if m % r:
                 X[m] += 1
         for p in range(r, N + 1, r):
-            _add_marked_run(X, B, M, p, p, dj=1)  # w*q^p / (1 - (1-w)q^p)
+            _add_marked_run(X, M, p, p, w)  # w*q^p / (1 - (1-w)q^p)
     elif kind == "distinct-D":
         for m in range(1, N + 1):
             # 1 - (1 - q^m) / (1 - (1-w)q^(rm))
-            _add_marked_run(X, B, M, r * m, m)
-            _add_marked_run(X, B, M, r * m, 0, sign=-1, i_min=1)
+            _add_marked_run(X, M, r * m, m, 1)
+            _add_marked_run(X, M, r * m, r * m, w - 1)
     elif kind == "beck-delta":
         # the same sum for every admissible t, which the tests assert
         for p in range(r, N + 1, r):
-            _add_marked_run(X, B, M, p, 0, i_min=1)  # (1-w)q^p / (1 - (1-w)q^p)
+            _add_marked_run(X, M, p, p, 1 - w)  # (1-w)q^p / (1 - (1-w)q^p)
     else:  # repeat-window
         # the D product's factor for part m is (1 - (1-w)q^(rm)) / (1 - q^m);
         # swapping it for the window q^((r+1)m) + ... + q^((2r-1)m)
         # multiplies C by (q^((r+1)m) - q^(2rm)) / (1 - (1-w)q^(rm))
         for m in range(1, N // (r + 1) + 1):
-            _add_marked_run(X, B, M, r * m, (r + 1) * m)
-            _add_marked_run(X, B, M, r * m, 2 * r * m, sign=-1)
+            _add_marked_run(X, M, r * m, (r + 1) * m, 1)
+            _add_marked_run(X, M, r * m, 2 * r * m, -1)
     return X
 
 
@@ -235,7 +221,7 @@ def series(kind: str, r: int, t: int | None, N: int, J: int) -> Series:
         raise ValueError(f"{kind} takes no t, got {t}")
     s = Series(N, J, [])  # checks N and J; the rows are read back last
     M = (1 << 64 * (J + 1)) - 1
-    X = multiplier(kind, r, t, N, 64, M)
-    _times_count_product(X, r, 64, M)
+    X = multiplier(kind, r, t, N, M)
+    _times_count_product(X, r, M)
     s.c = _unpack(X, J)
     return s

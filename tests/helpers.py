@@ -295,6 +295,22 @@ def reference_json(meta: dict, header, rows) -> str:
         dict(zip(header, row)) for row in rows]}, indent=2) + "\n"
 
 
+def assert_same_text(got: str, want: str, label=None) -> None:
+    """Assert got == want, and on a difference report only the first line
+    that differs, by index, and that line on both sides: pytest's own diff
+    of two documents of a megabyte takes minutes."""
+    if got == want:
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+             min(len(a), len(b)))
+    line_a = a[i] if i < len(a) else "<end>"
+    line_b = b[i] if i < len(b) else "<end>"
+    raise AssertionError(f"line {i} differs: got {line_a!r}, want "
+                         f"{line_b!r}" + ("" if label is None else
+                                          f" ({label})"))
+
+
 def count_table_builds(monkeypatch) -> list[tuple[int, int]]:
     """Record the (r, n_max) of every ``totals_table`` build from here on.
     euler_pairs imports it by name, so both modules' names are patched."""
@@ -587,11 +603,10 @@ def assert_canonical(lam: Partition, size: int) -> None:
     assert sum(p * m for p, m in lam.pairs) == size, (lam.pairs, size)
 
 
-def reference_times_count_product(X: list[int], r: int, B: int,
-                                  M: int) -> list[int]:
+def reference_times_count_product(X: list[int], r: int, M: int) -> list[int]:
     """X times C(q, w) as packed rows (the lanes of ``qseries``), one marked
     factor at a time: a descending masked step per factor 1 - (1-w)q^p,
-    p = r, 2r, ... (b << B is w*b), about N^2/(2r) row steps.  The
+    p = r, 2r, ... (b << 64 is w*b), about N^2/(2r) row steps.  The
     per-factor reference for the Euler expansion of
     ``qseries._times_count_product``; X is left as it is.  The division
     by prod_k (1 - q^k) is that function's at a modulus above N, where C
@@ -601,8 +616,8 @@ def reference_times_count_product(X: list[int], r: int, B: int,
     for p in range(r, N + 1, r):
         for n in range(N, p - 1, -1):
             b = X[n - p]
-            X[n] = (X[n] - b + (b << B)) & M
-    qseries._times_count_product(X, N + 1, B, M)
+            X[n] = (X[n] - b + (b << 64)) & M
+    qseries._times_count_product(X, N + 1, M)
     return X
 
 

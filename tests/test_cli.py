@@ -16,8 +16,9 @@ from beckpart import cli, euler_pairs, identities, qseries
 from beckpart.cli import run
 from beckpart.enumeration import partitions_of
 from beckpart.identities import VerificationRecord
-from helpers import (EXPECTED, RECORD_HEADER, count_table_builds,
-                     record_rows, reference_csv, reference_json)
+from helpers import (EXPECTED, RECORD_HEADER, assert_same_text,
+                     count_table_builds, record_rows, reference_csv,
+                     reference_json)
 
 
 def run_capture(capsys, argv):
@@ -726,7 +727,7 @@ def test_csv_equals_the_csv_module_reference(capsys):
     for argv, header, rows in cases:
         code, out, err = run_capture(capsys, [*argv, "--format", "csv"])
         assert (code, err) == (0, ""), argv
-        assert out == reference_csv(header, rows), argv
+        assert_same_text(out, reference_csv(header, rows), argv)
 
 
 def test_no_csv_field_text_needs_quoting():
@@ -749,7 +750,7 @@ def test_verify_json_equals_json_dumps_on_the_bench_grid(capsys, t):
             "r": [2, 3, 4, 5], "j_max": 3, "t": t}
     rows = record_rows(identities.verify("all", range(41), (2, 3, 4, 5), 3,
                                          t), as_json=True)
-    assert out == reference_json(meta, RECORD_HEADER, rows)
+    assert_same_text(out, reference_json(meta, RECORD_HEADER, rows))
 
 
 def test_euler_json_equals_json_dumps(capsys):
@@ -762,7 +763,7 @@ def test_euler_json_equals_json_dumps(capsys):
     rows = record_rows(euler_pairs.verify_tilde(
         "all", euler_pairs.make_euler_pair(3, range(1, 41), 40), range(41),
         3), as_json=True)
-    assert out == reference_json(meta, RECORD_HEADER, rows)
+    assert_same_text(out, reference_json(meta, RECORD_HEADER, rows))
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, cli._BLOCK, cli._BLOCK + 1])
@@ -779,7 +780,7 @@ def test_rows_equal_the_reference_at_any_count(capsys, fmt, count):
                     meta)
     want = (reference_csv(header, rows) if fmt == "csv"
             else reference_json(meta, header, rows))
-    assert capsys.readouterr().out == want
+    assert_same_text(capsys.readouterr().out, want)
 
 
 def test_json_output_peaks_near_the_csv_output(monkeypatch, tmp_path):

@@ -236,6 +236,21 @@ def test_series_route_is_independent_and_has_one_builder():
     assert not any(hasattr(qs, name) for name in (
         "_divide_by_one_minus", "_times_one_minus", "_times_marked_step",
         "_pack", "one", "comb"))
+    # one 64-bit lane: no lane width is computed or passed, and a marked
+    # run is given its packed first term, not knobs that build it
+    assert not hasattr(qs, "_lane_bits")
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert "math" not in imported, imported
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            assert "B" not in {a.arg for a in (*args.posonlyargs, *args.args,
+                                                *args.kwonlyargs)}, node.name
+    assert list(inspect.signature(qs._add_marked_run).parameters) == [
+        "X", "M", "p", "first", "term"]
 
 
 def test_series_tables_match_the_recorded_digests():
@@ -268,12 +283,12 @@ def test_builders_equal_their_product_forms(r, J):
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_small_tables_equal_their_product_forms(r):
-    # N = 0 packs the narrowest lanes (B = 2), and N < r applies no marked
-    # step at all; N one below and at the generalized pentagonal numbers
-    # 12, 15, 22 and 26 is where the division's recurrence takes on a
-    # term.  Each family's product form is built from its own per-part
-    # factors, so this also checks the Franklin identity that lets both
-    # families share one product
+    # N = 0 packs a single row, and N < r applies no marked step at all;
+    # N one below and at the generalized pentagonal numbers 12, 15, 22 and
+    # 26 is where the division's recurrence takes on a term.  Each
+    # family's product form is built from its own per-part factors, so
+    # this also checks the Franklin identity that lets both families share
+    # one product
     for N in (*range(8), 11, 12, 14, 15, 21, 22, 25, 26):
         for J in range(4):
             for kind, t in series_tables(r):
@@ -287,18 +302,18 @@ def test_count_product_equals_the_per_factor_reference(r):
     # per factor, on each kind's multiplier rows (t = 1 where it takes a
     # t).  Term k first reaches row N at N = r*k(k+1)/2, so N runs through
     # those and one below each; N = 400 passes the rows in directly, past
-    # MAX_Q_ORDER, at the widest J only
+    # MAX_Q_ORDER, at the widest J only.  Past N = 316 a 64-bit lane may
+    # overflow, but both sides are compared mod M, so the check stays exact
     edges = {r * k * (k + 1) // 2 - d for k in range(1, 11) for d in (0, 1)}
     grid = [(N, J) for N in sorted({*range(9), *(e for e in edges
                                                  if e <= 120), 120})
             for J in (0, 1, 8)] + [(400, 8)]
     for N, J in grid:
-        B = qs._lane_bits(N)
-        M = (1 << (J + 1) * B) - 1
+        M = (1 << 64 * (J + 1)) - 1
         for kind, takes_t in qs.KINDS.items():
-            X = qs.multiplier(kind, r, 1 if takes_t else None, N, B, M)
-            want = reference_times_count_product(X, r, B, M)
-            qs._times_count_product(X, r, B, M)
+            X = qs.multiplier(kind, r, 1 if takes_t else None, N, M)
+            want = reference_times_count_product(X, r, M)
+            qs._times_count_product(X, r, M)
             assert [x & M for x in X] == [x & M for x in want], (kind, N, J)
 
 
@@ -312,10 +327,10 @@ def _pack(rows: list[list[int]], B: int) -> list[int]:
                                  (120, 120)])
 def test_packed_rows_round_trip_signed_lanes(N, J):
     # every table has 64-bit lanes; N only sets its widest coefficient,
-    # 2^(B-1) - 1 at B = _lane_bits(N)
+    # max(1, N*p(N)) by the exact p(N)
     top = (1 << 63) - 1
     bottom = -top - 1  # its lane reads 2^63, the least that borrows
-    widest = (1 << qs._lane_bits(N) - 1) - 1
+    widest = max(1, N * pentagonal_counts(N)[N])
     for v in (-1, 0, top, -top, bottom, widest, -widest - 1):
         rows = [[0] * (J + 1) for _ in range(3)]
         rows[0][0] = v  # lane 0
@@ -341,17 +356,14 @@ def test_packed_rows_round_trip_signed_lanes(N, J):
     assert qs._unpack(X, J) == want
 
 
-def test_lane_width_fits_every_coefficient_bound_to_400():
-    # the signed-lane fit of qseries' lane comment against the exact p(N);
-    # N = 0 is the narrowest lane, B = 2
+def test_64_bit_lanes_fit_every_coefficient_bound_to_316():
+    # the signed-lane fit of qseries' lane comment against the exact p(n):
+    # max(1, n*p(n)) < 2^63 for every n <= 316 and for no n past it, so a
+    # cap past 316 needs wider lanes
     p = pentagonal_counts(400)
-    for N in range(401):
-        assert max(1, N * p[N]) < 1 << qs._lane_bits(N) - 1, N
-    assert [qs._lane_bits(N) for N in (0, 40, 120, 300)] == [2, 32, 50, 76]
-    # the 64-bit lanes of every table up to the cap: a cap past 212 needs
-    # wider lanes
-    assert all(qs._lane_bits(N) <= 64 for N in range(qs.MAX_Q_ORDER + 1))
-    assert max(N for N in range(401) if qs._lane_bits(N) <= 64) == 212
+    fits = [n for n in range(401) if max(1, n * p[n]) < 1 << 63]
+    assert fits == list(range(317))
+    assert qs.MAX_Q_ORDER <= 316
 
 
 def test_widest_coefficients_fit_the_lane_bound():
