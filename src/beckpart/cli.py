@@ -159,7 +159,7 @@ def _cmd_stats(args) -> int:
     tables = {r: identities.class_totals(r, args.n_max) for r in rs}
     null, quote = _NULL[args.format], _QUOTE[args.format]
     cells = ((quote(stat), n, r, j, null if t is None else t,
-              identities.stat_value(table[n], stat, j, mode, t))
+              identities._read(table[n], stat, j, mode, t))
              for n in range(args.n_max + 1) for r, table in tables.items()
              for j in range(args.j_max + 1) for stat in stats
              for t in residues[r, stat])
@@ -274,7 +274,7 @@ def _cmd_oeis(args) -> int:
     if args.j < 0:
         raise ValueError(f"class index j must be >= 0, got {args.j}")
     oeis.check_id(args.sequence)  # before the table is built
-    values = [identities.stat_value(tot, f"count_{args.family}", args.j)
+    values = [identities._read(tot, f"count_{args.family}", args.j)
               for tot in identities.class_totals(args.r, args.n_max)]
     report = oeis.crosscheck(args.sequence, values, cache_dir=args.cache_dir,
                              online=args.online)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .identities import (ClassTotals, VerificationRecord, check, stat_value,
+from .identities import (ClassTotals, VerificationRecord, _read, check,
                          totals_table)
 
 EULER_ITEM_IDS = ("euler_item1", "euler_item2", "euler_item3", "euler_item4")
@@ -111,7 +111,7 @@ def subbarao_counterexample(pair: EulerPair, n_max: int
     """
     top = min(n_max, pair.bound)
     for n, tot in enumerate(tilde_totals(pair, top) if top >= 0 else []):
-        o, d = stat_value(tot, "count_O", 0), stat_value(tot, "count_D", 0)
+        o, d = _read(tot, "count_O", 0), _read(tot, "count_D", 0)
         if o != d:
             return (n, o, d)
     return None

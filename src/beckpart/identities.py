@@ -31,6 +31,7 @@ values r*S1.  The table keeps its class sizes as ``o1_tuples``.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -62,14 +63,6 @@ class ClassTotals(NamedTuple):
     o1_tuples: dict[int, int]
 
 
-def _lane_bits(n_max: int) -> int:
-    """Unsigned lane width of the DP rows up to n_max: the bit length of
-    the p(n) bound at n_max plus n_max.bit_length() bounds every n*p(n),
-    as p increases, and one more bit holds the size 1 at n = 0."""
-    return (math.ceil(math.pi * math.sqrt(2 * n_max / 3) * math.log2(math.e))
-            + n_max.bit_length() + 1)
-
-
 def _j_cap(r: int, n_max: int) -> int:
     """The largest j whose class can be non-empty at n <= n_max: its j
     marked distinct parts weigh at least r*(1 + ... + j)."""
@@ -91,23 +84,23 @@ def _class_dp(n_max: int, j_max: int, width: int, start: list[int],
     row[x] + S[x - k*p] and W[x] = size(S[x - k*p]) + W[x - k*p]; the run
     adds S[x] + size(S[x])*b + W[x]*a to row x + p*m0, a class up if marked.
 
-    A row is one int, lane i of class j in bits [(j*width + i)*bits, ...):
+    A row is one int, lane i of class j in bits [64*(j*width + i), ...):
     a mark is a shift by one block, and the size lanes times a vector in
     one block add to every j at once.  Every term is non-negative and sums
-    into one total of some n <= n_max, at most max(1, n*p(n)) < 2**bits
-    as p(n) < exp(pi*sqrt(2n/3)) for n >= 1 (Apostol, Introduction to
-    Analytic Number Theory, Thm 14.5), so no lane carries into the next.
+    into one total of some n <= n_max, at most max(1, n*p(n)), which is
+    below 2**64 for every n <= 326 and not at 327, so no lane carries into
+    the next up to MAX_N; tests/test_identities.py's
+    test_64_bit_dp_lanes_fit_every_total_bound_to_326 pins 326 and the cap.
     The o1_tuples run counts pairs (index tuple, lambda in O_1), each fixed
     by mu = lambda + the tuple's parts and one of mu's parts in r*S1 (the
     paper's adjoin map), so at most sum of l(mu) over mu |- n <= n*p(n).
     """
-    bits = _lane_bits(n_max)
-    block, lane = width * bits, (1 << bits) - 1
+    block = 64 * width
     every_j = (1 << (j_max + 1) * block) - 1
-    sizes = sum(lane << j * block for j in range(j_max + 1))
+    sizes = sum(0xFFFF_FFFF_FFFF_FFFF << j * block for j in range(j_max + 1))
 
     def pack(lanes: dict[int, int]) -> int:
-        return sum(c << i * bits for i, c in lanes.items())
+        return sum(c << 64 * i for i, c in lanes.items())
     rows = start[:]
     for runs, values in groups:
         runs = [(m0, k, mark, pack(b), pack(a)) for m0, k, mark, b, a in runs]
@@ -134,10 +127,11 @@ def _class_dp(n_max: int, j_max: int, width: int, start: list[int],
                 unmarked[p:] = [u + (m << block & every_j)
                                 for u, m in zip(unmarked[p:], marked)]
             rows = unmarked
-    blocks = [[row >> j * block & (1 << block) - 1 for j in range(j_max + 1)]
-              for row in rows]
-    return [{j: [x >> i * bits & lane for i in range(width)]
-             for j, x in enumerate(row) if x & lane} for row in blocks]
+    nbytes = 8 * width * (j_max + 1)
+    return [{j: v[j * width:(j + 1) * width] for j in range(j_max + 1)
+             if v[j * width]}
+            for v in (memoryview(row.to_bytes(nbytes, sys.byteorder))
+                      .cast("Q").tolist() for row in rows)]
 
 
 def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int]

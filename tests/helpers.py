@@ -336,9 +336,11 @@ def reference_part_value_dp(n_max: int, width: int, step, parts
     row n - p*m still holds the partitions without part p, and every
     multiplicity m <= n/p of every part is its own step over every j: the
     per-multiplicity reference for the packed program of ``identities``.
-    A row vector is packed into one int of ``_lane_bits`` lanes.
+    A row vector is packed into one int of lanes as wide as the exact
+    bound max(1, n_max*p(n_max)) on every total, its own width and not
+    the 64-bit lanes of ``identities``.
     """
-    bits = identities._lane_bits(n_max)
+    bits = max(1, n_max * pentagonal_counts(n_max)[n_max]).bit_length()
     mask = (1 << bits) - 1
     rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     rows[0][0] = 1

@@ -80,14 +80,22 @@ def test_j_cap_is_the_largest_non_empty_class(r):
         [0, 1, 2, 5, 10]
 
 
-def test_dp_lane_width_fits_every_total_bound_to_400():
-    # every DP lane holds a total of at most max(1, n*p(n)) unsigned
+def test_64_bit_dp_lanes_fit_every_total_bound_to_326():
+    # every DP lane holds a total of at most max(1, n*p(n)) unsigned, and
+    # by the exact p(n) that is below 2^64 for every n <= 326 and for no n
+    # past it, so a cap past 326 needs wider lanes
     p = pentagonal_counts(400)
-    for n_max in range(401):
-        assert max(1, n_max * p[n_max]) < 1 << identities._lane_bits(n_max), \
-            n_max
-    assert [identities._lane_bits(n) for n in (0, 40, 120, 300)] == \
-        [1, 31, 49, 75]
+    fits = [n for n in range(401) if max(1, n * p[n]) < 1 << 64]
+    assert fits == list(range(327))
+    assert identities.MAX_N <= 326
+    # the read-back: lane i of class j in bits [64*(j*width + i), ...),
+    # unsigned to 2^64 - 1, and a class kept when its size lane is non-zero
+    top = (1 << 64) - 1
+    lanes = [[top, 1, 2], [0, 3, 0], [4, 0, top]]
+    row = sum(v << 64 * (3 * j + i) for j, vec in enumerate(lanes)
+              for i, v in enumerate(vec))
+    assert identities._class_dp(0, 2, 3, [row], []) == [
+        {0: [top, 1, 2], 2: [4, 0, top]}]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -364,6 +372,39 @@ def test_totals_engine_is_independent_of_enumeration_and_series():
     assert not hasattr(module, "MAX_ENUM_N")
     assert not hasattr(module, "partitions_of")
     assert not hasattr(module, "stats")
+    # one 64-bit lane width, computed nowhere
+    assert not hasattr(module, "_lane_bits")
+
+
+@pytest.mark.parametrize("name", ["identities", "qseries", "partition",
+                                  "bijections", "euler_pairs",
+                                  "enumeration"])
+def test_computation_modules_use_no_floating_point(name):
+    # every count is an exact integer: no float constant, true division,
+    # float() call or math function but isqrt.  oeis is not scanned: its
+    # network timeout is I/O, not arithmetic
+    import ast
+    import importlib
+    import inspect
+
+    tree = ast.parse(inspect.getsource(importlib.import_module(
+        f"beckpart.{name}")))
+    for node in ast.walk(tree):
+        where = (name, getattr(node, "lineno", None))
+        assert not (isinstance(node, ast.Constant)
+                    and isinstance(node.value, (float, complex))), where
+        assert not (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div)), where
+        assert not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"), where
+        assert not (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "math"
+                    and node.attr != "isqrt"), where
+        assert not (isinstance(node, ast.ImportFrom)
+                    and node.module == "math"
+                    and any(a.name != "isqrt" for a in node.names)), where
 
 
 def test_verification_record_is_an_immutable_named_tuple():
