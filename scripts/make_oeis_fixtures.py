@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from beckpart import qseries
-from beckpart.identities import class_totals, stat_value
+from beckpart.identities import class_totals
+from beckpart.theorems import stat_value
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))

@@ -7,9 +7,9 @@ from .bijections import (ZetaCase, ZetaOutcome, adjoin_and_classify,
                          glaisher_map)
 from .euler_pairs import (EulerPair, make_euler_pair, subbarao_counterexample,
                           tilde_totals, verify_tilde)
-from .identities import (STATS, THEOREM_IDS, VerificationRecord, class_totals,
-                         stat_value, verify)
+from .identities import class_totals, verify
 from .partition import Partition, PartitionParseError
+from .theorems import STATS, THEOREM_IDS, VerificationRecord, stat_value
 
 __version__ = "0.1.0"
 

@@ -17,8 +17,9 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
-from . import bijections, euler_pairs, identities, oeis, qseries
-from .identities import MAX_N, THEOREM_IDS, VerificationRecord
+from . import bijections, euler_pairs, identities, oeis, qseries, theorems
+from .identities import MAX_N
+from .theorems import THEOREM_IDS, VerificationRecord
 from .partition import Partition
 
 SERIES_KINDS = {kind: partial(qseries.series, kind) for kind in qseries.KINDS}
@@ -154,12 +155,12 @@ def _cmd_stats(args) -> int:
     # each r once, in first-seen order, so a repeated r adds no rows; the
     # residues are checked before a table is built or a row is written
     rs = dict.fromkeys(r_list)
-    residues = {(r, stat): identities.t_values(stat, r, t_sel)
+    residues = {(r, stat): theorems.t_values(stat, r, t_sel)
                 for r in rs for stat in stats}
     tables = {r: identities.class_totals(r, args.n_max) for r in rs}
     null, quote = _NULL[args.format], _QUOTE[args.format]
     cells = ((quote(stat), n, r, j, null if t is None else t,
-              identities._read(table[n], stat, j, mode, t))
+              theorems._read(table[n], stat, j, mode, t))
              for n in range(args.n_max + 1) for r, table in tables.items()
              for j in range(args.j_max + 1) for stat in stats
              for t in residues[r, stat])
@@ -274,7 +275,7 @@ def _cmd_oeis(args) -> int:
     if args.j < 0:
         raise ValueError(f"class index j must be >= 0, got {args.j}")
     oeis.check_id(args.sequence)  # before the table is built
-    values = [identities._read(tot, f"count_{args.family}", args.j)
+    values = [theorems._read(tot, f"count_{args.family}", args.j)
               for tot in identities.class_totals(args.r, args.n_max)]
     report = oeis.crosscheck(args.sequence, values, cache_dir=args.cache_dir,
                              online=args.online)

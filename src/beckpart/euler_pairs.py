@@ -10,7 +10,7 @@ the pair's S1 and S2, the builder of the unrestricted totals, so a pair's
 record is a ``ClassTotals`` with every field, read through the same
 ``STATS``.  Items 1-4 are the ``STATEMENTS`` of ``beck_cumulative``,
 ``beck_main``, ``distinct_cumulative`` and ``distinct_parts``, checked
-on it by the theorems' own loop, ``identities.check``, with the classes
+on it by the theorems' own loop, ``theorems.check``, with the classes
 marked ~: the unrestricted theorems are the pair S1 = all positive integers.
 """
 
@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .identities import (ClassTotals, VerificationRecord, _read, check,
-                         totals_table)
+from .identities import totals_table
+from .theorems import ClassTotals, VerificationRecord, _read, check
 
 EULER_ITEM_IDS = ("euler_item1", "euler_item2", "euler_item3", "euler_item4")
 # item k is the unrestricted theorem ITEM_THEOREMS[k - 1] over the pair

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from beckpart import euler_pairs, identities, qseries
 from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import EulerPair
-from beckpart.identities import (ClassTotals, class_totals, stat_value,
-                                 totals_table)
+from beckpart.identities import class_totals, totals_table
 from beckpart.partition import Partition, classify, from_canonical
 from beckpart.qseries import KINDS, Series
+from beckpart.theorems import ClassTotals, stat_value
 
 # The benchmark's regression digests; tests only read them.
 EXPECTED = json.loads((Path(__file__).resolve().parent.parent / "perfbench"

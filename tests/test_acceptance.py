@@ -12,9 +12,10 @@ from beckpart.bijections import (franklin_inverse, franklin_map,
 from beckpart.enumeration import partitions_of
 from beckpart.euler_pairs import (make_euler_pair, subbarao_counterexample,
                                   verify_tilde)
-from beckpart.identities import class_totals, stat_value, verify
+from beckpart.identities import class_totals, verify
 from beckpart.oeis import crosscheck
 from beckpart.partition import classify
+from beckpart.theorems import stat_value
 from helpers import (ClassSpec, dp_total, enumerate_class, geometric_factor,
                      mul, one, pentagonal_counts, record, scale,
                      series_tables, total_of)

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import beckpart
-from beckpart import cli, euler_pairs, identities, qseries
+from beckpart import (bijections, cli, enumeration, euler_pairs, identities,
+                      partition, qseries, theorems)
 from beckpart.cli import run
 from beckpart.enumeration import partitions_of
-from beckpart.identities import VerificationRecord
+from beckpart.theorems import VerificationRecord
 from helpers import (EXPECTED, RECORD_HEADER, assert_same_text,
                      count_table_builds, record_rows, reference_csv,
                      reference_json)
@@ -241,6 +242,21 @@ def test_fail_lines_label_the_classes_of_each_route(capsys, monkeypatch):
          "FAIL euler_item2 n=4 r=3 j=0: lhs=3 vs "
          "(j+1)|O~_{j+1}|-j|O~_j|=2; (j+1)|D~_{j+1}|-j|D~_j|=1" + note),
     ])
+
+
+def test_the_bench_hooks_find_their_targets():
+    # the bench's tracer silently skips a name the package no longer has,
+    # so every function that perfbench/worker.py calls or patches on a
+    # live path must be where it looks
+    hooks = [(cli, "run"), (identities, "verify"),
+             (identities, "class_totals"), (enumeration, "partitions_of"),
+             (partition, "classify"), (bijections, "franklin_map"),
+             (bijections, "franklin_inverse"), (euler_pairs, "tilde_totals"),
+             (euler_pairs, "verify_tilde")]
+    for module, name in hooks:
+        assert callable(getattr(module, name, None)), (module.__name__, name)
+    assert list(cli.SERIES_KINDS) == list(qseries.KINDS)
+    assert all(callable(f) for f in cli.SERIES_KINDS.values())
 
 
 def test_output_matches_the_recorded_digests(capsys):
@@ -692,7 +708,7 @@ def _stats_rows(stat, mode, n_max, r_list, j_max):
     names = ("count_O", "count_D") if stat == "counts" else (stat,)
     tables = {r: identities.class_totals(r, n_max) for r in r_list}
     return [(name, n, r, j, t,
-             identities.stat_value(tables[r][n], name, j, mode, t))
+             theorems.stat_value(tables[r][n], name, j, mode, t))
             for n in range(n_max + 1) for r in r_list
             for j in range(j_max + 1) for name in names
             for t in (range(1, r) if name == "modular-gap" else (None,))]
@@ -733,8 +749,8 @@ def test_csv_equals_the_csv_module_reference(capsys):
 def test_no_csv_field_text_needs_quoting():
     # the CSV rows are formatted without the csv module, so a name that
     # reaches a field must be written by csv.writer exactly as it is
-    names = (identities.THEOREM_IDS + euler_pairs.EULER_ITEM_IDS
-             + tuple(identities.STATS) + ("true", "false"))
+    names = (theorems.THEOREM_IDS + euler_pairs.EULER_ITEM_IDS
+             + tuple(theorems.STATS) + ("true", "false"))
     for name in names:
         assert not set(name) & set(',"\r\n'), name
         assert reference_csv((name,), []) == name + "\n"

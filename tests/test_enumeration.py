@@ -8,7 +8,7 @@ import pytest
 
 import beckpart
 from beckpart import (cli, enumeration, euler_pairs, identities, oeis,
-                      partition, qseries)
+                      partition, qseries, theorems)
 from beckpart.enumeration import partitions_of
 from beckpart.partition import Partition, classify
 from helpers import (ClassSpec, count_class, enumerate_class,
@@ -217,8 +217,8 @@ def test_public_names_resolve_and_test_oracles_are_not_exported():
             "full_match", "_pack"}
     assert not gone & set(beckpart.__all__)
     assert not any(hasattr(module, name) for name in gone
-                   for module in (enumeration, identities, partition,
-                                  euler_pairs, cli, qseries, oeis))
+                   for module in (enumeration, identities, theorems,
+                                  partition, euler_pairs, cli, qseries, oeis))
     assert not any(hasattr(Partition, name) for name in
                    ("difference", "num_distinct", "num_parts", "parts",
                     "from_parts"))

@@ -8,8 +8,8 @@ from beckpart import euler_pairs
 from beckpart.euler_pairs import (EULER_ITEM_IDS, make_euler_pair,
                                   subbarao_counterexample, tilde_totals,
                                   verify_tilde)
-from beckpart.identities import (ClassTotals, class_totals, stat_value,
-                                 verify)
+from beckpart.identities import class_totals, verify
+from beckpart.theorems import ClassTotals, stat_value
 from helpers import (assert_same_totals, count_table_builds,
                      enumerated_tilde_totals)
 

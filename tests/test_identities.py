@@ -4,11 +4,11 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from beckpart import identities
+from beckpart import identities, theorems
 from beckpart.euler_pairs import make_euler_pair, tilde_totals
-from beckpart.identities import (STATS, THEOREM_IDS, ClassTotals,
-                                 VerificationRecord, class_totals, stat_value,
-                                 verify)
+from beckpart.identities import class_totals, verify
+from beckpart.theorems import (STATS, THEOREM_IDS, ClassTotals,
+                               VerificationRecord, stat_value)
 from helpers import (ClassSpec, assert_same_totals, count_table_builds,
                      enumerate_class, enumerated_class_totals,
                      fiber_ragged_repeat_count, index_weight_tuples,
@@ -227,7 +227,7 @@ def test_statement_labels_carry_the_mark_on_every_class():
     # a record per theorem on a pair's totals: "~" tags each O, D and T
     # class of every label, and nothing else
     pair = make_euler_pair(3, range(1, 7), 6)
-    unmarked, marked = (list(identities.check(
+    unmarked, marked = (list(theorems.check(
         zip(THEOREM_IDS, THEOREM_IDS), mark,
         lambda r, n: tilde_totals(pair, n), [6], [3], 0, 1))
         for mark in ("", "~"))
@@ -376,8 +376,58 @@ def test_totals_engine_is_independent_of_enumeration_and_series():
     assert not hasattr(module, "_lane_bits")
 
 
-@pytest.mark.parametrize("name", ["identities", "qseries", "partition",
-                                  "bijections", "euler_pairs",
+def _top_level_names(module) -> set[str]:
+    """The names a module's own top-level statements define."""
+    import ast
+    import inspect
+
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets)
+        elif isinstance(node, ast.AnnAssign):
+            names.add(node.target.id)
+    return names
+
+
+def test_statements_live_apart_from_the_dp():
+    # a theorem is a statement about totals, whatever computed them:
+    # theorems imports no package module, identities holds the DP and
+    # verify alone, and nothing reaches a statement through identities
+    import ast
+    import inspect
+    from pathlib import Path
+
+    for node in ast.walk(ast.parse(inspect.getsource(theorems))):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith(
+                "beckpart"), ast.dump(node)
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("beckpart")
+                           for a in node.names), ast.dump(node)
+    assert _top_level_names(identities) == {
+        "MAX_N", "_j_cap", "_class_dp", "totals_table", "class_totals",
+        "verify"}
+    moved = _top_level_names(theorems)
+    root = Path(__file__).resolve().parent.parent
+    for path in [p for d in ("src", "tests", "scripts")
+                 for p in sorted((root / d).rglob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module == "beckpart.identities"
+                    or (node.level == 1 and node.module == "identities")):
+                assert not moved & {a.name for a in node.names}, (
+                    path.name, node.lineno)
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "identities"):
+                assert node.attr not in moved, (path.name, node.lineno)
+
+
+@pytest.mark.parametrize("name", ["identities", "theorems", "qseries",
+                                  "partition", "bijections", "euler_pairs",
                                   "enumeration"])
 def test_computation_modules_use_no_floating_point(name):
     # every count is an exact integer: no float constant, true division,
@@ -434,7 +484,7 @@ def test_check_reads_the_residues_of_the_theorem_not_the_record_name(
         for label, value in rec.rhs))
         for rec in verify("modular_refine", ns, [2, 3], 2)]
     builds = count_table_builds(monkeypatch)
-    got = list(identities.check(
+    got = list(theorems.check(
         [("x", "modular_refine")], "~",
         lambda r, n: tilde_totals(make_euler_pair(r, range(1, n + 1), n), n),
         ns, [3, 2], 2, "all"))
@@ -446,8 +496,8 @@ def test_check_reads_the_residues_of_the_theorem_not_the_record_name(
 def test_record_flags_non_divisible_gap():
     tot = ClassTotals(*({} for _ in ClassTotals._fields))._replace(
         o_parts={0: 7})
-    [rec] = identities.check([("beck_main", "beck_main")], "",
-                             lambda r, n: [tot], [0], [3], 0, None)
+    [rec] = theorems.check([("beck_main", "beck_main")], "",
+                           lambda r, n: [tot], [0], [3], 0, None)
     assert (rec.lhs, rec.ok, rec.note) == (
         7, False, "gap 7 not divisible by r-1=2")
 

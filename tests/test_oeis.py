@@ -10,7 +10,8 @@ import pytest
 
 import beckpart
 from beckpart import oeis
-from beckpart.identities import class_totals, stat_value
+from beckpart.identities import class_totals
+from beckpart.theorems import stat_value
 from beckpart.oeis import (CACHE_ENV_VAR, best_prefix_match, crosscheck,
                            load_reference, parse_b_file)
 

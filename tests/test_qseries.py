@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beckpart import qseries as qs
-from beckpart.identities import class_totals, stat_value
+from beckpart.identities import class_totals
+from beckpart.theorems import stat_value
 from beckpart.qseries import Series
 from helpers import (EXPECTED, add, dp_total, geometric_factor,
                      lambert_by_mult, lambert_by_parts, marked_geometric,
