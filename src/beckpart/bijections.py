@@ -17,7 +17,7 @@ the two-case adjoin map used for the double-counting arguments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partition import Partition, from_canonical
 
@@ -120,8 +120,7 @@ class ZetaCase(enum.Enum):
     FRESH_PART = "fresh_part"                # all adjoined values are new
 
 
-@dataclass(frozen=True)
-class ZetaOutcome:
+class ZetaOutcome(NamedTuple):
     """Result of the adjoin-and-classify map.
 
     ``collided_index`` is the 0-based position in the m tuple that the

@@ -16,8 +16,7 @@ marked ~: the unrestricted theorems are the pair S1 = all positive integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .identities import totals_table
 from .theorems import ClassTotals, VerificationRecord, _read, check
@@ -28,8 +27,7 @@ ITEM_THEOREMS = ("beck_cumulative", "beck_main", "distinct_cumulative",
                  "distinct_parts")
 
 
-@dataclass(frozen=True)
-class EulerPair:
+class EulerPair(NamedTuple):
     """Modulus r with explicit part sets realized up to ``bound``."""
 
     r: int

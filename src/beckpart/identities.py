@@ -117,17 +117,19 @@ def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int]
         raise ValueError(f"n must be non-negative, got {n_max}")
     if n_max > MAX_N:
         raise ValueError(f"n={n_max} exceeds the totals bound {MAX_N}")
-    top = _j_cap(r, n_max)
-    s1 = [s for s in s1 if s <= n_max]
+    # parts and multiplicities <= n_max have residues below res; the lanes
+    # of residues res..r-1 would stay 0, so those are padded on at the end
+    top, res = _j_cap(r, n_max), min(r, n_max + 1)
+    s1, pad = [s for s in s1 if s <= n_max], [0] * (r - res)
     marked = {r * s for s in s1}
     # O lanes: 1 ell_bar, 2 + t ell_mod[t]; m copies of p add m to
     # ell_mod[p % r], marked when p is in r*S1.  Unmarked parts go first,
     # on rows of class 0 alone.
     o_parts, empty = marked.union(s2), [1] + [0] * n_max
-    o_rows = _class_dp(n_max, top, 2 + r, empty, [
+    o_rows = _class_dp(n_max, top, 2 + res, empty, [
         ([(1, 1, mark, {1: 1, 2 + t: 1}, {2 + t: 1})],
          sorted(p for p in o_parts if p % r == t and (p in marked) == mark))
-        for mark in (False, True) for t in range(r)])
+        for mark in (False, True) for t in range(res)])
     # D lanes: 1 ell, 2 multiplicity in [r+1, 2r-1], 3 + t residual
     # multiplicity m % r >= t.  m = r*i + d is marked when i >= 1; i = 0
     # is one term per d, so is the window (i = 1, d >= 1), and the rest
@@ -136,8 +138,8 @@ def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int]
                                 **{3 + t: 1 for t in range(m0 % r + 1)}},
                {1: r} if k else {}) for m0, k in
               [(m, 0) for m in range(1, 2 * r) if m != r] + [(r, r)]
-              + [(2 * r + d, r) for d in range(1, r)]]
-    d_rows = _class_dp(n_max, top, 3 + r, empty, [(d_runs, s1[::-1])])
+              + [(2 * r + d, r) for d in range(1, r)] if m0 <= n_max]
+    d_rows = _class_dp(n_max, top, 3 + res, empty, [(d_runs, s1[::-1])])
     # diff3's left side: from |O_1| as class 0, every r*m of r*S1 marked
     o1_rows = _class_dp(n_max, top, 1, [row.get(1, [0])[0] for row in o_rows],
                         [([(1, 1, True, {}, {})], sorted(marked))])
@@ -151,7 +153,7 @@ def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int]
             {j: v[2] for j, v in d},
             # nonresidual m - m % r: m % r counts the depths t >= 1 reached
             {j: v[1] - sum(v[4:]) for j, v in d},
-            {j: v[2:] for j, v in o}, {j: v[3:] for j, v in d},
+            {j: v[2:] + pad for j, v in o}, {j: v[3:] + pad for j, v in d},
             {j: v[0] for j, v in o1_row.items()}))
     return tables
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 CACHE_ENV_VAR = "BECKPART_OEIS_CACHE"
 _ID_RE = re.compile(r"A\d+")
@@ -44,6 +42,9 @@ def check_id(sequence_id: str) -> None:
 
 
 def _fixture_text(sequence_id: str) -> str | None:
+    # imported here, where a fixture is read: it loads inspect and zipfile
+    from importlib import resources
+
     ref = resources.files("beckpart.data") / f"{sequence_id}.txt"
     try:
         return ref.read_text(encoding="ascii")
@@ -93,8 +94,7 @@ def load_reference(sequence_id: str, *, cache_dir: str | None = None,
     return None, ""
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     """Longest-prefix comparison of computed values against a reference."""
 
     sequence_id: str

@@ -9,11 +9,13 @@ import pytest
 import beckpart
 from beckpart import (cli, enumeration, euler_pairs, identities, oeis,
                       partition, qseries, theorems)
+from beckpart.bijections import adjoin_and_classify
 from beckpart.enumeration import partitions_of
 from beckpart.partition import Partition, classify
 from helpers import (ClassSpec, count_class, enumerate_class,
                      enumerate_fixed_divisible, enumerate_fixed_repeats,
-                     index_weight_tuples, pentagonal_counts)
+                     enumerated_tilde_o1_count, index_weight_tuples,
+                     pentagonal_counts)
 
 
 def test_partitions_of_4_in_order():
@@ -230,14 +232,43 @@ def test_public_names_resolve_and_test_oracles_are_not_exported():
 
 def test_package_import_leaves_the_partition_stream_unloaded():
     # no command enumerates: the stream is a test oracle and a benchmark
-    # input, so neither the package nor the CLI loads it
+    # input, so neither the package nor the CLI loads it.  Nor do they load
+    # dataclasses (and through it inspect) or importlib.resources, which
+    # only a fixture read needs; -S keeps site from loading them first
     src = str(Path(beckpart.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, beckpart; "
+        [sys.executable, "-S", "-c", "import sys, beckpart; "
          "a = 'beckpart.enumeration' in sys.modules; import beckpart.cli; "
-         "print(a, 'beckpart.enumeration' in sys.modules)"],
+         "print(a, 'beckpart.enumeration' in sys.modules, [name for name in "
+         "('dataclasses', 'inspect', 'importlib.resources') "
+         "if name in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
-        (0, "False False\n", "")
+        (0, "False False []\n", "")
+
+
+@pytest.mark.parametrize("build, fields, defaults", [
+    (lambda: euler_pairs.make_euler_pair(2, range(1, 11), 10),
+     ("r", "bound", "s1", "s2", "subbarao_ok"), {}),
+    (lambda: adjoin_and_classify(Partition.parse("2"), 2, (1,), (1,)),
+     ("image", "case", "collided_index"), {"collided_index": None}),
+    (lambda: oeis.crosscheck("A090867", [0, 0, 5]),
+     ("sequence_id", "status", "matched", "offset", "total", "source",
+      "mismatch"), {"mismatch": None}),
+], ids=["EulerPair", "ZetaOutcome", "MatchReport"])
+def test_records_are_immutable_and_hashable_named_tuples(build, fields,
+                                                          defaults):
+    rec = build()
+    assert isinstance(rec, tuple)
+    assert (type(rec)._fields, type(rec)._field_defaults) == (fields, defaults)
+    with pytest.raises(AttributeError):
+        setattr(rec, fields[-1], None)
+    assert rec == build() and len({rec, build(), type(rec)(*rec)}) == 1
+    if isinstance(rec, euler_pairs.EulerPair):
+        # the enumerated |O~_1| oracle is cached on the pair
+        enumerated_tilde_o1_count(rec, 6)
+        hits = enumerated_tilde_o1_count.cache_info().hits
+        enumerated_tilde_o1_count(build(), 6)
+        assert enumerated_tilde_o1_count.cache_info().hits == hits + 1

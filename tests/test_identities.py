@@ -46,27 +46,48 @@ def reference_at_120():
     return {r: _reference_class_totals(r, 120) for r in (2, 3, 4, 5)}
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 8, 13, 50])
 def test_packed_dp_equals_the_per_multiplicity_reference(reference_at_120,
                                                          r):
     # every field of every n <= 120; the reference runs every class j, so
-    # the packed table's cap at _j_cap drops only empty classes
-    wants = {n_max: _reference_class_totals(r, n_max) for n_max in (0, 1, 7)}
-    wants[120] = reference_at_120[r]
+    # the packed table's cap at _j_cap drops only empty classes, and it
+    # keeps all r residue lanes, so r > n_max checks the packed table's pad
+    wants = {n_max: _reference_class_totals(r, n_max)
+             for n_max in (0, 1, 7, 12)}
+    if r in reference_at_120:
+        wants[120] = reference_at_120[r]
     for n_max, want in wants.items():
         for n, got in enumerate(class_totals(r, n_max)):
             assert_same_totals(got, want[n], (n_max, n))
 
 
 def test_packed_dp_equals_the_reference_on_euler_pairs():
-    # criterion 9's three window pairs and its broken pair, at their bounds
+    # criterion 9's three window pairs and its broken pair, at their bounds,
+    # and a pair whose r exceeds its bound
     for r, s1, bound, s2 in ((2, range(1, 31), 30, None),
                              (2, range(3, 31, 3), 30, None),
-                             (3, range(1, 31), 30, None), (2, [1], 10, [1])):
+                             (3, range(1, 31), 30, None), (2, [1], 10, [1]),
+                             (13, range(1, 11), 10, None)):
         pair = make_euler_pair(r, s1, bound, s2_override=s2)
         want = reference_totals_table(r, bound, pair.s1, pair.s2)
         for n, got in enumerate(tilde_totals(pair, bound)):
             assert_same_totals(got, want[n], (pair, n))
+
+
+def test_dp_work_stops_growing_with_r_past_n_max(monkeypatch):
+    # parts and multiplicities <= n_max have residues <= n_max, so past
+    # r = n_max + 1 the lanes and runs of each DP are the same for every r
+    work, dp = [], identities._class_dp
+
+    def spy(n_max, j_max, width, start, groups):
+        work.append((width, sum(len(runs) for runs, _ in groups)))
+        return dp(n_max, j_max, width, start, groups)
+    monkeypatch.setattr(identities, "_class_dp", spy)
+    for r in (13, 50, 1000):
+        class_totals(r, 12)
+    # O: 2 + 13 lanes, a run per residue and mark; D: 3 + 13 lanes, a run
+    # per multiplicity 1..12; diff3's left side: one lane, one run
+    assert work == [(15, 26), (16, 12), (1, 1)] * 3
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
