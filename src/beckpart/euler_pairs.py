@@ -7,8 +7,8 @@ pair failing the closure condition can still be constructed, which is how
 the counterexample search is exercised; the theorem verifier refuses such
 pairs.  The restricted-class totals are ``identities.totals_table`` on
 the pair's S1 and S2, the builder of the unrestricted totals, so a pair's
-record is a ``ClassTotals`` with every field, read through the same
-``STATS``.  Items 1-4 are the ``STATEMENTS`` of ``beck_cumulative``,
+record is a ``ClassTotals`` with every field, read by the same
+statements.  Items 1-4 are the ``STATEMENTS`` of ``beck_cumulative``,
 ``beck_main``, ``distinct_cumulative`` and ``distinct_parts``, checked
 on it by the theorems' own loop, ``theorems.check``, with the classes
 marked ~: the unrestricted theorems are the pair S1 = all positive integers.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .identities import totals_table
-from .theorems import ClassTotals, VerificationRecord, _read, check
+from .theorems import ClassTotals, VerificationRecord, check
 
 EULER_ITEM_IDS = ("euler_item1", "euler_item2", "euler_item3", "euler_item4")
 # item k is the unrestricted theorem ITEM_THEOREMS[k - 1] over the pair
@@ -109,7 +109,7 @@ def subbarao_counterexample(pair: EulerPair, n_max: int
     """
     top = min(n_max, pair.bound)
     for n, tot in enumerate(tilde_totals(pair, top) if top >= 0 else []):
-        o, d = _read(tot, "count_O", 0), _read(tot, "count_D", 0)
+        o, d = tot.o_count.get(0, 0), tot.d_count.get(0, 0)
         if o != d:
             return (n, o, d)
     return None

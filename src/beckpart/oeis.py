@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 CACHE_ENV_VAR = "BECKPART_OEIS_CACHE"
@@ -56,10 +55,11 @@ def _cache_text(sequence_id: str, cache_dir: str | None) -> str | None:
     directory = cache_dir or os.environ.get(CACHE_ENV_VAR)
     if not directory:
         return None
-    path = Path(directory) / f"b{sequence_id[1:]}.txt"
-    if not path.is_file():
+    path = os.path.join(directory, f"b{sequence_id[1:]}.txt")
+    if not os.path.isfile(path):
         return None
-    return path.read_text(encoding="ascii")
+    with open(path, encoding="ascii") as f:
+        return f.read()
 
 
 def _online_text(sequence_id: str, timeout: float) -> str | None:

@@ -2,14 +2,14 @@
 
 The paper states each identity as an equality between class totals, and
 proves it both from generating functions and from the class definitions;
-so a statement here reads a ``ClassTotals`` record, whatever computed it.
-``STATS`` reads each statistic from a record and ``STATEMENTS`` states
-each theorem on one (of an Euler pair too).  ``check`` is the one grid
-loop that makes each instance a ``VerificationRecord``, from any table
-builder, as its iterator is read: ``identities.verify`` passes it
-``class_totals``, and ``euler_pairs.verify_tilde`` a pair's totals.  The
-module imports no other module of the package, so either route can make
-the records.
+so a statement here reads a ``ClassTotals`` record's fields, whatever
+computed it.  ``STATEMENTS`` states each theorem on one (of an Euler pair
+too), and ``STATS`` names each statistic for ``stat_value``.  ``check``
+is the one grid loop that makes each instance a ``VerificationRecord``,
+from any table builder, as its iterator is read: ``identities.verify``
+passes it ``class_totals``, and ``euler_pairs.verify_tilde`` a pair's
+totals.  The module imports no other module of the package, so either
+route can make the records.
 """
 
 from __future__ import annotations
@@ -131,15 +131,13 @@ def _beck(mode: str, mark: str, modular: bool = False):
     exact = mode == "exact"  # 0 or 1: the weight of the -j|X_j| terms
     o_label, d_label = (f"(j+1)|{f}{mark}_{{j+1}}|"
                         + (f"-j|{f}{mark}_j|" if exact else "") for f in "OD")
-    o_count, d_count = STATS["count_O"], STATS["count_D"]
 
     def statement(tot, r, j, t):
-        rhs = ((o_label, (j + 1) * o_count(tot, j + 1, None)
-                - exact * j * o_count(tot, j, None)),
-               (d_label, (j + 1) * d_count(tot, j + 1, None)
-                - exact * j * d_count(tot, j, None)))
+        o, d = tot.o_count.get, tot.d_count.get
+        rhs = ((o_label, (j + 1) * o(j + 1, 0) - exact * j * o(j, 0)),
+               (d_label, (j + 1) * d(j + 1, 0) - exact * j * d(j, 0)))
         if modular:
-            return _read(tot, "modular-gap", j, t=t), rhs, ""
+            return _modular_gap(tot, j, t), rhs, ""
         gap = _read(tot, "parts-gap", j, mode)
         if gap % (r - 1):
             return gap, rhs, f"gap {gap} not divisible by r-1={r - 1}"
@@ -152,23 +150,22 @@ def _distinct(mode: str, mark: str):
     T_{j+1} (at_most), T being the repeat-window total."""
     exact = mode == "exact"
     label = f"T{mark}_{{j+1}}" + (f"-T{mark}_j" if exact else "")
-    window = STATS["repeat-window"]
     return lambda tot, r, j, t: (
         _read(tot, "distinct-gap", j, mode),
-        ((label, window(tot, j + 1, None) - exact * window(tot, j, None)),),
-        "")
+        ((label, tot.d_window.get(j + 1, 0)
+          - exact * tot.d_window.get(j, 0)),), "")
 
 
 def _franklin(mark: str):
     label = f"|D{mark}_j|"
-    return lambda tot, r, j, t: (_read(tot, "count_O", j),
-                                 ((label, _read(tot, "count_D", j)),), "")
+    return lambda tot, r, j, t: (tot.o_count.get(j, 0),
+                                 ((label, tot.d_count.get(j, 0)),), "")
 
 
 def _diff3(mark: str):
     label = f"(j+1)|O{mark}_{{j+1}}|-j|O{mark}_j|+sum ell_0"
     return lambda tot, r, j, t: (tot.o1_tuples.get(j, 0), ((label, (
-        (j + 1) * _read(tot, "count_O", j + 1) - j * _read(tot, "count_O", j)
+        (j + 1) * tot.o_count.get(j + 1, 0) - j * tot.o_count.get(j, 0)
         + tot.o_parts_mod.get(j, [0])[0]),),), "")
 
 
@@ -186,7 +183,7 @@ STATEMENTS = {
     "beck_cumulative": partial(_beck, "at_most"),
     "modular_refine": partial(_beck, "exact", modular=True),
     "sum_reduction": lambda mark: lambda tot, r, j, t: (
-        sum(_read(tot, "modular-gap", j, t=s) for s in range(1, r)),
+        sum(_modular_gap(tot, j, s) for s in range(1, r)),
         (("b_{j,r}(n)", _read(tot, "parts-gap", j)),), ""),
     "distinct_parts": partial(_distinct, "exact"),
     "distinct_cumulative": partial(_distinct, "at_most"),

@@ -257,6 +257,13 @@ def test_the_bench_hooks_find_their_targets():
         assert callable(getattr(module, name, None)), (module.__name__, name)
     assert list(cli.SERIES_KINDS) == list(qseries.KINDS)
     assert all(callable(f) for f in cli.SERIES_KINDS.values())
+    # series-gf also reads each result's N, J and [n, j] cells, compares
+    # two results with ==, and names the kinds that take a t itself
+    s = cli.SERIES_KINDS["count-O"](2, None, 6, 2)
+    assert (s.N, s.J, s[4, 1]) == (6, 2, 3)
+    assert s == cli.SERIES_KINDS["count-D"](2, None, 6, 2)
+    assert {kind for kind, takes_t in qseries.KINDS.items() if takes_t} == {
+        "congruent-parts", "residual-depth", "beck-delta"}
 
 
 def test_output_matches_the_recorded_digests(capsys):

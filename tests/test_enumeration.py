@@ -233,8 +233,9 @@ def test_public_names_resolve_and_test_oracles_are_not_exported():
 def test_package_import_leaves_the_partition_stream_unloaded():
     # no command enumerates: the stream is a test oracle and a benchmark
     # input, so neither the package nor the CLI loads it.  Nor do they load
-    # dataclasses (and through it inspect) or importlib.resources, which
-    # only a fixture read needs; -S keeps site from loading them first
+    # dataclasses (and through it inspect), importlib.resources, which
+    # only a fixture read needs, or pathlib; -S keeps site from loading
+    # them first
     src = str(Path(beckpart.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -242,11 +243,25 @@ def test_package_import_leaves_the_partition_stream_unloaded():
         [sys.executable, "-S", "-c", "import sys, beckpart; "
          "a = 'beckpart.enumeration' in sys.modules; import beckpart.cli; "
          "print(a, 'beckpart.enumeration' in sys.modules, [name for name in "
-         "('dataclasses', 'inspect', 'importlib.resources') "
+         "('dataclasses', 'inspect', 'importlib.resources', 'pathlib') "
          "if name in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (0, "False False []\n", "")
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml says requires-python >= 3.10, and CI runs tier-1 on
+    # 3.10 too: no file may use syntax that 3.10 lacks
+    import ast
+
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for d in ("src", "tests", "scripts")
+             for p in sorted((root / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("build, fields, defaults", [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beckpart import euler_pairs
+from beckpart import euler_pairs, theorems
 from beckpart.euler_pairs import (EULER_ITEM_IDS, make_euler_pair,
                                   subbarao_counterexample, tilde_totals,
                                   verify_tilde)
@@ -187,6 +187,20 @@ def test_r3_pair_items(classical):
     for item in (1, 2, 3, 4):
         records = verify_tilde(item, pair, range(19), 2)
         assert all(rec.ok for rec in records)
+
+
+def test_sum_reduction_holds_where_the_modular_gaps_differ():
+    # on S1 = {1, 2}*3^k at r = 3 the residues of S2's members matter: the
+    # modular gaps at t = 1 and t = 2 differ and modular_refine fails, but
+    # their sum over t is still the parts gap
+    pair = make_euler_pair(3, [m * 3 ** k for m in (1, 2) for k in range(3)],
+                           BOUND)
+    assert pair.subbarao_ok and pair.s2 == (1, 2)
+    records = list(theorems.check(
+        [("sum", "sum_reduction"), ("modular", "modular_refine")], "~",
+        lambda r, n: tilde_totals(pair, n), range(BOUND + 1), [3], 3, "all"))
+    assert all(rec.ok for rec in records if rec.theorem == "sum")
+    assert not all(rec.ok for rec in records if rec.theorem == "modular")
 
 
 # -- the part-value DP against the enumeration oracle ------------------------
