@@ -150,7 +150,6 @@ def _cmd_verify(args) -> int:
 def _cmd_stats(args) -> int:
     r_list, t_sel = _int_list(args.r), _t_selector(args.t)
     _check_grid(args.n_max, r_list, args.j_max)
-    mode = args.mode.replace("-", "_")
     stats = ("count_O", "count_D") if args.stat == "counts" else (args.stat,)
     # each r once, in first-seen order, so a repeated r adds no rows; the
     # residues are checked before a table is built or a row is written
@@ -159,15 +158,25 @@ def _cmd_stats(args) -> int:
                 for r in rs for stat in stats}
     tables = {r: identities.class_totals(r, args.n_max) for r in rs}
     null, quote = _NULL[args.format], _QUOTE[args.format]
-    cells = ((quote(stat), n, r, j, null if t is None else t,
-              theorems._read(table[n], stat, j, mode, t))
-             for n in range(args.n_max + 1) for r, table in tables.items()
-             for j in range(args.j_max + 1) for stat in stats
-             for t in residues[r, stat])
+    at_most = args.mode == "at-most"
+
+    def cells():
+        for n in range(args.n_max + 1):
+            for r, table in tables.items():
+                tot, total = table[n], {}  # at-most: (stat, t) -> sum to j
+                for j in range(args.j_max + 1):
+                    for stat in stats:
+                        for t in residues[r, stat]:
+                            value = theorems.STATS[stat](tot, j, t)
+                            if at_most:
+                                value += total.get((stat, t), 0)
+                                total[stat, t] = value
+                            yield (quote(stat), n, r, j,
+                                   null if t is None else t, value)
     meta = {"command": "stats", "stat": args.stat, "n_max": args.n_max,
             "r": list(r_list), "j_max": args.j_max, "t": t_sel,
             "mode": args.mode}
-    _write_rows(("stat", "n", "r", "j", "t", "value"), cells, args, meta)
+    _write_rows(("stat", "n", "r", "j", "t", "value"), cells(), args, meta)
     return 0
 
 
@@ -275,7 +284,7 @@ def _cmd_oeis(args) -> int:
     if args.j < 0:
         raise ValueError(f"class index j must be >= 0, got {args.j}")
     oeis.check_id(args.sequence)  # before the table is built
-    values = [theorems._read(tot, f"count_{args.family}", args.j)
+    values = [theorems.STATS[f"count_{args.family}"](tot, args.j, None)
               for tot in identities.class_totals(args.r, args.n_max)]
     report = oeis.crosscheck(args.sequence, values, cache_dir=args.cache_dir,
                              online=args.online)

@@ -89,7 +89,8 @@ def verify_tilde(item: int | str, pair: EulerPair, n_values: Iterable[int],
     the table built on the call."""
     if item not in ("all", 1, 2, 3, 4):
         raise ValueError(f"item must be in 1..4, got {item}")
-    if not pair.subbarao_ok:
+    # from the sets: a _replace can leave the stored flag stale
+    if not make_euler_pair(pair.r, pair.s1, pair.bound, pair.s2).subbarao_ok:
         raise ValueError(
             "pair fails the closure condition (r*S1 inside S1 and "
             "S2 = S1 minus r*S1); the identities are not asserted for it")

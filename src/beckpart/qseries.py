@@ -66,23 +66,9 @@ class Series:
         n, j = key
         return self.c[n][j]
 
-    def items(self):
-        """Nonzero (n, j, coefficient) triples."""
-        for n, row in enumerate(self.c):
-            for j, v in enumerate(row):
-                if v:
-                    yield n, j, v
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Series) and self.N == other.N
                 and self.J == other.J and self.c == other.c)
-
-    def __repr__(self) -> str:
-        terms = [f"{v}*q^{n}*w^{j}" for n, j, v in self.items()]
-        head = " + ".join(terms[:6])
-        if len(terms) > 6:
-            head += f" + ... ({len(terms)} terms)"
-        return f"Series(N={self.N}, J={self.J}, {head or '0'})"
 
 
 # A row c[n] is packed as X[n] = sum_j c[n][j] 2^(64j) mod 2^(64(J+1)):

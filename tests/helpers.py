@@ -656,8 +656,16 @@ def one(N: int, J: int) -> Series:
     return s
 
 
+def terms(s: Series):
+    """The nonzero (n, j, coefficient) triples of s."""
+    for n, row in enumerate(s.c):
+        for j, v in enumerate(row):
+            if v:
+                yield n, j, v
+
+
 def nnz(s: Series) -> int:
-    return sum(1 for _ in s.items())
+    return sum(1 for _ in terms(s))
 
 
 def add(a: Series, b: Series, sign: int = 1) -> Series:
@@ -678,7 +686,7 @@ def scale(s: Series, factor: int) -> Series:
 def shift(s: Series, dn: int, dj: int = 0) -> Series:
     """Multiply by q^dn w^dj; coefficients past the bounds are dropped."""
     out = Series(s.N, s.J)
-    for n, j, v in s.items():
+    for n, j, v in terms(s):
         if n + dn <= s.N and j + dj <= s.J:
             out.c[n + dn][j + dj] = v
     return out
@@ -692,7 +700,7 @@ def mul(a: Series, b: Series) -> Series:
         a, b = b, a
     N, J = a.N, a.J
     out = Series(N, J)
-    for n2, j2, v2 in b.items():
+    for n2, j2, v2 in terms(b):
         for n1 in range(N - n2 + 1):
             row, orow = a.c[n1], out.c[n1 + n2]
             for j1 in range(J - j2 + 1):

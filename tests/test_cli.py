@@ -1,6 +1,8 @@
 import argparse
+import ast
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -326,7 +328,7 @@ def test_json_and_table_output_match_the_recorded_digests(capsys, key):
 
 
 # SHA-256 of `stats --format csv` for every stat and mode, recorded with the
-# other pins: the statistics share STATS and _read with the statements
+# other pins: the statistics read STATS, as stat_value and the statements do
 STATS_DIGESTS = {
     ("counts", "exact"):
         "94362e11438e77162ec133bc23d8ce7570536a4ab294b6a2eb52b466d1597eaa",
@@ -468,19 +470,66 @@ def test_stats_rows_keep_n_then_given_r_order(capsys):
 @pytest.mark.parametrize("stat", ["counts", "parts-gap", "modular-gap",
                                   "distinct-gap", "repeat-window"])
 def test_stats_at_most_sums_the_exact_rows(capsys, stat):
-    tables = {}
-    for mode in ("exact", "at-most"):
+    # the second grid lists r in first-seen order with a repeat; at r = 3
+    # the classes past j = 4 are empty at n = 30, so the running total must
+    # carry over them
+    for grid in (["--r", "2,3,4,5", "--j-max", "3"],
+                 ["--r", "3,2,3", "--t", "all", "--j-max", "8"]):
+        tables = {}
+        for mode in ("exact", "at-most"):
+            code, out, _ = run_capture(capsys, [
+                "stats", "--stat", stat, "--mode", mode, "--n-max", "30",
+                *grid, "--format", "csv"])
+            assert code == 0
+            rows = list(csv.DictReader(io.StringIO(out)))
+            tables[mode] = {(row["stat"], row["n"], row["r"], row["t"],
+                             int(row["j"])): int(row["value"])
+                            for row in rows}
+            assert len(tables[mode]) == len(rows)
+        assert len(tables["at-most"]) == len(tables["exact"]) > 0
+        for (*key, j), value in tables["at-most"].items():
+            assert value == sum(tables["exact"][(*key, i)]
+                                for i in range(j + 1)), (grid, *key, j)
+
+
+@pytest.mark.parametrize("mode", ["exact", "at-most"])
+def test_stats_reads_each_class_once(capsys, monkeypatch, mode):
+    # at-most keeps a running total over j instead of re-summing the
+    # classes below j, so both modes make one STATS call per row
+    calls = []
+
+    def spy(value):
+        def read(tot, j, t):
+            calls.append(j)
+            return value(tot, j, t)
+        return read
+    monkeypatch.setattr(theorems, "STATS", {
+        stat: spy(value) for stat, value in theorems.STATS.items()})
+    for stat in ("counts", "modular-gap"):
+        calls.clear()
         code, out, _ = run_capture(capsys, [
-            "stats", "--stat", stat, "--mode", mode, "--n-max", "30",
-            "--r", "2,3,4,5", "--j-max", "3", "--format", "csv"])
+            "stats", "--stat", stat, "--mode", mode, "--n-max", "12",
+            "--r", "2,3", "--j-max", "4", "--format", "csv"])
         assert code == 0
-        tables[mode] = {(row["stat"], row["n"], row["r"], row["t"],
-                         int(row["j"])): int(row["value"])
-                        for row in csv.DictReader(io.StringIO(out))}
-    assert len(tables["at-most"]) == len(tables["exact"]) > 0
-    for (*key, j), value in tables["at-most"].items():
-        assert value == sum(tables["exact"][(*key, i)]
-                            for i in range(j + 1)), (*key, j)
+        assert len(calls) == len(out.splitlines()) - 1 > 0, stat
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # the commands read the named views (theorems.STATS, stat_value) and
+    # never a module's underscore helpers
+    tree = ast.parse(inspect.getsource(cli))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if node.module is None}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert not any(alias.name.startswith("_")
+                           for alias in node.names), node.module
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            assert not node.attr.startswith("_"), (node.value.id, node.attr)
+    assert "theorems" in modules
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])

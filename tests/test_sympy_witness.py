@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from beckpart import qseries as qs
+from helpers import terms
 
 q, w = sympy.symbols("q w")
 N, J = 40, 4
@@ -62,7 +63,7 @@ def beck_delta_multiplier(r):
 
 
 def coefficients(s: qs.Series) -> dict:
-    return {(n, j): v for n, j, v in s.items()}
+    return {(n, j): v for n, j, v in terms(s)}
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
