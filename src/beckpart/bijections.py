@@ -35,7 +35,7 @@ def glaisher_map(lam: Partition, r: int) -> Partition:
     the image has no part repeated r or more times.
     """
     _check_modulus(r)
-    for part, _ in lam.pairs:
+    for part, _ in lam:
         if part % r == 0:
             raise ValueError(f"part {part} is divisible by {r}")
     return franklin_map(lam, r)
@@ -45,7 +45,7 @@ def glaisher_inverse(mu: Partition, r: int) -> Partition:
     """Inverse rewrite: part s*r^v (s not divisible by r) with multiplicity
     a contributes a*r^v copies of s.  Requires no part repeated >= r times."""
     _check_modulus(r)
-    for part, mult in mu.pairs:
+    for part, mult in mu:
         if mult >= r:
             raise ValueError(f"part {part} is repeated {mult} >= {r} times")
     return franklin_inverse(mu, r)
@@ -63,7 +63,7 @@ def franklin_map(lam: Partition, r: int) -> Partition:
         raise ValueError(f"modulus r must be >= 2, got {r}")
     out: dict[int, tuple[int, int]] = {}
     fixed = True
-    for pair in lam.pairs:
+    for pair in lam:
         part, mult = pair
         if part % r == 0:
             fixed = False
@@ -91,7 +91,7 @@ def franklin_inverse(mu: Partition, r: int) -> Partition:
         raise ValueError(f"modulus r must be >= 2, got {r}")
     out: dict[int, tuple[int, int]] = {}
     fixed = True
-    for pair in mu.pairs:
+    for pair in mu:
         part, mult = pair
         if mult >= r:
             fixed = False
@@ -161,7 +161,7 @@ def adjoin_and_classify(mu: Partition, r: int, m_vec, k_vec,
     _check_modulus(r)
     m_vec, k_vec = _check_mk(m_vec, k_vec)
     if variant == "divisible_parts":
-        divisible = [p for p, _ in mu.pairs if p % r == 0]
+        divisible = [p for p, _ in mu if p % r == 0]
         if len(divisible) != 1:
             raise ValueError(
                 f"expected exactly one distinct part divisible by {r}, "
@@ -169,8 +169,8 @@ def adjoin_and_classify(mu: Partition, r: int, m_vec, k_vec,
         distinguished = divisible[0] // r
         block = Partition((m * r, k) for m, k in zip(m_vec, k_vec))
     elif variant == "repeated_mults":
-        window = [p for p, m in mu.pairs if r + 1 <= m <= 2 * r - 1]
-        outside = [p for p, m in mu.pairs if m >= r and not
+        window = [p for p, m in mu if r + 1 <= m <= 2 * r - 1]
+        outside = [p for p, m in mu if m >= r and not
                    (r + 1 <= m <= 2 * r - 1)]
         if len(window) != 1 or outside:
             raise ValueError(

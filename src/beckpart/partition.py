@@ -1,8 +1,8 @@
 """Canonical integer partitions and their class indices.
 
-A partition is stored as strictly decreasing (part, multiplicity) pairs, so
-every statistic of it is linear in the number of *distinct* parts.  All
-objects are immutable and hashable; functions here are pure.
+A partition is the tuple of its strictly decreasing (part, multiplicity)
+pairs, so every statistic of it is linear in the number of *distinct*
+parts.  All objects are immutable and hashable; functions here are pure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ class PartitionParseError(ValueError):
 def _canonical_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     acc: dict[int, int] = {}
     for part, mult in pairs:
+        if type(part) is not int or type(mult) is not int:
+            raise ValueError("part and multiplicity must be integers, "
+                             f"got ({part!r}, {mult!r})")
         if part <= 0:
             raise ValueError(f"part must be positive, got {part}")
         if mult <= 0:
@@ -25,27 +28,23 @@ def _canonical_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int],
     return tuple(sorted(acc.items(), reverse=True))
 
 
-class Partition:
-    """A partition of a non-negative integer.
+class Partition(tuple):
+    """A partition of a non-negative integer: the tuple of its (part, mult)
+    pairs, parts strictly decreasing and all multiplicities >= 1.  The
+    empty tuple is the unique partition of 0.  Equality, hashing, order,
+    pickling and copying are the tuple's, so ``lam == lam.pairs``."""
 
-    ``pairs`` is a tuple of (part, mult) with parts strictly decreasing and
-    all multiplicities >= 1.  The empty tuple is the unique partition of 0.
-    """
+    __slots__ = ()
 
-    __slots__ = ("pairs",)
+    def __new__(cls, pairs: Iterable[tuple[int, int]] = ()):
+        return tuple.__new__(cls, _canonical_pairs(pairs))
 
-    pairs: tuple[tuple[int, int], ...]
-
-    def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
-        object.__setattr__(self, "pairs", _canonical_pairs(pairs))
+    pairs = property(tuple, doc="The (part, mult) pairs as a plain tuple.")
 
     @property
     def size(self) -> int:
         """The integer partitioned: the sum of all parts."""
-        return sum(p * m for p, m in self.pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+        return sum(p * m for p, m in self)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -73,19 +72,11 @@ class Partition:
 
     def render(self) -> str:
         """Canonical text form: decreasing parts, ``^mult`` for mult >= 2."""
-        return ",".join(
-            f"{p}^{m}" if m > 1 else str(p) for p, m in self.pairs
-        )
+        return ",".join(f"{p}^{m}" if m > 1 else str(p) for p, m in self)
 
     def union(self, other: "Partition") -> "Partition":
         """Multiset union: all parts of both partitions."""
-        return Partition(self.pairs + other.pairs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
+        return Partition(self + other)
 
     def __repr__(self) -> str:
         return f"Partition({self.render()!r})"
@@ -94,14 +85,9 @@ class Partition:
         return self.render()
 
 
-_set_pairs = Partition.pairs.__set__
-
-
 def from_canonical(pairs: tuple[tuple[int, int], ...]) -> Partition:
     """Trusted constructor: wrap canonical ``pairs`` without checking them."""
-    lam = object.__new__(Partition)
-    _set_pairs(lam, pairs)
-    return lam
+    return tuple.__new__(Partition, pairs)
 
 
 class ClassIndex(NamedTuple):
@@ -115,6 +101,6 @@ def classify(lam: Partition, r: int) -> ClassIndex:
     """Count distinct parts divisible by r, and distinct parts repeated >= r times."""
     if r < 2:
         raise ValueError(f"modulus r must be >= 2, got {r}")
-    j_div = sum(1 for p, _ in lam.pairs if p % r == 0)
-    j_rep = sum(1 for _, m in lam.pairs if m >= r)
+    j_div = sum(1 for p, _ in lam if p % r == 0)
+    j_rep = sum(1 for _, m in lam if m >= r)
     return ClassIndex(j_div, j_rep)

@@ -91,15 +91,21 @@ def stat_value(tot: ClassTotals, stat: str, j: int, mode: str = "exact",
         raise ValueError(f"{stat} {'requires' if t is None else 'takes no'} t")
     if mode not in ("exact", "at_most"):
         raise ValueError(f"mode must be 'exact' or 'at_most', got {mode!r}")
+    if t is not None:  # residue rows have length r; with none, refuse t < 1
+        rows = (*tot.o_parts_mod.values(), *tot.d_depth.values())
+        t_values(stat, len(rows[0]) if rows else max(t, 1) + 1, t)
     return _read(tot, stat, j, mode, t)
 
 
 def _read(tot, stat, j, mode="exact", t=None):
-    """``stat_value`` on arguments already checked."""
+    """``stat_value`` on arguments already checked.  A record keys each
+    field by its family's non-empty classes only, and every other class
+    reads 0, so "at_most" sums over the held classes j' <= j: the keys of
+    the two count fields merged."""
     value = STATS[stat]
     if mode == "exact":
         return value(tot, j, t)
-    return sum(value(tot, i, t) for i in range(j + 1))
+    return sum(value(tot, i, t) for i in tot.o_count | tot.d_count if i <= j)
 
 
 class VerificationRecord(NamedTuple):

@@ -300,15 +300,54 @@ def test_franklin_instance():
 
 
 def test_telescoping():
-    for r in (2, 3):
-        table = class_totals(r, 12)
-        for tot in (table[7], table[12]):
-            for stat in STATS:
-                for t in (range(1, r) if stat == "modular-gap" else (None,)):
-                    for j in range(3):
-                        assert stat_value(tot, stat, j, "at_most", t) == sum(
-                            stat_value(tot, stat, i, t=t)
-                            for i in range(j + 1))
+    # at_most sums the classes a record holds, and is the sum of the exact
+    # rows past them too; in the two broken pairs O alone holds class 0 at
+    # n >= 2 (S2 = {1}), and D alone at n = 1 (S2 empty)
+    records = [(r, class_totals(r, 12)[n]) for r in (2, 3) for n in (7, 12)]
+    broken = [tilde_totals(make_euler_pair(2, [1], 10, s2_override=s2), 10)
+              for s2 in ([1], [])]
+    assert broken[0][2].o_count.keys() - broken[0][2].d_count.keys() == {0}
+    assert broken[1][1].d_count.keys() - broken[1][1].o_count.keys() == {0}
+    records += [(2, tot) for table in broken for tot in table]
+    for r, tot in records:
+        for stat in STATS:
+            for t in (range(1, r) if stat == "modular-gap" else (None,)):
+                for j in range(8):
+                    assert stat_value(tot, stat, j, "at_most", t) == sum(
+                        stat_value(tot, stat, i, t=t)
+                        for i in range(j + 1))
+
+
+def test_cumulative_statements_sum_only_the_held_classes(monkeypatch):
+    # re-summing every class j' <= j for each j <= 120 would read
+    # parts-gap sum(j + 1) = 7,381 times at n = 40, r = 2
+    calls = []
+    parts_gap = STATS["parts-gap"]
+
+    def spy(tot, j, t):
+        calls.append(j)
+        return parts_gap(tot, j, t)
+    monkeypatch.setattr(theorems, "STATS", {**STATS, "parts-gap": spy})
+    records = list(verify("beck_cumulative", [40], [2], 120))
+    assert all(rec.ok for rec in records) and len(records) == 121
+    held = class_totals(2, 40)[40].o_count.keys()
+    assert len(calls) <= 121 * len(held) < 1000
+
+
+def test_stat_value_refuses_a_residue_outside_the_modulus():
+    tot = class_totals(3, 10)[10]
+    for t in (-1, 0, 3):
+        with pytest.raises(ValueError, match="1 <= t <= r-1=2"):
+            stat_value(tot, "modular-gap", 1, t=t)
+    assert stat_value(tot, "modular-gap", 1, t=1) == \
+        stat_value(tot, "modular-gap", 1, t=2)
+    # a record holding no residue row still refuses t < 1: with S1 = {2}
+    # and S2 empty, neither family has a partition of 1
+    empty = tilde_totals(make_euler_pair(2, [2], 10, s2_override=[]), 10)[1]
+    assert empty.o_parts_mod == empty.d_depth == {}
+    with pytest.raises(ValueError, match="1 <= t"):
+        stat_value(empty, "modular-gap", 0, t=0)
+    assert stat_value(empty, "modular-gap", 0, t=1) == 0
 
 
 def test_gap_divisible_by_r_minus_one():

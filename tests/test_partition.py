@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
+from beckpart.bijections import adjoin_and_classify, franklin_map
 from beckpart.partition import (Partition, PartitionParseError, classify,
                                 from_canonical)
 from helpers import partitions, stats
@@ -152,8 +156,9 @@ def test_partition_is_immutable_and_hashable():
 
 def test_size_is_derived_from_the_pairs():
     # a partition stores only its pairs; size is read from them on demand
-    assert Partition.__slots__ == ("pairs",)
+    assert Partition.__slots__ == ()
     lam = from_canonical(((3, 2), (1, 1)))
+    assert tuple(lam) == lam.pairs
     assert lam.size == 7
     with pytest.raises(AttributeError):
         lam.size = 8
@@ -167,3 +172,31 @@ def test_constructor_rejects_bad_pairs():
         Partition([(0, 1)])
     with pytest.raises(ValueError, match="multiplicity must be positive"):
         Partition([(3, 0)])
+    for pairs in ([(2.5, 1)], [(3, 2.0)], [(4.0, 1)], [(True, 1)]):
+        with pytest.raises(ValueError, match="must be integers"):
+            Partition(pairs)
+    with pytest.raises(ValueError, match="must be integers"):
+        adjoin_and_classify(Partition.parse("2"), 2, (1.5,), (1,))
+
+
+def test_partition_is_the_tuple_of_its_pairs():
+    # equality, hashing, pickling and copying are the tuple's, so a
+    # partition and the ZetaOutcome holding one round-trip unchanged
+    image = franklin_map(Partition.parse("6,3^3"), 2)  # both give 3s
+    assert image.pairs == ((6, 1), (3, 3))
+    values = [Partition(), image, from_canonical(((5, 1), (2, 3))),
+              adjoin_and_classify(Partition.parse("4,1"), 2, (2,), (1,))]
+    for value in values:
+        for copy_of in (copy.copy, copy.deepcopy,
+                        lambda v: pickle.loads(pickle.dumps(v))):
+            assert copy_of(value) == value
+            assert type(copy_of(value)) is type(value)
+    assert [len(lam) for lam in values[:3]] == [0, 2, 2]  # distinct parts
+    for lam in values[:3]:
+        assert list(lam) == list(lam.pairs) and lam == lam.pairs
+        assert type(lam.pairs) is tuple
+    assert not Partition() and Partition() == ()
+    assert Partition.parse("2,1") < Partition.parse("3")
+    # unpickling rebuilds through the checked constructor
+    assert pickle.loads(pickle.dumps(from_canonical(((1, 2), (3, 1))))) \
+        == Partition.parse("3,1^2")
