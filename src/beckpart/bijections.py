@@ -5,7 +5,9 @@ one with j distinct parts repeated >= r times, preserving size: it strips
 each divisible part and re-adjoins it as a repeat, and rewrites every
 other multiplicity in base r.  ``franklin_inverse`` undoes it.  Each
 direction is one loop over the pairs into one part -> pair dict, sorted
-once, that reuses each pair it leaves alone; a partition with no part
+once into the list ``from_canonical`` copies.  It reuses each pair it
+leaves alone and takes every new pair from ``partition.pair``, so below
+the enumeration bound it allocates no pair; a partition with no part
 divisible by r and none repeated r times is returned as it is.  On
 partitions with no part divisible by r (no part repeated r times) nothing
 is stripped, so Glaisher's bijection
@@ -19,7 +21,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .partition import Partition, from_canonical
+from .partition import Partition, from_canonical, pair
 
 
 def _check_modulus(r: int) -> None:
@@ -63,24 +65,26 @@ def franklin_map(lam: Partition, r: int) -> Partition:
         raise ValueError(f"modulus r must be >= 2, got {r}")
     out: dict[int, tuple[int, int]] = {}
     fixed = True
-    for pair in lam:
-        part, mult = pair
+    for pm in lam:
+        part, mult = pm
         if part % r == 0:
             fixed = False
-            part, mult = pair = (part // r, mult * r)
+            part //= r
+            mult *= r
+            pm = pair(part, mult)
         elif mult >= r:
             fixed = False
             # emit the low base-r digits; the top digit is added below
             while mult >= r:
                 digit = mult % r
                 if digit:
-                    out[part] = (part, out.get(part, (0, 0))[1] + digit)
+                    out[part] = pair(part, out[part][1] + digit
+                                     if part in out else digit)
                 mult //= r
                 part *= r
-            pair = (part, mult)
-        out[part] = (part, out[part][1] + mult) if part in out else pair
-    return lam if fixed else from_canonical(
-        tuple(sorted(out.values(), reverse=True)))
+            pm = pair(part, mult)
+        out[part] = pair(part, out[part][1] + mult) if part in out else pm
+    return lam if fixed else from_canonical(sorted(out.values(), reverse=True))
 
 
 def franklin_inverse(mu: Partition, r: int) -> Partition:
@@ -91,26 +95,25 @@ def franklin_inverse(mu: Partition, r: int) -> Partition:
         raise ValueError(f"modulus r must be >= 2, got {r}")
     out: dict[int, tuple[int, int]] = {}
     fixed = True
-    for pair in mu:
-        part, mult = pair
+    for pm in mu:
+        part, mult = pm
         if mult >= r:
             fixed = False
             # part*r is divisible by r and every folded part is not, and
             # distinct parts give distinct part*r: no collision
-            out[part * r] = (part * r, mult // r)
+            out[part * r] = pair(part * r, mult // r)
             mult %= r
             if not mult:
                 continue
-            pair = (part, mult)
+            pm = pair(part, mult)
         if part % r == 0:
             fixed = False
             while part % r == 0:
                 part //= r
                 mult *= r
-            pair = (part, mult)
-        out[part] = (part, out[part][1] + mult) if part in out else pair
-    return mu if fixed else from_canonical(
-        tuple(sorted(out.values(), reverse=True)))
+            pm = pair(part, mult)
+        out[part] = pair(part, out[part][1] + mult) if part in out else pm
+    return mu if fixed else from_canonical(sorted(out.values(), reverse=True))
 
 
 class ZetaCase(enum.Enum):

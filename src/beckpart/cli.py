@@ -3,7 +3,9 @@
 One verb per module: ``verify`` (theorem grids), ``stats`` (aggregate
 tables), ``map`` (bijections), ``series`` (coefficient tables), ``euler``
 (restricted part sets), ``oeis`` (reference cross-checks).  Exit codes:
-0 success, 1 at least one verification failed, 2 usage or parameter error.
+0 success, 1 at least one verification failed, 2 usage or parameter error,
+3 the output closed (say, a pipe into ``head``) before every record was
+written and checked.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from functools import partial
 from itertools import islice
@@ -394,6 +397,14 @@ def run(argv: list[str]) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's unwritten buffer would fail again when flushed at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed before every record was written and "
+              "checked", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,13 @@
 A partition is the tuple of its strictly decreasing (part, multiplicity)
 pairs, so every statistic of it is linear in the number of *distinct*
 parts.  All objects are immutable and hashable; functions here are pure.
+
+``PAIRS`` holds one tuple ``(p, m)`` for every p*m <= ``MAX_ENUM_N``, the
+enumeration bound, so a pair of a partition of any n the stream reaches
+is a table entry.  ``pair(p, m)`` returns that entry, or a new tuple
+above the bound.  The constructor, the partition stream and Franklin's
+maps take every pair they make from the table, so equal pairs are one
+object instead of many short-lived copies.
 """
 
 from __future__ import annotations
@@ -14,7 +21,24 @@ class PartitionParseError(ValueError):
     """Raised when a partition string contains an invalid token."""
 
 
-def _canonical_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+# The enumeration bound, against accidental combinatorial explosion
+# (p(120) ~ 1.8e9), and so the pair table's bound.
+MAX_ENUM_N = 120
+
+# PAIRS[p][m] is (p, m) for 1 <= p and 1 <= m <= MAX_ENUM_N // p; index 0
+# of every row, and row 0, hold no pair.
+PAIRS = ((),) + tuple(
+    (None,) + tuple((p, m) for m in range(1, MAX_ENUM_N // p + 1))
+    for p in range(1, MAX_ENUM_N + 1))
+
+
+def pair(part: int, mult: int) -> tuple[int, int]:
+    """The table's ``(part, mult)`` for positive ints with part*mult <=
+    ``MAX_ENUM_N``, else a new tuple."""
+    return PAIRS[part][mult] if part * mult <= MAX_ENUM_N else (part, mult)
+
+
+def _canonical_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     acc: dict[int, int] = {}
     for part, mult in pairs:
         if type(part) is not int or type(mult) is not int:
@@ -25,7 +49,7 @@ def _canonical_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int],
         if mult <= 0:
             raise ValueError(f"multiplicity must be positive, got {mult}")
         acc[part] = acc.get(part, 0) + mult
-    return tuple(sorted(acc.items(), reverse=True))
+    return [pair(p, acc[p]) for p in sorted(acc, reverse=True)]
 
 
 class Partition(tuple):
@@ -85,8 +109,9 @@ class Partition(tuple):
         return self.render()
 
 
-def from_canonical(pairs: tuple[tuple[int, int], ...]) -> Partition:
-    """Trusted constructor: wrap canonical ``pairs`` without checking them."""
+def from_canonical(pairs: list[tuple[int, int]]) -> Partition:
+    """Trusted constructor: copy canonical ``pairs`` (a list, or any
+    sequence) into a ``Partition`` without checking them."""
     return tuple.__new__(Partition, pairs)
 
 

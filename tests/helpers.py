@@ -127,6 +127,26 @@ class ClassSpec:
         return got == self.j if self.mode == "exact" else got <= self.j
 
 
+def recursive_partitions(n: int):
+    """Every partition of n in decreasing lexicographic order, by the
+    recursion ``partitions_of`` used before its stack walk: one call per
+    (part, mult) choice, copying the pairs chosen so far at every node.
+    The oracle for the stream's values and order."""
+    return _gen_plain(n, n, ())
+
+
+def _gen_plain(remaining, max_part, acc):
+    if remaining == 0:
+        yield from_canonical(acc)
+        return
+    for part in range(min(max_part, remaining), 1, -1):
+        for mult in range(remaining // part, 0, -1):
+            yield from _gen_plain(remaining - part * mult, part - 1,
+                                  acc + ((part, mult),))
+    if max_part >= 1:
+        yield from_canonical(acc + ((1, remaining),))
+
+
 def enumerate_class(n: int, spec: ClassSpec, *, method: str = "direct"):
     """Yield the members of the class named by ``spec``, each exactly once.
 

@@ -8,7 +8,7 @@ from beckpart.bijections import (ZetaCase, adjoin_and_classify,
                                  franklin_inverse, franklin_map,
                                  glaisher_inverse, glaisher_map)
 from beckpart.enumeration import partitions_of
-from beckpart.partition import Partition, classify
+from beckpart.partition import PAIRS, Partition, classify
 from helpers import (ClassSpec, assert_canonical, composed_franklin_inverse,
                      composed_franklin_map, enumerate_class,
                      enumerate_fixed_divisible, glaisher_inverse_reference,
@@ -144,6 +144,31 @@ def test_one_pass_maps_equal_the_composition(r):
             assert back == composed_franklin_inverse(lam, r), (lam, r)
             assert_canonical(back, n)
             assert (back is lam) == fixed, (lam, r)
+
+
+def test_stream_and_maps_build_every_pair_from_the_table():
+    for n in range(31):
+        for lam in partitions_of(n):
+            assert all(pm is PAIRS[pm[0]][pm[1]] for pm in lam), lam
+            for r in (2, 3, 4, 5):
+                for image in (franklin_map(lam, r), franklin_inverse(lam, r)):
+                    assert all(pm is PAIRS[pm[0]][pm[1]] for pm in image), \
+                        (lam, r, image)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("text", ["121", "61^2", "7^20", "3^100",
+                                  "121,61^2,7^3,2^5,1", "40^3,7^20,1^130"])
+def test_maps_handle_pairs_above_the_table(r, text):
+    lam = Partition.parse(text)
+    mu = franklin_map(lam, r)
+    assert mu == composed_franklin_map(lam, r)
+    assert_canonical(mu, lam.size)
+    assert franklin_inverse(mu, r) == lam
+    back = franklin_inverse(lam, r)
+    assert back == composed_franklin_inverse(lam, r)
+    assert_canonical(back, lam.size)
+    assert franklin_map(back, r) == lam
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])

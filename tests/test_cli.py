@@ -685,6 +685,28 @@ def test_python_dash_m_runs_the_command(capsys, module):
     assert proc.returncode == 2 and "usage: beckpart" in proc.stderr
 
 
+def test_closed_output_pipe_exits_3_with_one_line():
+    # 186 KB of CSV overflows a 64 KiB pipe buffer, so the writer meets the
+    # closed end; the records past it go unchecked, and stderr says so
+    src = str(Path(beckpart.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "beckpart", "verify", "--theorem", "all",
+         "--n-max", "120", "--r", "2", "--j-max", "3", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"theorem,n,r,j,t,lhs,rhs1,rhs2,ok\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 3
+    assert err.decode().splitlines() == [
+        "error: output closed before every record was written and checked"]
+
+
 def test_oeis_fixture_hit(capsys):
     code, out, _ = run_capture(capsys, [
         "oeis", "--sequence", "A090867", "--n-max", "20"])

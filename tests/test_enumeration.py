@@ -15,7 +15,7 @@ from beckpart.partition import Partition, classify
 from helpers import (ClassSpec, count_class, enumerate_class,
                      enumerate_fixed_divisible, enumerate_fixed_repeats,
                      enumerated_tilde_o1_count, index_weight_tuples,
-                     pentagonal_counts)
+                     pentagonal_counts, recursive_partitions)
 
 
 def test_partitions_of_4_in_order():
@@ -42,6 +42,14 @@ def test_partitions_are_unique_and_decreasing_lex():
         flat = [tuple(p for p, m in lam.pairs for _ in range(m))
                 for lam in seen]
         assert flat == sorted(flat, reverse=True)
+
+
+def test_stream_equals_the_recursive_oracle():
+    # the stack walk yields the recursion's partitions, in its order
+    for n in range(41):
+        got = list(partitions_of(n))
+        assert got == list(recursive_partitions(n)), n
+        assert all(type(lam) is Partition for lam in got), n
 
 
 def test_bounds():

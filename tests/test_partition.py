@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 
 from beckpart.bijections import adjoin_and_classify, franklin_map
-from beckpart.partition import (Partition, PartitionParseError, classify,
-                                from_canonical)
+from beckpart import enumeration
+from beckpart.partition import (MAX_ENUM_N, PAIRS, Partition,
+                                PartitionParseError, classify, from_canonical,
+                                pair)
 from helpers import partitions, stats
 
 
@@ -165,6 +167,21 @@ def test_size_is_derived_from_the_pairs():
     with pytest.raises(AttributeError):
         lam.pairs = ((8, 1),)
     assert lam.size == 7 and lam.pairs == ((3, 2), (1, 1))
+
+
+def test_pair_table_holds_the_pairs_up_to_the_enumeration_bound():
+    assert MAX_ENUM_N == enumeration.MAX_ENUM_N == 120
+    held = [pm for row in PAIRS for pm in row if pm is not None]
+    assert held == [(p, m) for p in range(1, 121) for m in range(1, 120 // p + 1)]
+    assert all(PAIRS[p][m] == (p, m) for p, m in held)
+    assert pair(7, 17) is PAIRS[7][17] and pair(120, 1) is PAIRS[120][1]
+    # above the bound each call makes its own tuple
+    assert pair(11, 11) == (11, 11) and pair(11, 11) is not pair(11, 11)
+    assert pair(1, 10**6) == (1, 10**6)
+    # the validating constructor builds its pairs from the table too
+    lam = Partition.parse("5,3,3,1^200")
+    assert lam.pairs == ((5, 1), (3, 2), (1, 200))
+    assert lam[0] is PAIRS[5][1] and lam[1] is PAIRS[3][2]
 
 
 def test_constructor_rejects_bad_pairs():
