@@ -78,17 +78,17 @@ def _write_rows(header: tuple[str, ...], cells, args, meta: dict) -> None:
     table, one CSV line or one JSON object per row, the same text as
     ``csv.writer`` or ``json.dumps({"meta": meta, "records": [...]},
     indent=2)`` would give.  A cell is an int or a string already in the
-    format's text (``_NULL``, ``_QUOTE``); CSV and JSON rows are formatted
-    as they come and written ``_BLOCK`` at a time."""
-    if args.format == "table":
+    format's text (``_NULL``, ``_QUOTE``).  Each format is written
+    ``_BLOCK`` lines at a time, so a closed output meets a later write:
+    CSV and JSON rows as they come, a table's once all are read."""
+    json_ = args.format == "json"
+    if args.format == "table":  # one cell per row, padded to the widths
         rows = [header, *(tuple(map(str, row)) for row in cells)]
         widths = [max(map(len, column)) for column in zip(*rows)]
-        with _output(args) as out:
-            out.write("".join("  ".join(v.ljust(w) for v, w in zip(c, widths))
-                              .rstrip() + "\n" for c in rows))
-        return
-    json_ = args.format == "json"
-    if json_:  # each object after the first follows a comma
+        head, line = "", "%s\n"
+        cells = (("  ".join(map(str.ljust, row, widths)).rstrip(),)
+                 for row in rows)
+    elif json_:  # each object after the first follows a comma
         head = ('{\n  "meta": '
                 + json.dumps(meta, indent=2).replace("\n", "\n  ")
                 + ',\n  "records": [')

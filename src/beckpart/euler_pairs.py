@@ -34,7 +34,20 @@ class EulerPair(NamedTuple):
     bound: int
     s1: tuple[int, ...]
     s2: tuple[int, ...]
-    subbarao_ok: bool
+
+    @property
+    def subbarao_ok(self) -> bool:
+        """The closure condition, read from the sets: r*S1 stays inside S1
+        on the window, and S2 is exactly S1 minus r*S1."""
+        r, bound, s1, s2 = self
+        return s2 == _without_r_multiples(r, s1) and set(s1).issuperset(
+            r * s for s in s1 if r * s <= bound)
+
+
+def _without_r_multiples(r: int, s1: tuple[int, ...]) -> tuple[int, ...]:
+    """S1 minus r*S1: the members that are not r times another member."""
+    members = set(s1)
+    return tuple(s for s in s1 if not (s % r == 0 and s // r in members))
 
 
 def _members(name: str, given: Iterable[int], bound: int) -> tuple[int, ...]:
@@ -50,26 +63,16 @@ def _members(name: str, given: Iterable[int], bound: int) -> tuple[int, ...]:
 
 def make_euler_pair(r: int, s1_members: Iterable[int], bound: int,
                     s2_override: Iterable[int] | None = None) -> EulerPair:
-    """Build a pair; s2 defaults to s1 minus r*s1 within the bound.
-
-    ``subbarao_ok`` records whether r*s1 stays inside s1 on the window and
-    s2 is exactly the derived set.
-    """
+    """Build a pair, closed or not (its ``subbarao_ok`` says); s2
+    defaults to s1 minus r*s1 within the bound."""
     if r < 2:
         raise ValueError(f"modulus r must be >= 2, got {r}")
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
     s1 = _members("s1", s1_members, bound)
-    s1_set = set(s1)
-    # s1 \ r*s1: drop members expressible as r times another member
-    derived_s2 = tuple(s for s in s1 if not (s % r == 0 and s // r in s1_set))
-    if s2_override is None:
-        s2 = derived_s2
-    else:
-        s2 = _members("s2", s2_override, bound)
-    closure = all(r * s in s1_set for s in s1 if r * s <= bound)
-    return EulerPair(r, bound, s1, s2,
-                     subbarao_ok=closure and s2 == derived_s2)
+    s2 = (_without_r_multiples(r, s1) if s2_override is None
+          else _members("s2", s2_override, bound))
+    return EulerPair(r, bound, s1, s2)
 
 
 def tilde_totals(pair: EulerPair, n_max: int) -> list[ClassTotals]:
@@ -89,8 +92,7 @@ def verify_tilde(item: int | str, pair: EulerPair, n_values: Iterable[int],
     the table built on the call."""
     if item not in ("all", 1, 2, 3, 4):
         raise ValueError(f"item must be in 1..4, got {item}")
-    # from the sets: a _replace can leave the stored flag stale
-    if not make_euler_pair(pair.r, pair.s1, pair.bound, pair.s2).subbarao_ok:
+    if not pair.subbarao_ok:
         raise ValueError(
             "pair fails the closure condition (r*S1 inside S1 and "
             "S2 = S1 minus r*S1); the identities are not asserted for it")

@@ -144,17 +144,13 @@ def totals_table(r: int, n_max: int, s1: Iterable[int], s2: Iterable[int]
     o1_rows = _class_dp(n_max, top, 1, [row.get(1, [0])[0] for row in o_rows],
                         [([(1, 1, True, {}, {})], sorted(marked))])
     tables = []
-    for o_row, d_row, o1_row in zip(o_rows, d_rows, o1_rows):
+    for o_row, d_row, o1 in zip(o_rows, d_rows, o1_rows):
         o, d = o_row.items(), d_row.items()
-        tables.append(ClassTotals(
-            {j: v[0] for j, v in o}, {j: sum(v[2:]) for j, v in o},
-            {j: v[1] for j, v in o}, {j: v[0] for j, v in d},
-            {j: v[1] for j, v in d}, {j: v[3] for j, v in d},
-            {j: v[2] for j, v in d},
-            # nonresidual m - m % r: m % r counts the depths t >= 1 reached
-            {j: v[1] - sum(v[4:]) for j, v in d},
-            {j: v[2:] + pad for j, v in o}, {j: v[3:] + pad for j, v in d},
-            {j: v[0] for j, v in o1_row.items()}))
+        tables.append(ClassTotals(  # each field one lane, in lane order
+            {j: v[0] for j, v in o}, {j: v[1] for j, v in o},
+            {j: v[2:] + pad for j, v in o}, {j: v[0] for j, v in d},
+            {j: v[1] for j, v in d}, {j: v[2] for j, v in d},
+            {j: v[3:] + pad for j, v in d}, {j: v[0] for j, v in o1.items()}))
     return tables
 
 

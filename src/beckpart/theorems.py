@@ -20,24 +20,23 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 class ClassTotals(NamedTuple):
     """Per-class totals for one n over the part sets of an Euler pair of
-    order r: index j maps to the total over the non-empty exactly-j class of each family.  The O-class takes its parts
-    from r*S1 and S2, j counting its distinct parts from r*S1; the D-class
-    takes its parts from S1, j counting its distinct parts repeated at
-    least r times.  ``o_parts_mod[j][t]`` counts O's parts congruent to t
-    mod r, and ``d_depth[j][t]`` D's distinct parts with residual
-    multiplicity >= t.  ``o1_tuples`` is diff3's left side: j maps to the
-    sum of |O_1(n - r*w)| over the index j-tuples of weight w <= n/r,
-    index parts from S1, present when that sum is non-zero."""
+    order r: j maps to the total over the non-empty exactly-j class of
+    each family, each field one lane (or lane vector) of the totals
+    program, in lane order.  The O-class takes its parts from r*S1 and S2,
+    j counting its distinct parts from r*S1; the D-class takes its parts
+    from S1, j counting its distinct parts repeated at least r times.
+    ``o_parts_mod[j][t]`` counts O's parts congruent to t mod r, and
+    ``d_depth[j][t]`` D's distinct parts with residual multiplicity >= t.
+    ``o1_tuples`` is diff3's left side: j maps to the sum of
+    |O_1(n - r*w)| over the index j-tuples of weight w <= n/r, index
+    parts from S1, present when that sum is non-zero."""
 
     o_count: dict[int, int]
-    o_parts: dict[int, int]
     o_distinct: dict[int, int]
+    o_parts_mod: dict[int, list[int]]
     d_count: dict[int, int]
     d_parts: dict[int, int]
-    d_distinct: dict[int, int]
     d_window: dict[int, int]
-    d_nonresid: dict[int, int]
-    o_parts_mod: dict[int, list[int]]
     d_depth: dict[int, list[int]]
     o1_tuples: dict[int, int]
 
@@ -52,12 +51,12 @@ def _modular_gap(tot: ClassTotals, j: int, t: int) -> int:
 STATS: dict[str, Callable[[ClassTotals, int, int | None], int]] = {
     "count_O": lambda tot, j, t: tot.o_count.get(j, 0),
     "count_D": lambda tot, j, t: tot.d_count.get(j, 0),
-    "parts-gap": lambda tot, j, t: (tot.o_parts.get(j, 0)
+    "parts-gap": lambda tot, j, t: (sum(tot.o_parts_mod.get(j, ()))
                                     - tot.d_parts.get(j, 0)),
     # O: parts congruent to t minus parts divisible by r; D: distinct
     # parts with residual multiplicity >= t
     "modular-gap": _modular_gap,
-    "distinct-gap": lambda tot, j, t: (tot.d_distinct.get(j, 0)
+    "distinct-gap": lambda tot, j, t: (tot.d_depth.get(j, [0])[0]
                                        - tot.o_distinct.get(j, 0)),
     # D: distinct parts with multiplicity in [r+1, 2r-1]
     "repeat-window": lambda tot, j, t: tot.d_window.get(j, 0),
@@ -176,9 +175,11 @@ def _diff3(mark: str):
 
 
 def _nonresidual(mark: str):
+    # D's nonresidual m - m % r: its parts less the depths t >= 1 reached
     label = f"sum nonresidual mult over D{mark}_j"
-    return lambda tot, r, j, t: (r * tot.o_parts_mod.get(j, [0])[0],
-                                 ((label, tot.d_nonresid.get(j, 0)),), "")
+    return lambda tot, r, j, t: (r * tot.o_parts_mod.get(j, [0])[0], ((
+        label, tot.d_parts.get(j, 0) - sum(tot.d_depth.get(j, [0])[1:])),),
+        "")
 
 
 # theorem id -> statement builder; o_parts_mod[j][0] totals the parts

@@ -391,25 +391,25 @@ def _columns(row: dict[int, list[int]], width: int) -> list[dict[int, int]]:
 
 def reference_totals_table(r: int, n_max: int, s1, s2) -> list[ClassTotals]:
     """``identities.totals_table`` over every j, from the per-multiplicity
-    reference program with every field its own lane."""
+    reference program with every field its own lane, in the same order."""
     s1 = [s for s in s1 if s <= n_max]
     marked = {r * s for s in s1}
 
     def o_step(p, m):
-        # marked when p is in r*S1; sums: ell, ell_bar, ell_mod[0..r-1]
+        # marked when p is in r*S1; sums: ell_bar, ell_mod[0..r-1]
         mod = [0] * r
         mod[p % r] = m
-        return int(p in marked), [m, 1, *mod]
+        return int(p in marked), [1, *mod]
 
     def d_step(p, m):
-        # marked when m >= r; sums: ell, ell_bar, multiplicity in
-        # [r+1, 2r-1], nonresidual multiplicity, ell_bar_resid[0..r-1]
+        # marked when m >= r; sums: ell, multiplicity in [r+1, 2r-1],
+        # ell_bar_resid[0..r-1]
         d = m % r
         depth = [1] * (d + 1) + [0] * (r - d - 1)
-        return int(m >= r), [m, 1, int(r < m < 2 * r), m - d, *depth]
+        return int(m >= r), [m, int(r < m < 2 * r), *depth]
 
-    o_rows = reference_part_value_dp(n_max, 3 + r, o_step, marked.union(s2))
-    d_rows = reference_part_value_dp(n_max, 5 + r, d_step, s1)
+    o_rows = reference_part_value_dp(n_max, 2 + r, o_step, marked.union(s2))
+    d_rows = reference_part_value_dp(n_max, 3 + r, d_step, s1)
     # tuple_rows[w][j] = [number of index j-tuples of weight w]
     tuple_rows = reference_part_value_dp(n_max // r, 1, lambda p, m: (1, []),
                                          s1)
@@ -421,9 +421,8 @@ def reference_totals_table(r: int, n_max: int, s1, s2) -> list[ClassTotals]:
             for j, (count,) in tuple_rows[w].items():
                 o1_tuples[j] = o1_tuples.get(j, 0) + count * o1[n - r * w]
         tables.append(ClassTotals(
-            *_columns(o_row, 3), *_columns(d_row, 5),
-            {j: vec[3:] for j, vec in o_row.items()},
-            {j: vec[5:] for j, vec in d_row.items()},
+            *_columns(o_row, 2), {j: vec[2:] for j, vec in o_row.items()},
+            *_columns(d_row, 3), {j: vec[3:] for j, vec in d_row.items()},
             {j: v for j, v in o1_tuples.items() if v}))
     return tables
 
@@ -446,7 +445,6 @@ def assert_same_totals(got, want, label) -> None:
 def _add_o(tot: ClassTotals, j: int, st_) -> None:
     """Scatter one O-class partition's ``stats`` into class j of ``tot``."""
     tot.o_count[j] = tot.o_count.get(j, 0) + 1
-    tot.o_parts[j] = tot.o_parts.get(j, 0) + st_.ell
     tot.o_distinct[j] = tot.o_distinct.get(j, 0) + st_.ell_bar
     row = tot.o_parts_mod.setdefault(j, [0] * st_.r)
     for t in range(st_.r):
@@ -457,8 +455,6 @@ def _add_d(tot: ClassTotals, j: int, st_) -> None:
     """Scatter one D-class partition's ``stats`` into class j of ``tot``."""
     tot.d_count[j] = tot.d_count.get(j, 0) + 1
     tot.d_parts[j] = tot.d_parts.get(j, 0) + st_.ell
-    tot.d_distinct[j] = tot.d_distinct.get(j, 0) + st_.ell_bar
-    tot.d_nonresid[j] = tot.d_nonresid.get(j, 0) + st_.nonresidual_total
     tot.d_window[j] = tot.d_window.get(j, 0) + st_.t_window_count
     depth = tot.d_depth.setdefault(j, [0] * st_.r)
     for t in range(st_.r):
@@ -919,10 +915,10 @@ def series_tables(r: int):
             for t in (range(1, r) if needs_t else (None,))]
 
 
+# column t (0 when None) of the field; distinct-D is d_depth's column 0
 _TOTALS_FIELD = {"congruent-parts": "o_parts_mod", "residual-depth": "d_depth",
-                 "divisible-parts": "o_parts_mod", "nonresidual-sum":
-                 "d_nonresid", "distinct-O": "o_distinct",
-                 "distinct-D": "d_distinct"}
+                 "divisible-parts": "o_parts_mod", "distinct-O": "o_distinct",
+                 "distinct-D": "d_depth"}
 
 
 def dp_total(kind: str, tot: ClassTotals, j: int, t: int | None) -> int:
@@ -934,6 +930,8 @@ def dp_total(kind: str, tot: ClassTotals, j: int, t: int | None) -> int:
         return stat_value(tot, "modular-gap", j, t=t)
     if kind == "repeat-window":
         return stat_value(tot, "repeat-window", j + 1)
+    if kind == "nonresidual-sum":  # D's parts less the depths t >= 1
+        return total_of(tot, "d_parts", j) - sum(tot.d_depth.get(j, [0])[1:])
     return total_of(tot, _TOTALS_FIELD[kind], j, t or 0)
 
 partitions = st.lists(

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -173,16 +174,23 @@ def test_exit_one_on_failing_record(capsys, monkeypatch):
     assert "FAIL franklin n=3 r=2 j=0: lhs=1" in err
 
 
-def _tamper_at_4(monkeypatch, *fields):
-    """One more in column j of each (field, j) of n = 4's totals, in both
-    routes' tables."""
+def _tamper_at_4(monkeypatch, *entries):
+    """One more in class j of each (field, j) of n = 4's totals, or in
+    residue t of class j's row for each (field, j, t), in both routes'
+    tables."""
     def tampered(lookup):
         def tampered_lookup(*args):
             table = list(lookup(*args))
             tot = table[4]
-            table[4] = tot._replace(**{
-                field: {**getattr(tot, field), j: getattr(tot, field).get(j, 0)
-                        + 1} for field, j in fields})
+            for field, j, *t in entries:
+                column = getattr(tot, field)
+                if t:
+                    value = column[j][:]
+                    value[t[0]] += 1
+                else:
+                    value = column.get(j, 0) + 1
+                tot = tot._replace(**{field: {**column, j: value}})
+            table[4] = tot
             return table
         return tampered_lookup
     monkeypatch.setattr(identities, "class_totals",
@@ -196,8 +204,9 @@ EULER_N = ["euler", "--s1-multiples-of", "1", "--r"]
 
 def test_fail_lines_label_the_classes_of_each_route(capsys, monkeypatch):
     # every label shape, each mode and mark: the exact and at-most counts,
-    # the exact and at-most windows, and the note of a gap that r-1 does
-    # not divide; recorded before the labels were built once per command
+    # the exact and at-most windows, the note of a gap that r-1 does not
+    # divide, and the modular, sum-reduction, diff3 and nonresidual sides;
+    # recorded before the labels were built once per command
     def assert_fail_lines(cases):
         for argv, err in cases:
             code, _, got = run_capture(capsys, [*argv, "--n-max", "4",
@@ -227,8 +236,9 @@ def test_fail_lines_label_the_classes_of_each_route(capsys, monkeypatch):
         (EULER_N + ["2", "--item", "4"],
          "FAIL euler_item4 n=4 r=2 j=0: lhs=0 vs T~_{j+1}-T~_j=1\n"),
     ])
-    # and one part too many in O_0: at r = 3 the gap 3 is odd
-    _tamper_at_4(monkeypatch, ("o_parts", 0))
+    # and one part divisible by r too many in O_0: at r = 3 the gap 3 is
+    # odd, and every statement reading O's residue row fails
+    _tamper_at_4(monkeypatch, ("o_parts_mod", 0, 0))
     note = " (gap 3 not divisible by r-1=2)\n"
     assert_fail_lines([
         (["verify", "--r", "3", "--theorem", "beck_main"],
@@ -243,6 +253,18 @@ def test_fail_lines_label_the_classes_of_each_route(capsys, monkeypatch):
         (EULER_N + ["3", "--item", "2"],
          "FAIL euler_item2 n=4 r=3 j=0: lhs=3 vs "
          "(j+1)|O~_{j+1}|-j|O~_j|=2; (j+1)|D~_{j+1}|-j|D~_j|=1" + note),
+        (["verify", "--r", "3", "--theorem", "modular_refine"],
+         "".join(f"FAIL modular_refine n=4 r=3 j=0 t={t}: lhs=0 vs "
+                 "(j+1)|O_{j+1}|-j|O_j|=2; (j+1)|D_{j+1}|-j|D_j|=1\n"
+                 for t in (1, 2))),
+        (["verify", "--r", "3", "--theorem", "sum_reduction"],
+         "FAIL sum_reduction n=4 r=3 j=0: lhs=0 vs b_{j,r}(n)=3\n"),
+        (["verify", "--r", "3", "--theorem", "diff3"],
+         "FAIL diff3 n=4 r=3 j=0: lhs=1 vs "
+         "(j+1)|O_{j+1}|-j|O_j|+sum ell_0=3\n"),
+        (["verify", "--r", "3", "--theorem", "nonresidual_balance"],
+         "FAIL nonresidual_balance n=4 r=3 j=0: lhs=3 vs "
+         "sum nonresidual mult over D_j=0\n"),
     ])
 
 
@@ -685,23 +707,35 @@ def test_python_dash_m_runs_the_command(capsys, module):
     assert proc.returncode == 2 and "usage: beckpart" in proc.stderr
 
 
-def test_closed_output_pipe_exits_3_with_one_line():
-    # 186 KB of CSV overflows a 64 KiB pipe buffer, so the writer meets the
-    # closed end; the records past it go unchecked, and stderr says so
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_closed_output_pipe_exits_3_with_one_line(fmt, unbuffered):
+    # 186 KB of CSV, more as a table or JSON, overflows a 64 KiB pipe
+    # buffer, so the writer meets the closed end; the records past it go
+    # unchecked, and stderr says so.  Unbuffered, a write the reader cut
+    # short is dropped without an error, so a later write must meet it.
     src = str(Path(beckpart.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "beckpart", "verify", "--theorem", "all",
-         "--n-max", "120", "--r", "2", "--j-max", "3", "--format", "csv"],
+         "--n-max", "120", "--r", "2", "--j-max", "3", "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
-        assert proc.stdout.readline() == b"theorem,n,r,j,t,lhs,rhs1,rhs2,ok\n"
+        first = proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
         proc.wait()
+    assert re.fullmatch({
+        "table": rb"theorem +n +r +j +t +lhs +rhs1 +rhs2 +ok\n",
+        "csv": rb"theorem,n,r,j,t,lhs,rhs1,rhs2,ok\n",
+        "json": rb"\{\n"}[fmt], first), first
     assert proc.returncode == 3
     assert err.decode().splitlines() == [
         "error: output closed before every record was written and checked"]

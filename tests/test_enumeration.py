@@ -274,7 +274,7 @@ def test_every_source_file_parses_as_python_3_10():
 
 @pytest.mark.parametrize("build, fields, defaults", [
     (lambda: euler_pairs.make_euler_pair(2, range(1, 11), 10),
-     ("r", "bound", "s1", "s2", "subbarao_ok"), {}),
+     ("r", "bound", "s1", "s2"), {}),
     (lambda: adjoin_and_classify(Partition.parse("2"), 2, (1,), (1,)),
      ("image", "case", "collided_index"), {"collided_index": None}),
     (lambda: oeis.crosscheck("A090867", [0, 0, 5]),

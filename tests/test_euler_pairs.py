@@ -151,14 +151,16 @@ def test_verify_refuses_broken_pair(broken):
 
 
 def test_verify_decides_closure_from_the_sets_not_the_flag():
-    # a _replace keeps the stored flag: these sets are not closed (2*1 is
-    # missing from S1), so they are refused as when built directly
-    stale = make_euler_pair(2, range(1, 21), 20)._replace(
-        s1=(1, 3, 5, 6, 7, 9), s2=(1, 3, 5, 7, 9))
-    assert stale.subbarao_ok
-    assert not make_euler_pair(2, stale.s1, 20, stale.s2).subbarao_ok
-    with pytest.raises(ValueError, match="closure condition"):
-        verify_tilde("all", stale, range(21), 2)
+    # the flag is read from the sets, so a _replace cannot leave it stale:
+    # the first S1 is not closed (2*1 is missing from it), and the second
+    # S2 is not S1 minus 2*S1; both are refused as when built directly
+    closed = make_euler_pair(2, range(1, 21), 20)
+    for stale in (closed._replace(s1=(1, 3, 5, 6, 7, 9), s2=(1, 3, 5, 7, 9)),
+                  closed._replace(s2=closed.s2[1:])):
+        assert not stale.subbarao_ok
+        assert not make_euler_pair(2, stale.s1, 20, stale.s2).subbarao_ok
+        with pytest.raises(ValueError, match="closure condition"):
+            verify_tilde("all", stale, range(21), 2)
 
 
 def test_counterexample_search(broken):

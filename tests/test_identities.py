@@ -131,9 +131,10 @@ def test_widest_totals_at_120_match_classical_sums(r):
     distinct = sum(p[n - k] for k in range(1, n + 1))
     pair = make_euler_pair(r, range(1, n + 1), n)
     for tot in (record(n, r), tilde_totals(pair, n)[n]):
-        assert sum(tot.o_parts.values()) == sum(tot.d_parts.values()) == parts
-        assert (sum(tot.o_distinct.values()) == sum(tot.d_distinct.values())
-                == distinct)
+        assert (sum(map(sum, tot.o_parts_mod.values()))
+                == sum(tot.d_parts.values()) == parts)
+        assert (sum(tot.o_distinct.values())
+                == sum(row[0] for row in tot.d_depth.values()) == distinct)
 
 
 def test_totals_cache_stays_bounded(monkeypatch):
@@ -233,12 +234,17 @@ def test_single_instance_spec_examples():
 
 def test_statement_labels():
     labels = {
+        "franklin": ["|D_j|"],
         "beck_cumulative": ["(j+1)|O_{j+1}|", "(j+1)|D_{j+1}|"],
         "beck_main": ["(j+1)|O_{j+1}|-j|O_j|", "(j+1)|D_{j+1}|-j|D_j|"],
         "modular_refine": ["(j+1)|O_{j+1}|-j|O_j|", "(j+1)|D_{j+1}|-j|D_j|"],
         "distinct_cumulative": ["T_{j+1}"],
         "distinct_parts": ["T_{j+1}-T_j"],
+        "sum_reduction": ["b_{j,r}(n)"],
+        "diff3": ["(j+1)|O_{j+1}|-j|O_j|+sum ell_0"],
+        "nonresidual_balance": ["sum nonresidual mult over D_j"],
     }
+    assert sorted(labels) == sorted(THEOREM_IDS)
     for theorem, want in labels.items():
         rec = list(verify(theorem, [6], [3], 1, t=1))[1]
         assert [label for label, _ in rec.rhs] == want, theorem
@@ -555,7 +561,7 @@ def test_check_reads_the_residues_of_the_theorem_not_the_record_name(
 
 def test_record_flags_non_divisible_gap():
     tot = ClassTotals(*({} for _ in ClassTotals._fields))._replace(
-        o_parts={0: 7})
+        o_parts_mod={0: [0, 3, 4]})
     [rec] = theorems.check([("beck_main", "beck_main")], "",
                            lambda r, n: [tot], [0], [3], 0, None)
     assert (rec.lhs, rec.ok, rec.note) == (

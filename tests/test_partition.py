@@ -125,6 +125,7 @@ def test_stats_invariants(lam, r):
     assert st.ell_bar_resid[1] == sum(
         1 for _, m in lam.pairs if m % r != 0)
     assert st.nonresidual_total == sum(m - m % r for _, m in lam.pairs)
+    assert st.ell - sum(st.ell_bar_resid[1:]) == st.nonresidual_total
 
 
 def test_classify_examples():
