@@ -26,6 +26,10 @@ from .theorems import THEOREM_IDS, VerificationRecord
 from .partition import Partition
 
 SERIES_KINDS = {kind: partial(qseries.series, kind) for kind in qseries.KINDS}
+BIJECTIONS = {"psi": bijections.glaisher_map,
+              "psi-inv": bijections.glaisher_inverse,
+              "phi": bijections.franklin_map,
+              "phi-inv": bijections.franklin_inverse}
 
 
 def _check_grid(n_max: int, r_list: tuple[int, ...], j_max: int) -> None:
@@ -66,13 +70,6 @@ _QUOTE = {"table": str, "csv": str, "json": encode_basestring_ascii}
 _BLOCK = 1024  # rows per write
 
 
-def _output(args):
-    """``args.output`` opened for writing, or stdout, as a context."""
-    if args.output:
-        return open(args.output, "w", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
-
-
 def _write_rows(header: tuple[str, ...], cells, args, meta: dict) -> None:
     """Write rows of cells under ``header`` as ``args.format``: an aligned
     table, one CSV line or one JSON object per row, the same text as
@@ -99,7 +96,8 @@ def _write_rows(header: tuple[str, ...], cells, args, meta: dict) -> None:
         head = ",".join(header) + "\n"
         line = ",".join(["%s"] * len(header)) + "\n"
     lines = map(line.__mod__, cells)
-    with _output(args) as out:
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else contextlib.nullcontext(sys.stdout)) as out:
         out.write(head)
         first = True
         while block := "".join(islice(lines, _BLOCK)):
@@ -185,24 +183,19 @@ def _cmd_stats(args) -> int:
 
 def _cmd_map(args) -> int:
     lam = Partition.parse(args.partition)
-    r = args.r
     if args.bijection == "zeta":
         if args.m is None or args.k is None:
             raise ValueError("zeta requires --m and --k")
         variant = args.variant.replace("-", "_")
         outcome = bijections.adjoin_and_classify(
-            lam, r, _int_list(args.m), _int_list(args.k), variant)
+            lam, args.r, _int_list(args.m), _int_list(args.k), variant)
         print(outcome.image.render())
         if outcome.case is bijections.ZetaCase.COLLIDES_EXISTING:
             print(f"case=collides_existing index={outcome.collided_index}")
         else:
             print("case=fresh_part")
         return 0
-    fn = {"psi": bijections.glaisher_map,
-          "psi-inv": bijections.glaisher_inverse,
-          "phi": bijections.franklin_map,
-          "phi-inv": bijections.franklin_inverse}[args.bijection]
-    print(fn(lam, r).render())
+    print(BIJECTIONS[args.bijection](lam, args.r).render())
     return 0
 
 
@@ -223,10 +216,7 @@ def _cmd_series(args) -> int:
 
 
 def _load_s1(args, bound: int) -> list[int]:
-    given = [name for name, val in (("--s1", args.s1),
-                                    ("--s1-multiples-of", args.s1_multiples_of),
-                                    ("--s1-file", args.s1_file)) if val is not None]
-    if len(given) != 1:
+    if (args.s1, args.s1_multiples_of, args.s1_file).count(None) != 2:
         raise ValueError("give exactly one of --s1, --s1-multiples-of, --s1-file")
     if args.s1 is not None:
         return list(_int_list(args.s1))
@@ -340,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="apply a bijection to one partition")
     p.add_argument("--bijection", required=True,
-                   choices=("psi", "psi-inv", "phi", "phi-inv", "zeta"))
+                   choices=(*BIJECTIONS, "zeta"))
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--partition", required=True,
                    help="comma-separated parts, e.g. '5,3^2,1'")
@@ -407,6 +397,9 @@ def run(argv: list[str]) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError):
+        print("error: modulus r too large to tabulate", file=sys.stderr)
         return 2
 
 

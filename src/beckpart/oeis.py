@@ -23,11 +23,8 @@ def parse_b_file(text: str) -> dict[int, int]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"malformed b-file line {lineno}: {raw!r}")
         try:
-            idx, val = int(fields[0]), int(fields[1])
+            idx, val = map(int, line.split())
         except ValueError:
             raise ValueError(f"malformed b-file line {lineno}: {raw!r}") from None
         table[idx] = val
@@ -62,7 +59,7 @@ def _cache_text(sequence_id: str, cache_dir: str | None) -> str | None:
         return f.read()
 
 
-def _online_text(sequence_id: str, timeout: float) -> str | None:
+def _online_text(sequence_id: str) -> str | None:
     # imported here, the only place that fetches: at module level
     # urllib.request would load http.client and email on every CLI start
     import urllib.error
@@ -70,7 +67,7 @@ def _online_text(sequence_id: str, timeout: float) -> str | None:
 
     url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=10.0) as resp:
             return resp.read().decode("ascii")
     except (urllib.error.URLError, OSError, UnicodeDecodeError):
         return None
@@ -88,7 +85,7 @@ def load_reference(sequence_id: str, *, cache_dir: str | None = None,
     if text is not None:
         return parse_b_file(text), "cache"
     if online:
-        text = _online_text(sequence_id, 10.0)
+        text = _online_text(sequence_id)
         if text is not None:
             return parse_b_file(text), "online"
     return None, ""

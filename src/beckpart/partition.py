@@ -105,8 +105,7 @@ class Partition(tuple):
     def __repr__(self) -> str:
         return f"Partition({self.render()!r})"
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 def from_canonical(pairs: list[tuple[int, int]]) -> Partition:

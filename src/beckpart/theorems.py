@@ -73,8 +73,8 @@ def t_values(name: str, r: int, t: int | str | None):
         return range(1, r)
     if t is None:
         raise ValueError(f"{name} requires t")
-    if not 1 <= t <= r - 1:
-        raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t}")
+    if type(t) is not int or not 1 <= t <= r - 1:
+        raise ValueError(f"t must satisfy 1 <= t <= r-1={r - 1}, got {t!r}")
     return (t,)
 
 
@@ -90,9 +90,12 @@ def stat_value(tot: ClassTotals, stat: str, j: int, mode: str = "exact",
         raise ValueError(f"{stat} {'requires' if t is None else 'takes no'} t")
     if mode not in ("exact", "at_most"):
         raise ValueError(f"mode must be 'exact' or 'at_most', got {mode!r}")
+    if t == "all":
+        raise ValueError(f"{stat} reads one residue t, got 'all'")
     if t is not None:  # residue rows have length r; with none, refuse t < 1
         rows = (*tot.o_parts_mod.values(), *tot.d_depth.values())
-        t_values(stat, len(rows[0]) if rows else max(t, 1) + 1, t)
+        r = len(rows[0]) if rows else max(t, 1) + 1 if type(t) is int else 2
+        t_values(stat, r, t)
     return _read(tot, stat, j, mode, t)
 
 

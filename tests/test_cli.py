@@ -815,6 +815,24 @@ def test_a_refused_command_leaves_its_output_file_alone(capsys, tmp_path,
     assert kept.read_text() == "earlier output\n"
 
 
+@pytest.mark.parametrize("r", [2**63, 2**64])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "franklin", "--n-max", "1", "--j-max", "0"],
+    ["stats", "--stat", "counts", "--n-max", "1", "--j-max", "0"],
+    ["euler", "--s1-multiples-of", "1", "--n-max", "1", "--j-max", "0"],
+    ["oeis", "--sequence", "A090867", "--n-max", "1"],
+], ids=["verify", "stats", "euler", "oeis"])
+def test_an_oversized_modulus_exits_2_before_any_output(capsys, tmp_path,
+                                                        argv, r):
+    # a residue row of length r fails to allocate at once (MemoryError
+    # at 2**63, OverflowError at 2**64), before the output is opened
+    path = tmp_path / "out.csv"
+    output = [] if argv[0] == "oeis" else ["--output", str(path)]
+    assert run_capture(capsys, [*argv, "--r", str(r), *output]) == (
+        2, "", "error: modulus r too large to tabulate\n")
+    assert not path.exists()
+
+
 def _stats_rows(stat, mode, n_max, r_list, j_max):
     """The rows of ``beckpart stats``, read value by value from the API."""
     names = ("count_O", "count_D") if stat == "counts" else (stat,)

@@ -356,6 +356,19 @@ def test_stat_value_refuses_a_residue_outside_the_modulus():
     assert stat_value(empty, "modular-gap", 0, t=1) == 0
 
 
+def test_a_residue_that_is_not_an_int_is_refused():
+    # refused as out of range, never compared with r or used as an index
+    for t in (1.5, "2", True):
+        with pytest.raises(ValueError, match="1 <= t <= r-1=3"):
+            verify("modular_refine", [3], [4], 0, t=t)
+    tot, empty = class_totals(3, 10)[10], ClassTotals(
+        *({} for _ in ClassTotals._fields))
+    for t in (1.5, "2", "all"):
+        for record_ in (tot, empty):
+            with pytest.raises(ValueError):
+                stat_value(record_, "modular-gap", 0, t=t)
+
+
 def test_gap_divisible_by_r_minus_one():
     for r in (2, 3, 4):
         for tot in class_totals(r, 14):

@@ -127,6 +127,6 @@ def test_online_text_is_none_when_the_fetch_fails(monkeypatch):
 
     monkeypatch.setattr(urllib.request, "urlopen", refuse)
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    assert oeis._online_text("A090867", timeout=0.1) is None
+    assert oeis._online_text("A090867") is None
     reference, source = load_reference("A999988777", online=True)
     assert (reference, source) == (None, "")
