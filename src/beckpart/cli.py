@@ -15,7 +15,7 @@ import contextlib
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
@@ -152,6 +152,8 @@ def _cmd_stats(args) -> int:
     r_list, t_sel = _int_list(args.r), _t_selector(args.t)
     _check_grid(args.n_max, r_list, args.j_max)
     stats = ("count_O", "count_D") if args.stat == "counts" else (args.stat,)
+    if t_sel != "all" and not any(stat in theorems.READS_T for stat in stats):
+        raise ValueError(f"{args.stat} takes no t")
     # each r once, in first-seen order, so a repeated r adds no rows; the
     # residues are checked before a table is built or a row is written
     rs = dict.fromkeys(r_list)
@@ -297,6 +299,7 @@ def _cmd_oeis(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beckpart",
@@ -378,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Parse argv and execute; returns the process exit code."""
+    """Parse argv and execute; returns the process exit code.  The parser
+    is built on the first call and reused by every later one."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -222,8 +222,11 @@ def check(names: Iterable[tuple[str, str]], mark: str,
         raise ValueError(f"class index j must be >= 0, got {j_max}")
     if rs and rs[0] < 2:
         raise ValueError(f"modulus r must be >= 2, got {rs[0]}")
+    ids = [theorem for _, theorem, _ in statements]
+    if t not in ("all", None) and not any(i in READS_T for i in ids):
+        raise ValueError(f"{', '.join(ids)} takes no t")
     residues = {(theorem, r): t_values(theorem, r, t)
-                for _, theorem, _ in statements for r in rs}
+                for theorem in ids for r in rs}
     tables = {r: totals(r, ns[-1]) for r in rs} if ns else {}
     return _records(statements, ns, rs, range(j_max + 1), tables, residues)
 

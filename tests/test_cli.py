@@ -690,14 +690,19 @@ def test_euler_builds_one_table_per_run(capsys, monkeypatch):
     assert len(tables) == 2
 
 
+def _env_with_src() -> dict[str, str]:
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(beckpart.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("module", ["beckpart", "beckpart.cli"])
 def test_python_dash_m_runs_the_command(capsys, module):
     argv = ["verify", "--theorem", "franklin", "--n-max", "6", "--r", "2,3",
             "--j-max", "1", "--format", "csv"]
     _, want, _ = run_capture(capsys, argv)
-    src = str(Path(beckpart.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _env_with_src()
     proc = subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=60)
@@ -796,6 +801,33 @@ def test_a_bad_t_is_refused_before_any_table_is_built(capsys, monkeypatch):
     assert builds == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--theorem", "franklin"], "franklin takes no t"),
+    (["stats", "--stat", "counts"], "counts takes no t"),
+    (["stats", "--stat", "repeat-window"], "repeat-window takes no t"),
+])
+def test_a_t_that_nothing_reads_is_refused_before_any_table_is_built(
+        capsys, monkeypatch, argv, message):
+    builds = count_table_builds(monkeypatch)
+    assert run_capture(capsys, [*argv, "--r", "2", "--t", "99", "--n-max",
+                                "1", "--j-max", "0"]) == (
+        2, "", f"error: {message}\n")
+    assert builds == []
+
+
+def test_a_t_that_some_selection_reads_is_taken(capsys):
+    code, out, _ = run_capture(capsys, [
+        "verify", "--theorem", "all", "--r", "3", "--t", "1", "--n-max",
+        "2", "--j-max", "0", "--format", "csv"])
+    assert code == 0
+    assert {row["t"] for row in csv.DictReader(io.StringIO(out))} == {"", "1"}
+    code, out, _ = run_capture(capsys, [
+        "stats", "--stat", "modular-gap", "--r", "3", "--t", "1",
+        "--n-max", "2", "--j-max", "0", "--format", "csv"])
+    assert code == 0
+    assert {row["t"] for row in csv.DictReader(io.StringIO(out))} == {"1"}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--theorem", "all", "--n-max", "120", "--r", "2,3,4,5",
      "--t", "9"],
@@ -803,6 +835,8 @@ def test_a_bad_t_is_refused_before_any_table_is_built(capsys, monkeypatch):
     ["stats", "--stat", "counts", "--j-max", "-1"],
     ["stats", "--stat", "modular-gap", "--r", "3,2", "--t", "2",
      "--format", "csv"],
+    ["verify", "--theorem", "franklin", "--r", "2", "--t", "99"],
+    ["stats", "--stat", "counts", "--r", "2", "--t", "99"],
 ])
 def test_a_refused_command_leaves_its_output_file_alone(capsys, tmp_path,
                                                         argv):
@@ -972,3 +1006,78 @@ def test_stats_rows_stream_to_the_file(monkeypatch, tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak <= 1_000_000, peak
+
+
+# -- one parser per process ---------------------------------------------------
+
+# SHA-256 of each --help at COLUMNS=80, recorded before the parser was
+# shared; from Python 3.13 argparse wraps the usage of stats and series
+# differently
+HELP_SHA256 = {
+    "": "d320ccabfcc2174cbc8566f8a2eaa9c29356bb3774c861c2a82306a632bb8527",
+    "verify":
+        "b9176487036fa6503a0e19c3755533b72c890da21b7f380af6db6b6604e40e78",
+    "stats":
+        "e1e317208b06c921f6fae62eac949883d1a910e9ff967855a7ab0eda37245d0d",
+    "map": "c11edc07f5b90f996a762bcd788c4af4366b9378fcbb91d31fe07931137b34ac",
+    "series":
+        "cce264ad2b3ba0546c76025a0e1724fbc21ab2871eb1c090c3474b80645015a6",
+    "euler":
+        "a56a150ca35f7ccdb8026aa5fa148dc579517183c0095420b56fcda5edee4382",
+    "oeis": "fc48923c7165e41f30bb574ab3cd6539ed0ef047e0a963498c45eb3a70281039",
+}
+HELP_SHA256_SINCE_3_13 = {
+    "stats":
+        "53b3363fd0529c600e9ef2894648ee90c05c5a7d913cb2ee7d041bed84079b27",
+    "series":
+        "d7da2b328dcef4fa334da7b1e889346c4a1ac38d7de26a08f89b476748aafcad",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    shared = run_capture(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_capture(capsys, argv) == shared
+    code, out, err = shared
+    assert (code, err) == (0, "")
+    digests = {**HELP_SHA256, **(HELP_SHA256_SINCE_3_13
+                                 if sys.version_info >= (3, 13) else {})}
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[command]
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [["euler", "--r", "2", "--s1-multiples-of", "1", "--n-max", "6",
+             "--j-max", "1"],
+            ["verify", "--theorem", "pythagoras"],
+            ["verify", "--r", "3", "--n-max", "3"],
+            ["verify", "--n-max", "3"]]
+    shared = [run_capture(capsys, argv) for argv in runs]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run_capture(capsys, argv) for argv in runs] == shared
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    # the last run reads the default r = 2, not the 3 of the run before it
+    for (_, out, _), r in zip(shared[2:], ("3", "2")):
+        rows = out.splitlines()[1:]
+        assert rows and {row.split()[2] for row in rows} == {r}
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import contextlib, io\n"
+        "from beckpart import cli\n"
+        "sizes = [cli.build_parser.cache_info().currsize]\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.run(['map', '--bijection', 'phi', '--r', '2',\n"
+        "                 '--partition', '2,2,1'])\n"
+        "    sizes.append(cli.build_parser.cache_info().currsize)\n"
+        "print(sizes)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_env_with_src(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 1, 1]\n",
+                                                          "")

@@ -246,7 +246,9 @@ def test_statement_labels():
     }
     assert sorted(labels) == sorted(THEOREM_IDS)
     for theorem, want in labels.items():
-        rec = list(verify(theorem, [6], [3], 1, t=1))[1]
+        # one residue each: t = 1 where it is read, none elsewhere
+        t = 1 if theorem in theorems.READS_T else "all"
+        rec = list(verify(theorem, [6], [3], 1, t))[1]
         assert [label for label, _ in rec.rhs] == want, theorem
 
 
@@ -293,7 +295,8 @@ def test_one_totals_lookup_per_call(monkeypatch):
     monkeypatch.setattr(identities, "class_totals", lookup)
     for theorem in THEOREM_IDS:
         calls.clear()
-        verify(theorem, [9], [3], 1, t=1)
+        verify(theorem, [9], [3], 1,
+               1 if theorem in theorems.READS_T else "all")
         assert calls == [(3, 9)]
     calls.clear()
     verify("modular_refine", range(10), [3, 2], 2)
@@ -367,6 +370,15 @@ def test_a_residue_that_is_not_an_int_is_refused():
         for record_ in (tot, empty):
             with pytest.raises(ValueError):
                 stat_value(record_, "modular-gap", 0, t=t)
+
+
+def test_a_t_that_no_theorem_reads_is_refused(monkeypatch):
+    builds = count_table_builds(monkeypatch)
+    for t in (99, 1):
+        with pytest.raises(ValueError, match="^franklin takes no t$"):
+            verify("franklin", range(2), [2], 0, t)
+    assert builds == []
+    assert {rec.t for rec in verify("all", [2], [3], 0, t=1)} == {None, 1}
 
 
 def test_gap_divisible_by_r_minus_one():
